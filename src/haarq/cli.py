@@ -11,13 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .haar import check_index, haar_basis, make_grid
-from .quantizer import (
-    QuantizedSignal,
-    QuantizerConfig,
-    quantize_haar_optimal,
-    quantize_simple,
-    verify_haar_bounds,
-)
+from .quantizer import QuantizerConfig, _haar_error_rows, _quantize_rows, _round_rows
 from .report_io import (
     PAD_POLICIES,
     BlockResult,
@@ -30,10 +24,15 @@ from .report_io import (
     write_spectrum_csv,
     write_values,
 )
-from .spectral import FrequencyGrid, haar_fourier_coefficient, spectrum_error
+from .spectral import FrequencyGrid, _noise_tables, haar_fourier_coefficient
 
 _FORMAT_BY_FLAG = {"csv": "csv", "raw": "raw_f64_le"}
 _TIE_BY_FLAG = {"down": "toward_negative", "up": "toward_positive"}
+
+# Blocks are processed as (rows, 2**N) arrays of about this many samples:
+# 512 KiB of float64, so each stage's temporaries stay in cache.  Blocks of
+# 2**16 samples or more run one per chunk.
+CHUNK_SAMPLES = 1 << 16
 
 
 def _add_input_args(sp: argparse.ArgumentParser) -> None:
@@ -133,42 +132,56 @@ def _config_echo(args) -> dict:
     }
 
 
-def _quantize_blocks(blocks, args):
+def _chunks(values: np.ndarray):
+    """Yield (index of the first block, rows) for consecutive row slices."""
+    step = max(1, CHUNK_SAMPLES >> (values.shape[1].bit_length() - 1))
+    for a in range(0, values.shape[0], step):
+        yield a, values[a : a + step]
+
+
+def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
     cfg = _config(args)
-    out = []
-    for block in blocks:
-        if args.baseline:
-            out.append(quantize_simple(block))
-        else:
-            out.append(quantize_haar_optimal(block, cfg)[0])
-    return out
+    if args.baseline:
+        return _round_rows(f, cfg.tie_break)
+    return _quantize_rows(f, cfg)[-1]
+
+
+def _block_results(start: int, g: np.ndarray, haar, spectrum=None) -> list:
+    if spectrum is None:
+        passes = [None] * len(haar)
+    else:
+        passes = [table.all_pass for table in spectrum]
+    return [
+        BlockResult(
+            index=start + i,
+            quantized=row,
+            dc_total=total,
+            haar=report,
+            spectrum_pass=spectrum_pass,
+        )
+        for i, (row, total, report, spectrum_pass) in enumerate(
+            zip(g, g.sum(axis=1).tolist(), haar, passes)
+        )
+    ]
 
 
 def cmd_quantize(args) -> int:
     data = read_signal(_input_spec(args))
-    quantized = _quantize_blocks(data.blocks, args)
-    if quantized:
-        merged = np.concatenate([g.values for g in quantized])
-    else:
-        merged = np.array([], dtype=np.int64)
-    write_values(args.output, merged[: data.original_length],
+    report = RunReport(_config_echo(args), data.original_length, data.pad_count)
+    codes = np.empty(data.values.shape, dtype=np.int64)
+    for a, f in _chunks(data.values):
+        g = codes[a : a + f.shape[0]]
+        g[:] = _quantize_chunk(f, args)
+        if args.report:
+            report.blocks += _block_results(a, g, _haar_error_rows(f, g))
+    write_values(args.output, codes.reshape(-1)[: data.original_length],
                  _FORMAT_BY_FLAG[args.format])
     if args.report:
-        report = RunReport(_config_echo(args), data.original_length, data.pad_count)
-        for i, (f, g) in enumerate(zip(data.blocks, quantized)):
-            report.blocks.append(
-                BlockResult(
-                    index=i,
-                    quantized=g.values,
-                    dc_total=int(g.values.sum()),
-                    haar=verify_haar_bounds(f, g),
-                )
-            )
         write_report(report, args.report)
     return 0
 
 
-def _load_quantized(args, data):
+def _load_quantized(args, data) -> np.ndarray:
     spec = _input_spec(args, path=args.quantized, delta=1.0)
     qdata = read_signal(spec)
     if qdata.original_length != data.original_length:
@@ -176,33 +189,23 @@ def _load_quantized(args, data):
             f"quantized length {qdata.original_length} does not match "
             f"input length {data.original_length}"
         )
-    out = []
-    for block in qdata.blocks:
-        if not np.all(block.values == np.rint(block.values)):
-            raise InputFormatError(f"{args.quantized}: values are not integers")
-        out.append(QuantizedSignal(block.grid, block.values.astype(np.int64)))
-    return out
+    if not np.all(qdata.values == np.rint(qdata.values)):
+        raise InputFormatError(f"{args.quantized}: values are not integers")
+    return qdata.values.astype(np.int64)
 
 
 def cmd_verify(args) -> int:
     data = read_signal(_input_spec(args))
-    if args.quantized:
-        quantized = _load_quantized(args, data)
-    else:
-        quantized = _quantize_blocks(data.blocks, args)
+    codes = _load_quantized(args, data) if args.quantized else None
 
     report = RunReport(_config_echo(args), data.original_length, data.pad_count)
-    for i, (f, g) in enumerate(zip(data.blocks, quantized)):
-        haar_report = verify_haar_bounds(f, g)
-        table = spectrum_error(f, g)
-        report.blocks.append(
-            BlockResult(
-                index=i,
-                quantized=g.values,
-                dc_total=int(g.values.sum()),
-                haar=haar_report,
-                spectrum_pass=table.all_pass,
-            )
+    for a, f in _chunks(data.values):
+        if codes is None:
+            g = _quantize_chunk(f, args)
+        else:
+            g = codes[a : a + f.shape[0]]
+        report.blocks += _block_results(
+            a, g, _haar_error_rows(f, g), _noise_tables(f, g)
         )
     if args.report:
         write_report(report, args.report)
@@ -220,10 +223,11 @@ def _block_path(base: str, index: int, count: int) -> str:
 
 def cmd_spectrum(args) -> int:
     data = read_signal(_input_spec(args))
-    quantized = _quantize_blocks(data.blocks, args)
-    for i, (f, g) in enumerate(zip(data.blocks, quantized)):
-        table = spectrum_error(f, g)
-        write_spectrum_csv(table, _block_path(args.output, i, len(data.blocks)))
+    count = data.values.shape[0]
+    for a, f in _chunks(data.values):
+        tables = _noise_tables(f, _quantize_chunk(f, args))
+        for i, table in enumerate(tables, start=a):
+            write_spectrum_csv(table, _block_path(args.output, i, count))
     return 0
 
 

@@ -189,13 +189,33 @@ class TotalsPyramid:
 
 
 def _pairwise_levels(values: np.ndarray) -> list[np.ndarray]:
-    """Bottom-up pairwise sums; returns levels[0..N] with levels[k] of size 2**k."""
+    """Bottom-up pairwise sums along the last axis.
+
+    Returns levels[0..N] with levels[k] of shape (..., 2**k); a (rows, 2**N)
+    array gives one pyramid per row.
+    """
     levels = [values]
-    while levels[-1].size > 1:
+    while levels[-1].shape[-1] > 1:
         v = levels[-1]
-        levels.append(v[0::2] + v[1::2])
+        levels.append(v[..., 0::2] + v[..., 1::2])
     levels.reverse()
     return levels
+
+
+def _haar_rows(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Haar transform of every row of a (rows, 2**N) array.
+
+    Returns the DC coefficients, shape (rows,), and one (rows, 2**(k-1))
+    detail array per level k = 1..N.
+    """
+    levels = _pairwise_levels(values)
+    n = len(levels) - 1
+    dc = levels[0][:, 0] * np.exp2(-n)
+    details = [
+        (v[:, 1::2] - v[:, 0::2]) * np.exp2(-n + 0.5 * (k - 1))
+        for k, v in enumerate(levels[1:], start=1)
+    ]
+    return dc, details
 
 
 def inner_product(f: Signal, g: Signal) -> float:
@@ -236,14 +256,8 @@ def haar_analyze(f: Signal) -> HaarCoefficients:
     coefficient at position j is 2**(-N+(k-1)/2) times the difference of
     the right and left child totals.
     """
-    n = f.n_exponent
-    levels = _pairwise_levels(f.values)
-    dc = float(levels[0][0]) * np.exp2(-n)
-    details = []
-    for k in range(1, n + 1):
-        v = levels[k]
-        details.append((v[1::2] - v[0::2]) * np.exp2(-n + 0.5 * (k - 1)))
-    return HaarCoefficients(n, dc, tuple(details))
+    dc, details = _haar_rows(f.values[None, :])
+    return HaarCoefficients(f.n_exponent, dc[0], tuple(d[0] for d in details))
 
 
 def haar_synthesize(coefficients: HaarCoefficients) -> Signal:

@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import (
-    HaarCoefficients,
-    Signal,
-    TimeGrid,
-    _pairwise_levels,
-    _readonly,
-    haar_analyze,
-)
+from .haar import Signal, TimeGrid, _haar_rows, _pairwise_levels, _readonly
 
 __all__ = [
     "TIE_BREAKS",
@@ -202,6 +195,60 @@ def choose_parity_constrained(
     return 2 * m + p
 
 
+def _check_budget(levels, what: str) -> None:
+    for level in levels:
+        if float(np.abs(level).max()) > _INT_BUDGET:
+            raise OverflowError(f"{what} exceed the 64-bit integer budget")
+
+
+def _quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> list[np.ndarray]:
+    """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
+
+    Returns the integer pyramid levels[0..N], levels[k] of shape
+    (rows, 2**k); levels[N] holds the quantized samples.  With dither every
+    row gets the same seeded sequence, so each row's result is the one it
+    would get on its own.
+    """
+    n = values.shape[-1].bit_length() - 1
+    if cfg.dither_amplitude > 0.0:
+        if cfg.dither_amplitude >= 2.0 ** (-n - 1):
+            warnings.warn(
+                f"dither amplitude {cfg.dither_amplitude} is >= 2**-(N+1)="
+                f"{2.0 ** (-n - 1)}; bound checks against the undithered "
+                "input may fail",
+                stacklevel=3,
+            )
+        rng = np.random.default_rng(cfg.dither_seed & 0xFFFF_FFFF_FFFF_FFFF)
+        half = cfg.dither_amplitude / 2.0
+        values = values + rng.uniform(-half, half, values.shape[-1])
+
+    totals = _pairwise_levels(values)
+    _check_budget(totals, "signal totals")
+
+    parent = _round_nearest(totals[0], cfg.tie_break).astype(np.int64)
+    glevels = [parent]
+    for v in totals[1:]:
+        target = v[:, 1::2] - v[:, 0::2]
+        parity = parent & 1
+        m = _round_nearest((target - parity) * 0.5, cfg.tie_break).astype(np.int64)
+        diff = 2 * m + parity
+        child = np.empty(v.shape, dtype=np.int64)
+        # parent - diff is even by construction, so the shift halves it exactly.
+        child[:, 0::2] = (parent - diff) >> 1
+        child[:, 1::2] = parent - child[:, 0::2]
+        glevels.append(child)
+        parent = child
+    return glevels
+
+
+def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
+    """Per-sample rounding to the nearest integer, half-ties per tie_break."""
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
+    _check_budget([values], "signal values")
+    return _round_nearest(values, tie_break).astype(np.int64)
+
+
 def quantize_haar_optimal(
     f: Signal, config: QuantizerConfig | None = None
 ) -> tuple[QuantizedSignal, IntegerPyramid]:
@@ -214,60 +261,63 @@ def quantize_haar_optimal(
     quantized samples off the bottom level.  O(2**N) total work.
     """
     cfg = config if config is not None else QuantizerConfig()
-    n = f.n_exponent
-    values = f.values
-    if cfg.dither_amplitude > 0.0:
-        if cfg.dither_amplitude >= 2.0 ** (-n - 1):
-            warnings.warn(
-                f"dither amplitude {cfg.dither_amplitude} is >= 2**-(N+1)="
-                f"{2.0 ** (-n - 1)}; bound checks against the undithered "
-                "input may fail",
-                stacklevel=2,
-            )
-        rng = np.random.default_rng(cfg.dither_seed & 0xFFFF_FFFF_FFFF_FFFF)
-        half = cfg.dither_amplitude / 2.0
-        values = values + rng.uniform(-half, half, values.shape[0])
-
-    totals = _pairwise_levels(values)
-    for level in totals:
-        if float(np.abs(level).max()) > _INT_BUDGET:
-            raise OverflowError("signal totals exceed the 64-bit integer budget")
-
-    root = np.int64(_round_nearest(totals[0][0], cfg.tie_break))
-    glevels = [np.array([root], dtype=np.int64)]
-    for k in range(1, n + 1):
-        v = totals[k]
-        target = v[1::2] - v[0::2]
-        parent = glevels[-1]
-        parity = parent & np.int64(1)
-        m = _round_nearest((target - parity) * 0.5, cfg.tie_break).astype(np.int64)
-        diff = 2 * m + parity
-        child = np.empty(1 << k, dtype=np.int64)
-        # parent +/- diff is even by construction, so // 2 is exact.
-        child[0::2] = (parent - diff) // 2
-        child[1::2] = (parent + diff) // 2
-        glevels.append(child)
-
-    pyramid = IntegerPyramid(n, tuple(glevels))
-    return QuantizedSignal(f.grid, glevels[-1]), pyramid
+    levels = [level[0] for level in _quantize_rows(f.values[None, :], cfg)]
+    pyramid = IntegerPyramid(f.n_exponent, tuple(levels))
+    return QuantizedSignal(f.grid, levels[-1]), pyramid
 
 
-def quantize_simple(f: Signal) -> QuantizedSignal:
-    """Per-sample rounding to the nearest integer, half-ties downward."""
-    if float(np.abs(f.values).max()) > _INT_BUDGET:
-        raise OverflowError("signal values exceed the 64-bit integer budget")
-    rounded = np.ceil(f.values - 0.5)
-    return QuantizedSignal(f.grid, rounded.astype(np.int64))
+def quantize_simple(f: Signal, tie_break: str = "toward_negative") -> QuantizedSignal:
+    """Per-sample rounding to the nearest integer, half-ties per tie_break."""
+    return QuantizedSignal(f.grid, _round_rows(f.values, tie_break))
 
 
 def integer_totals_pyramid(g: QuantizedSignal) -> IntegerPyramid:
     """Exact integer totals of a quantized signal over the dyadic tree."""
-    levels = [g.values]
-    while levels[-1].size > 1:
-        v = levels[-1]
-        levels.append(v[0::2] + v[1::2])
-    levels.reverse()
-    return IntegerPyramid(g.n_exponent, tuple(levels))
+    return IntegerPyramid(g.n_exponent, tuple(_pairwise_levels(g.values)))
+
+
+def _haar_error_rows(f: np.ndarray, g: np.ndarray) -> list[HaarErrorReport]:
+    """One HaarErrorReport per row pair of (rows, 2**N) signal and code arrays."""
+    n = f.shape[-1].bit_length() - 1
+    gf = g.astype(np.float64)
+    dc_f, details_f = _haar_rows(f)
+    dc_g, details_g = _haar_rows(gf)
+
+    dc_bound = 2.0 ** (-n - 1)
+    dc_error = np.abs(dc_f - dc_g)
+    detail_errors = [_readonly(np.abs(a - b)) for a, b in zip(details_f, details_g)]
+    detail_bounds = _readonly(np.exp2(-n + 0.5 * np.arange(n, dtype=np.float64)))
+    sup_error = np.abs(f - gf).max(axis=1)
+    sup_bound = 1.0 - dc_bound
+
+    details_ok = np.ones(f.shape[0], dtype=bool)
+    for err, bound in zip(detail_errors, detail_bounds):
+        details_ok &= err.max(axis=1) <= bound + BOUND_SLACK
+    dc_ok = dc_error <= dc_bound + BOUND_SLACK
+    sup_ok = sup_error <= sup_bound + BOUND_SLACK
+    rows = zip(
+        dc_f.tolist(), dc_g.tolist(), dc_error.tolist(), sup_error.tolist(),
+        dc_ok.tolist(), details_ok.tolist(), sup_ok.tolist(),
+    )
+    return [
+        HaarErrorReport(
+            n_exponent=n,
+            dc_input=dc_in,
+            dc_quantized=dc_q,
+            dc_error=dc_err,
+            dc_bound=dc_bound,
+            detail_errors=tuple(err[i] for err in detail_errors),
+            detail_bounds=detail_bounds,
+            sup_error=sup_err,
+            sup_bound=sup_bound,
+            slack=BOUND_SLACK,
+            dc_ok=dc_pass,
+            details_ok=details_pass,
+            sup_ok=sup_pass,
+        )
+        for i, (dc_in, dc_q, dc_err, sup_err, dc_pass, details_pass, sup_pass)
+        in enumerate(rows)
+    ]
 
 
 def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
@@ -279,38 +329,7 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
     """
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
-    n = f.n_exponent
-    cf = haar_analyze(f)
-    cg = haar_analyze(g.to_signal())
-
-    dc_bound = 2.0 ** (-n - 1)
-    dc_error = abs(cf.dc - cg.dc)
-    detail_errors = tuple(
-        _readonly(np.abs(a - b)) for a, b in zip(cf.details, cg.details)
-    )
-    detail_bounds = _readonly(np.exp2(-n + 0.5 * np.arange(n, dtype=np.float64)))
-    sup_error = float(np.abs(f.values - g.values.astype(np.float64)).max())
-    sup_bound = 1.0 - dc_bound
-
-    details_ok = all(
-        float(err.max()) <= bound + BOUND_SLACK
-        for err, bound in zip(detail_errors, detail_bounds)
-    )
-    return HaarErrorReport(
-        n_exponent=n,
-        dc_input=cf.dc,
-        dc_quantized=cg.dc,
-        dc_error=dc_error,
-        dc_bound=dc_bound,
-        detail_errors=detail_errors,
-        detail_bounds=detail_bounds,
-        sup_error=sup_error,
-        sup_bound=sup_bound,
-        slack=BOUND_SLACK,
-        dc_ok=dc_error <= dc_bound + BOUND_SLACK,
-        details_ok=details_ok,
-        sup_ok=sup_error <= sup_bound + BOUND_SLACK,
-    )
+    return _haar_error_rows(f.values[None, :], g.values[None, :])[0]
 
 
 def check_range(f: Signal, lower: int, upper: int, g: QuantizedSignal) -> bool:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .haar import Signal, make_grid
+from .haar import MAX_EXPONENT, Signal, _readonly, make_grid
 from .quantizer import HaarErrorReport
 from .spectral import NoiseBoundTable
 
@@ -59,8 +59,10 @@ class InputSpec:
         if self.pad_policy not in PAD_POLICIES:
             raise ValueError(f"pad_policy must be one of {PAD_POLICIES}")
         n = operator.index(self.block_exponent)
-        if not 0 <= n <= 24:
-            raise ValueError(f"block_exponent must be in [0, 24], got {n}")
+        if not 0 <= n <= MAX_EXPONENT:
+            raise ValueError(
+                f"block_exponent must be in [0, {MAX_EXPONENT}], got {n}"
+            )
         object.__setattr__(self, "block_exponent", n)
         delta = float(self.scale_delta)
         if not (math.isfinite(delta) and delta > 0.0):
@@ -68,13 +70,20 @@ class InputSpec:
         object.__setattr__(self, "scale_delta", delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockedInput:
-    """Scaled signal blocks plus the blocking bookkeeping."""
+    """Scaled samples as a read-only (blocks, 2**N) array, one block per row,
+    plus the blocking bookkeeping."""
 
-    blocks: tuple[Signal, ...]
+    values: np.ndarray
     original_length: int
     pad_count: int
+
+    @property
+    def blocks(self) -> tuple[Signal, ...]:
+        """Each row as its own Signal."""
+        grid = make_grid(self.values.shape[1].bit_length() - 1)
+        return tuple(Signal(grid, row) for row in self.values)
 
 
 def _read_csv_values(lines, source: str) -> np.ndarray:
@@ -100,7 +109,7 @@ def _read_raw_values(data: bytes, source: str) -> np.ndarray:
         raise InputFormatError(
             f"{source}: raw stream length {len(data)} is not a multiple of 8"
         )
-    values = np.frombuffer(data, dtype="<f8").astype(np.float64)
+    values = np.frombuffer(data, dtype="<f8").astype(np.float64, copy=False)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise InputFormatError(f"{source}: non-finite sample at index {bad[0]}")
@@ -140,11 +149,11 @@ def read_signal(spec: InputSpec) -> BlockedInput:
         pad_count = size - remainder
         scaled = np.concatenate([scaled, np.zeros(pad_count)])
 
-    grid = make_grid(spec.block_exponent)
-    blocks = tuple(
-        Signal(grid, scaled[a : a + size]) for a in range(0, scaled.shape[0], size)
+    return BlockedInput(
+        values=_readonly(scaled.reshape(-1, size)),
+        original_length=original_length,
+        pad_count=pad_count,
     )
-    return BlockedInput(blocks=blocks, original_length=original_length, pad_count=pad_count)
 
 
 def format_float(x: float) -> str:
@@ -277,7 +286,7 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def _write_bytes(path: str, data) -> None:
     if path == "-":
         sys.stdout.buffer.write(data)
         return
@@ -296,7 +305,7 @@ def write_values(path: str, values: np.ndarray, format: str = "csv") -> None:
             lines = [format_float(v) for v in arr]
         _write_text(path, "".join(line + "\n" for line in lines))
     else:
-        _write_bytes(path, arr.astype("<f8").tobytes())
+        _write_bytes(path, arr.astype("<f8"))
 
 
 def write_report(report: RunReport, path: str) -> None:

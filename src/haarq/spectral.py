@@ -2,8 +2,8 @@
 
 The transform is normalized by 1/2**N and evaluated at the integer
 frequencies (-2**(N-1), 2**(N-1)].  Because the grid samples midpoints,
-a standard FFT needs a half-sample phase correction; the direct summation
-is kept as the reference and the FFT path must reproduce it.
+a standard FFT needs a half-sample phase correction.  The tests check the
+corrected FFT against the defining direct sum.
 
 For a signal quantized by the parity-constrained pyramid, the absolute
 spectral error at frequency xi != 0 is bounded by the summed envelope
@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .haar import IndexLike, Signal, _readonly, check_index, make_grid
+from .haar import MAX_EXPONENT, IndexLike, Signal, _readonly, check_index
 from .quantizer import QuantizedSignal
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
 # Additive slack for all envelope comparisons (absorbs transcendental rounding).
 SPECTRUM_SLACK = 1e-10
 
-# Largest grid exponent for which the dense DFT kernel is cached.
-_DIRECT_KERNEL_MAX = 10
+# Row length from which _dft_rows multiplies spectrum * phase, not phase * spectrum.
+_SWAPPED_PRODUCT_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class FrequencyGrid:
 
     def __post_init__(self):
         n = operator.index(self.n_exponent)
-        if not 0 <= n <= 24:
-            raise ValueError(f"n_exponent must be in [0, 24], got {n}")
+        if not 0 <= n <= MAX_EXPONENT:
+            raise ValueError(f"n_exponent must be in [0, {MAX_EXPONENT}], got {n}")
         object.__setattr__(self, "n_exponent", n)
 
     @property
@@ -119,55 +119,34 @@ class NoiseBoundTable:
         return bool(np.all(self.passes))
 
 
-def _dft_direct(f: Signal) -> np.ndarray:
-    n = f.n_exponent
-    if n <= _DIRECT_KERNEL_MAX:
-        return _direct_kernel(n) @ f.values
-    freqs = FrequencyGrid(n).frequencies
-    t = f.grid.samples
-    out = np.empty(freqs.shape[0], dtype=np.complex128)
-    step = 512
-    for a in range(0, freqs.shape[0], step):
-        block = freqs[a : a + step, None] * t[None, :]
-        out[a : a + step] = np.exp(-2j * np.pi * block) @ f.values
-    return out / f.grid.size
-
-
-@lru_cache(maxsize=4)
-def _direct_kernel(n_exponent: int) -> np.ndarray:
-    freqs = FrequencyGrid(n_exponent).frequencies
-    t = make_grid(n_exponent).samples
-    kernel = np.exp(-2j * np.pi * np.outer(freqs, t)) / (1 << n_exponent)
-    return _readonly(kernel)
-
-
-def _dft_fft(f: Signal) -> np.ndarray:
-    n = f.n_exponent
-    size = f.grid.size
-    spectrum = np.fft.fft(f.values)
-    freqs = FrequencyGrid(n).frequencies
+def _dft_rows(values: np.ndarray) -> np.ndarray:
+    """Transform every row of a (rows, 2**N) array; columns ascend in frequency."""
+    size = values.shape[-1]
+    freqs = FrequencyGrid(size.bit_length() - 1).frequencies
     # Midpoint sampling: exp(i pi xi (1 - 1/2**N)) = (-1)**xi * exp(-i pi xi / 2**N).
     sign = 1.0 - 2.0 * (freqs & 1)
     phase = sign * np.exp(-1j * np.pi * freqs / size)
-    return phase * spectrum[np.mod(freqs, size)] / size
+    spectrum = np.fft.fft(values, axis=-1)[:, np.mod(freqs, size)]
+    # NumPy's complex product can differ in the last bit when its operands
+    # are swapped.  These orders give the bits of the one-row expression
+    # `phase * spectrum / size`, which NumPy evaluates in place as
+    # `spectrum *= phase` once the temporary holds 256 KiB, so spectrum
+    # tables for N > 10 are the same as from the one-row transform.
+    if size >= _SWAPPED_PRODUCT_SIZE:
+        np.multiply(spectrum, phase, out=spectrum)
+    else:
+        np.multiply(phase, spectrum, out=spectrum)
+    spectrum /= size
+    return spectrum
 
 
-def dft(f: Signal, method: str = "auto") -> FourierSpectrum:
+def dft(f: Signal) -> FourierSpectrum:
     """Transform with the 1/2**N normalization and midpoint-grid phase.
 
-    method "direct" evaluates the defining sum (the reference), "fft" uses
-    a phase-corrected radix-2 FFT, and "auto" picks direct up to N=10 and
-    the FFT beyond.  The DC value always equals the DC Haar coefficient.
+    Evaluated by a phase-corrected radix-2 FFT in O(N * 2**N).  The DC
+    value always equals the DC Haar coefficient.
     """
-    if method == "auto":
-        method = "direct" if f.n_exponent <= _DIRECT_KERNEL_MAX else "fft"
-    if method == "direct":
-        values = _dft_direct(f)
-    elif method == "fft":
-        values = _dft_fft(f)
-    else:
-        raise ValueError(f"unknown dft method {method!r}")
-    return FourierSpectrum(FrequencyGrid(f.n_exponent), values)
+    return FourierSpectrum(FrequencyGrid(f.n_exponent), _dft_rows(f.values[None, :])[0])
 
 
 def haar_fourier_coefficient(xi: int, index: IndexLike, n_exponent: int) -> complex:
@@ -216,8 +195,8 @@ def fourier_error_bound_exact(xi: int, n_exponent: int) -> float:
 def fourier_error_bound_linear(xi: int, n_exponent: int) -> float:
     """Linear envelope N * pi**2 * |xi| / 2**(N+2) for xi != 0."""
     n = operator.index(n_exponent)
-    if not 0 <= n <= 24:
-        raise ValueError(f"n_exponent must be in [0, 24], got {n}")
+    if not 0 <= n <= MAX_EXPONENT:
+        raise ValueError(f"n_exponent must be in [0, {MAX_EXPONENT}], got {n}")
     if xi == 0:
         raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
     return n * math.pi**2 * abs(operator.index(xi)) * 2.0 ** (-n - 2)
@@ -243,20 +222,31 @@ def _noise_envelopes(n_exponent: int) -> tuple[np.ndarray, np.ndarray]:
     return _readonly(exact), _readonly(linear)
 
 
+def _noise_tables(f: np.ndarray, g: np.ndarray) -> list[NoiseBoundTable]:
+    """One NoiseBoundTable per row pair of (rows, 2**N) signal and code arrays."""
+    n = f.shape[-1].bit_length() - 1
+    frequencies = FrequencyGrid(n).frequencies
+    measured = _readonly(np.abs(_dft_rows(f) - _dft_rows(g.astype(np.float64))))
+    exact, linear = _noise_envelopes(n)
+    baseline = _readonly(np.full(measured.shape[-1], 0.5))
+    passes = _readonly(measured <= exact + SPECTRUM_SLACK)
+    return [
+        NoiseBoundTable(
+            n_exponent=n,
+            frequencies=frequencies,
+            measured=row,
+            bound_exact=exact,
+            bound_linear=linear,
+            baseline_bound=baseline,
+            passes=row_passes,
+            slack=SPECTRUM_SLACK,
+        )
+        for row, row_passes in zip(measured, passes)
+    ]
+
+
 def spectrum_error(f: Signal, g: QuantizedSignal) -> NoiseBoundTable:
     """Per-frequency |F(f) - F(g)| next to the envelopes, with pass flags."""
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
-    n = f.n_exponent
-    measured = np.abs(dft(f).values - dft(g.to_signal()).values)
-    exact, linear = _noise_envelopes(n)
-    return NoiseBoundTable(
-        n_exponent=n,
-        frequencies=FrequencyGrid(n).frequencies,
-        measured=_readonly(measured),
-        bound_exact=exact,
-        bound_linear=linear,
-        baseline_bound=_readonly(np.full(measured.shape[0], 0.5)),
-        passes=_readonly(measured <= exact + SPECTRUM_SLACK),
-        slack=SPECTRUM_SLACK,
-    )
+    return _noise_tables(f.values[None, :], g.values[None, :])[0]

@@ -8,10 +8,11 @@ with them.
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from haarq import Signal
+from haarq import FrequencyGrid, Signal, make_grid, quantize_haar_optimal
 
 
 def mother_step(u: float) -> float:
@@ -63,6 +64,30 @@ def dft_by_sum(f: Signal, xi: int) -> complex:
     """Single-frequency transform by direct summation."""
     t = f.grid.samples
     return complex(np.sum(np.exp(-2j * np.pi * t * xi) * f.values) / f.grid.size)
+
+
+@lru_cache(maxsize=4)
+def _dft_matrix(n: int) -> np.ndarray:
+    freqs = FrequencyGrid(n).frequencies
+    t = make_grid(n).samples
+    return np.exp(-2j * np.pi * np.outer(freqs, t)) / (1 << n)
+
+
+def dft_direct(f: Signal) -> np.ndarray:
+    """Whole transform by the dense O(4**N) defining sum, ascending frequency."""
+    return _dft_matrix(f.grid.n_exponent) @ f.values
+
+
+def quantize_per_block(values, n: int, config=None) -> np.ndarray:
+    """Zero-pad to whole blocks of 2**n and quantize each block on its own."""
+    size = 1 << n
+    padded = np.concatenate([values, np.zeros(-len(values) % size)])
+    grid = make_grid(n)
+    codes = [
+        quantize_haar_optimal(Signal(grid, padded[a : a + size]), config)[0].values
+        for a in range(0, len(padded), size)
+    ]
+    return np.concatenate(codes)[: len(values)]
 
 
 def enumerate_integer_quantizations(f: Signal):

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from haarq import format_float
-from haarq.cli import main
+from haarq import QuantizerConfig, format_float
+from haarq.cli import CHUNK_SAMPLES, main
+
+from oracles import quantize_per_block
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
 
@@ -153,6 +155,106 @@ class TestVerify:
             "--block-exp", "2",
         ])
         assert code == 3
+
+
+class TestBaselineTieBreak:
+    @pytest.mark.parametrize("tie, expected", [("down", 0), ("up", 1)])
+    def test_quantize(self, tmp_path, capsys, tie, expected):
+        src = tmp_path / "in.csv"
+        write_csv(src, [0.5])
+        code = main(["quantize", "--input", str(src), "--block-exp", "0",
+                     "--baseline", "--tie-break", tie])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [str(expected)]
+
+    @pytest.mark.parametrize("tie, expected", [("down", 0), ("up", 1)])
+    def test_verify(self, tmp_path, capsys, tie, expected):
+        src = tmp_path / "in.csv"
+        rep = tmp_path / "rep.json"
+        write_csv(src, [0.5])
+        code = main(["verify", "--input", str(src), "--block-exp", "0",
+                     "--baseline", "--tie-break", tie, "--report", str(rep)])
+        assert code == 0
+        assert json.loads(rep.read_text())["blocks"][0]["quantized"] == [expected]
+
+
+def write_raw(path, values):
+    path.write_bytes(np.asarray(values, dtype="<f8").tobytes())
+
+
+def read_codes(path, fmt):
+    if fmt == "raw":
+        return np.frombuffer(path.read_bytes(), dtype="<f8").astype(np.int64)
+    return np.array(read_int_csv(path), dtype=np.int64)
+
+
+class TestChunkBoundaries:
+    """Inputs of one chunk plus a partial block must match per-block quantizing."""
+
+    # (flags, config the per-block oracle uses)
+    CASES = {
+        "down": ((), QuantizerConfig()),
+        "up": (("--tie-break", "up"), QuantizerConfig(tie_break="toward_positive")),
+        "dither": (("--dither", "1e-7", "--seed", "5"),
+                   QuantizerConfig(dither_amplitude=1e-7, dither_seed=5)),
+    }
+
+    @pytest.fixture(scope="class", params=[0, 3, 10])
+    def signal(self, request):
+        n = request.param
+        size = 1 << n
+        rows = max(1, CHUNK_SAMPLES >> n)
+        # One block more than a chunk holds, the last one partial when N > 0.
+        length = rows * size + max(1, size - 3)
+        rng = np.random.default_rng(1500 + n)
+        # Quarter steps make exact rounding ties common.
+        values = np.round(rng.uniform(-40.0, 40.0, length) * 4.0) / 4.0
+        expected = {
+            name: quantize_per_block(values, n, cfg)
+            for name, (_, cfg) in self.CASES.items()
+        }
+        return n, values, expected
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("fmt", ["raw", "csv"])
+    def test_quantize_matches_per_block_oracle(self, tmp_path, signal, fmt, case):
+        n, values, expected = signal
+        src = tmp_path / f"in.{fmt}"
+        out = tmp_path / f"out.{fmt}"
+        if fmt == "raw":
+            write_raw(src, values)
+        else:
+            write_csv(src, values)
+        code = main(["quantize", "--format", fmt, "--block-exp", str(n),
+                     "--input", str(src), "--output", str(out),
+                     *self.CASES[case][0]])
+        assert code == 0
+        assert np.array_equal(read_codes(out, fmt), expected[case])
+
+    def test_tie_rules_differ_on_this_input(self, signal):
+        _, _, expected = signal
+        assert not np.array_equal(expected["down"], expected["up"])
+
+    def test_corrupt_block_in_second_chunk_fails_alone(self, tmp_path, capsys):
+        n = 10
+        size = 1 << n
+        rows = CHUNK_SAMPLES >> n
+        values = np.random.default_rng(1600).uniform(-50.0, 50.0, (rows + 1) * size)
+        src, q, rep = tmp_path / "in.raw", tmp_path / "q.raw", tmp_path / "rep.json"
+        write_raw(src, values)
+        assert main(["quantize", "--format", "raw", "--block-exp", str(n),
+                     "--input", str(src), "--output", str(q)]) == 0
+        codes = read_codes(q, "raw")
+        codes[rows * size + 5] += 2
+        write_raw(q, codes)
+        capsys.readouterr()
+        code = main(["verify", "--format", "raw", "--block-exp", str(n),
+                     "--input", str(src), "--quantized", str(q),
+                     "--report", str(rep)])
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
+        blocks = json.loads(rep.read_text())["blocks"]
+        assert [b["index"] for b in blocks if not b["pass"]] == [rows]
 
 
 class TestSpectrum:

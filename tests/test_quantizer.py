@@ -18,6 +18,8 @@ from haarq import (
     verify_haar_bounds,
 )
 
+from haarq.quantizer import _haar_error_rows
+
 from oracles import all_indices, naive_coefficient, parity_choice_oracle
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
@@ -248,6 +250,23 @@ class TestVerify:
         g = QuantizedSignal(make_grid(2), np.zeros(4))
         with pytest.raises(ValueError):
             verify_haar_bounds(f, g)
+
+    @pytest.mark.parametrize("n", [0, 3, 7])
+    def test_row_reports_match_one_signal_calls(self, n):
+        rng = np.random.default_rng(1700 + n)
+        f = rng.uniform(-3.0, 3.0, (6, 1 << n))
+        grid = make_grid(n)
+        g = np.array([quantize_haar_optimal(Signal(grid, row))[0].values for row in f])
+        g[4, -1] += 2  # one failing row among passing ones
+        reports = _haar_error_rows(f, g)
+        assert [r.passed for r in reports] == [True] * 4 + [False, True]
+        for fr, gr, r in zip(f, g, reports):
+            one = verify_haar_bounds(Signal(grid, fr), QuantizedSignal(grid, gr))
+            for name in ("dc_input", "dc_quantized", "dc_error", "sup_error",
+                         "dc_ok", "details_ok", "sup_ok"):
+                assert getattr(r, name) == getattr(one, name)
+            for a, b in zip(r.detail_errors, one.detail_errors):
+                assert np.array_equal(a, b)
 
 
 class TestCheckRange:

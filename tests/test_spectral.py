@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from haarq import (
+    MAX_EXPONENT,
     FrequencyGrid,
+    InputSpec,
     Signal,
     dft,
     fourier_error_bound_exact,
@@ -18,8 +20,9 @@ from haarq import (
     spectrum_error,
 )
 from haarq.quantizer import QuantizedSignal
+from haarq.spectral import _dft_rows, _noise_tables
 
-from oracles import all_indices, dft_by_sum
+from oracles import all_indices, dft_by_sum, dft_direct
 
 
 def random_signal(n, rng):
@@ -41,6 +44,21 @@ class TestFrequencyGrid:
         assert grid.contains(int(freqs[0])) and grid.contains(int(freqs[-1]))
         assert not grid.contains(int(freqs[0]) - 1)
         assert not grid.contains(int(freqs[-1]) + 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: InputSpec("x.csv", n),
+        FrequencyGrid,
+        lambda n: fourier_error_bound_linear(1, n),
+    ],
+    ids=["InputSpec", "FrequencyGrid", "fourier_error_bound_linear"],
+)
+def test_exponent_above_max_rejected(make):
+    make(MAX_EXPONENT)
+    with pytest.raises(ValueError, match=r"\[0, 24\]"):
+        make(MAX_EXPONENT + 1)
 
 
 class TestDft:
@@ -77,9 +95,23 @@ class TestDft:
     def test_fft_path_reproduces_direct(self, n):
         rng = np.random.default_rng(1000 + n)
         f = random_signal(n, rng)
-        direct = dft(f, "direct").values
-        fast = dft(f, "fft").values
+        direct = dft_direct(f)
+        fast = dft(f).values
         assert np.abs(direct - fast).max() <= 1e-10
+
+    @pytest.mark.parametrize("n", [0, 3, 10, 13, 14, 16])
+    def test_rows_match_one_row_expression(self, n):
+        # Bit for bit: a row's transform must not depend on the rows beside it.
+        rng = np.random.default_rng(1050 + n)
+        size = 1 << n
+        rows = rng.uniform(-0.5, 0.5, (3, size))
+        freqs = FrequencyGrid(n).frequencies
+        phase = (1.0 - 2.0 * (freqs & 1)) * np.exp(-1j * np.pi * freqs / size)
+        batched = _dft_rows(rows)
+        for row, got in zip(rows, batched):
+            expected = phase * np.fft.fft(row)[np.mod(freqs, size)] / size
+            assert np.array_equal(got, expected)
+            assert np.array_equal(dft(Signal(make_grid(n), row)).values, expected)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_conjugate_symmetry(self, n):
@@ -89,10 +121,6 @@ class TestDft:
             assert spec.value_at(-xi) == pytest.approx(
                 spec.value_at(xi).conjugate(), abs=1e-12
             )
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            dft(Signal(make_grid(0), [0.0]), "magic")
 
 
 class TestClosedForm:
@@ -120,10 +148,10 @@ class TestClosedForm:
         g = make_grid(n)
         freqs = FrequencyGrid(n).frequencies
         for k, j in all_indices(n):
-            spec = dft(haar_basis((k, j), g), "direct")
-            for xi in freqs:
+            direct = dft_direct(haar_basis((k, j), g))
+            for xi, value in zip(freqs, direct):
                 closed = haar_fourier_coefficient(int(xi), (k, j), n)
-                assert closed == pytest.approx(spec.value_at(int(xi)), abs=1e-10)
+                assert closed == pytest.approx(value, abs=1e-10)
 
 
 class TestEnvelopes:
@@ -210,6 +238,17 @@ class TestSpectrumError:
             assert np.abs(f.values - g.values).max() <= 1.0
             table = spectrum_error(f, g)
             assert np.all(table.measured <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [0, 4, 11])
+    def test_row_tables_match_one_signal_calls(self, n):
+        rng = np.random.default_rng(1400 + n)
+        f = rng.uniform(-3.0, 3.0, (5, 1 << n))
+        g = np.rint(f).astype(np.int64)
+        grid = make_grid(n)
+        for fr, gr, table in zip(f, g, _noise_tables(f, g)):
+            one = spectrum_error(Signal(grid, fr), QuantizedSignal(grid, gr))
+            assert np.array_equal(table.measured, one.measured)
+            assert np.array_equal(table.passes, one.passes)
 
     def test_grid_mismatch(self):
         f = Signal(make_grid(1), [0.0, 0.0])
