@@ -14,11 +14,9 @@ from .haar import (
     HaarIndex,
     Signal,
     TimeGrid,
-    TotalsPyramid,
     check_index,
     haar_analyze,
     haar_basis,
-    haar_indices,
     haar_synthesize,
     inner_product,
     make_grid,
@@ -27,12 +25,10 @@ from .haar import (
 from .quantizer import (
     BOUND_SLACK,
     HaarErrorReport,
-    IntegerPyramid,
     QuantizedSignal,
     QuantizerConfig,
     check_range,
     choose_parity_constrained,
-    integer_totals_pyramid,
     quantize_haar_optimal,
     quantize_simple,
     verify_haar_bounds,
@@ -70,10 +66,8 @@ __all__ = [
     "TimeGrid",
     "Signal",
     "HaarCoefficients",
-    "TotalsPyramid",
     "QuantizerConfig",
     "QuantizedSignal",
-    "IntegerPyramid",
     "HaarErrorReport",
     "FrequencyGrid",
     "FourierSpectrum",
@@ -85,7 +79,6 @@ __all__ = [
     "InputFormatError",
     "make_grid",
     "check_index",
-    "haar_indices",
     "inner_product",
     "haar_basis",
     "totals_pyramid",
@@ -96,7 +89,6 @@ __all__ = [
     "quantize_simple",
     "verify_haar_bounds",
     "check_range",
-    "integer_totals_pyramid",
     "dft",
     "haar_fourier_coefficient",
     "fourier_error_bound_exact",

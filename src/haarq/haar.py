@@ -1,17 +1,17 @@
 """Dyadic midpoint grid, Haar step basis, and pairwise totals pyramids.
 
 Signals live on the 2**N midpoints of [-1/2, 1/2].  Everything here runs
-through the totals pyramid (sums of the signal over the dyadic interval
-tree): each transform coefficient is a scaled difference of two adjacent
-totals, which gives O(2**N) analysis and synthesis and keeps all summation
-pairwise.  Values are immutable after construction and safe to share
-across threads.
+through the totals pyramid, the tuple of level arrays holding the sums of
+the signal over the dyadic interval tree: each transform coefficient is a
+scaled difference of two adjacent totals, which gives O(2**N) analysis
+and synthesis and keeps all summation pairwise.  Values are immutable
+after construction and safe to share across threads.
 """
 
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +21,8 @@ __all__ = [
     "TimeGrid",
     "Signal",
     "HaarCoefficients",
-    "TotalsPyramid",
     "make_grid",
     "check_index",
-    "haar_indices",
     "inner_product",
     "haar_basis",
     "totals_pyramid",
@@ -60,14 +58,6 @@ def check_index(index: IndexLike, n_exponent: int) -> HaarIndex:
     if 1 <= k <= n_exponent and 1 <= j <= 1 << (k - 1):
         return HaarIndex(k, j)
     raise ValueError(f"invalid Haar index {(k, j)} for n_exponent={n_exponent}")
-
-
-def haar_indices(n_exponent: int) -> Iterator[HaarIndex]:
-    """All 2**n_exponent valid indices: (0, 1) first, then by level, then position."""
-    yield HaarIndex(0, 1)
-    for k in range(1, n_exponent + 1):
-        for j in range(1, (1 << (k - 1)) + 1):
-            yield HaarIndex(k, j)
 
 
 @dataclass(frozen=True)
@@ -154,38 +144,8 @@ class HaarCoefficients:
         return float(self.details[k - 1][j - 1])
 
     def as_array(self) -> np.ndarray:
-        """Flatten to a length-2**N vector in haar_indices() order."""
+        """Flatten to a length-2**N vector: DC first, then by level, then position."""
         return np.concatenate([[self.dc], *self.details])
-
-
-@dataclass(frozen=True, eq=False)
-class TotalsPyramid:
-    """Per-level sums of a signal over the dyadic interval tree.
-
-    ``levels[k]`` has 2**k entries; level N is the signal itself and each
-    coarser entry is the sum of its two children.
-    """
-
-    n_exponent: int
-    levels: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        n = operator.index(self.n_exponent)
-        object.__setattr__(self, "n_exponent", n)
-        if len(self.levels) != n + 1:
-            raise ValueError(f"expected {n + 1} levels, got {len(self.levels)}")
-        fixed = []
-        for k, level in enumerate(self.levels):
-            arr = np.array(level, dtype=np.float64, copy=True)
-            if arr.shape != (1 << k,):
-                raise ValueError(f"level {k} must hold {1 << k} totals")
-            fixed.append(_readonly(arr))
-        object.__setattr__(self, "levels", tuple(fixed))
-
-    def value(self, k: int, j: int) -> float:
-        if not (0 <= k <= self.n_exponent and 1 <= j <= 1 << k):
-            raise ValueError(f"invalid pyramid node ({k}, {j})")
-        return float(self.levels[k][j - 1])
 
 
 def _pairwise_levels(values: np.ndarray) -> list[np.ndarray]:
@@ -244,9 +204,14 @@ def haar_basis(index: IndexLike, grid: TimeGrid) -> Signal:
     return Signal(grid, out)
 
 
-def totals_pyramid(f: Signal) -> TotalsPyramid:
-    """Sum the signal over every dyadic interval, pairwise from the bottom."""
-    return TotalsPyramid(f.n_exponent, tuple(_pairwise_levels(f.values)))
+def totals_pyramid(x) -> tuple[np.ndarray, ...]:
+    """Sum a Signal or QuantizedSignal over every dyadic interval, pairwise.
+
+    Returns read-only levels[0..N]: levels[k] holds the 2**k totals of
+    level k in the dtype of x.values, and each entry is the sum of its two
+    children one level down.
+    """
+    return tuple(_readonly(level) for level in _pairwise_levels(x.values))
 
 
 def haar_analyze(f: Signal) -> HaarCoefficients:

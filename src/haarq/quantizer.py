@@ -11,10 +11,10 @@ satisfies, for a grid of size 2**N,
     |detail_k(f) - detail_k(g)|    <= 2**(-N+(k-1)/2)   for every level k
     sup |f - g|                    <= 1 - 2**(-N-1)
 
-where dc/detail_k are the orthonormal Haar coefficients.  The per-sample
-rounding baseline is provided for contrast, together with a report type
-that re-measures all three bound families for any (signal, quantized)
-pair.
+where dc/detail_k are the orthonormal Haar coefficients.  Both pyramids
+are tuples of level arrays.  The per-sample rounding baseline is provided
+for contrast, together with a report type that re-measures all three
+bound families for any (signal, quantized) pair.
 """
 
 import math
@@ -32,14 +32,12 @@ __all__ = [
     "BOUND_SLACK",
     "QuantizerConfig",
     "QuantizedSignal",
-    "IntegerPyramid",
     "HaarErrorReport",
     "choose_parity_constrained",
     "quantize_haar_optimal",
     "quantize_simple",
     "verify_haar_bounds",
     "check_range",
-    "integer_totals_pyramid",
 ]
 
 TIE_BREAKS = ("toward_negative", "toward_positive")
@@ -104,40 +102,6 @@ class QuantizedSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class IntegerPyramid:
-    """Integer totals over the dyadic tree; parents equal the sum of children."""
-
-    n_exponent: int
-    levels: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        n = operator.index(self.n_exponent)
-        object.__setattr__(self, "n_exponent", n)
-        if len(self.levels) != n + 1:
-            raise ValueError(f"expected {n + 1} levels, got {len(self.levels)}")
-        fixed = []
-        for k, level in enumerate(self.levels):
-            arr = np.array(level, dtype=np.int64, copy=True)
-            if arr.shape != (1 << k,):
-                raise ValueError(f"level {k} must hold {1 << k} totals")
-            fixed.append(_readonly(arr))
-        for k in range(1, n + 1):
-            child = fixed[k]
-            if not np.array_equal(fixed[k - 1], child[0::2] + child[1::2]):
-                raise ValueError(f"level {k - 1} is not the pairwise sum of level {k}")
-        object.__setattr__(self, "levels", tuple(fixed))
-
-    def value(self, k: int, j: int) -> int:
-        if not (0 <= k <= self.n_exponent and 1 <= j <= 1 << k):
-            raise ValueError(f"invalid pyramid node ({k}, {j})")
-        return int(self.levels[k][j - 1])
-
-    @property
-    def root(self) -> int:
-        return int(self.levels[0][0])
-
-
-@dataclass(frozen=True, eq=False)
 class HaarErrorReport:
     """Measured coefficient errors versus the proved bounds for one pair.
 
@@ -163,16 +127,26 @@ class HaarErrorReport:
     def passed(self) -> bool:
         return self.dc_ok and self.details_ok and self.sup_ok
 
-    def max_detail_errors(self) -> np.ndarray:
-        """Largest per-level coefficient error, one entry per level k = 1..N."""
-        return np.array([float(e.max()) for e in self.detail_errors])
+
+def _parity_round(target, parity, tie_break: str):
+    """Nearest int64 to target whose parity (0 even, 1 odd) is parity.
+
+    With i = floor(target): i itself when it has the parity; otherwise
+    i + 1 when target > i, and i - 1 or i + 1 per tie_break when
+    target == i, both at distance 1.  No float arithmetic rounds, so the
+    choice is exact for every finite target in the int64 range.
+    """
+    floor = np.floor(target)
+    i = floor.astype(np.int64)
+    step = (i - parity) & 1
+    if tie_break == "toward_negative":
+        step *= 2 * (target > floor) - 1
+    return i + step
 
 
 def _round_nearest(x, tie_break: str):
-    # Half-integer ties go to the smaller (toward_negative) or larger integer.
-    if tie_break == "toward_negative":
-        return np.ceil(x - 0.5)
-    return np.floor(x + 0.5)
+    # m is nearest to x, ties per tie_break, iff 2m is the even integer nearest 2x.
+    return _parity_round(2.0 * x, 0, tie_break) >> 1
 
 
 def choose_parity_constrained(
@@ -184,15 +158,13 @@ def choose_parity_constrained(
     satisfies |target - D| <= 1; an exact distance-1 tie on both sides is
     resolved by tie_break.
     """
-    if not math.isfinite(target):
-        raise ValueError("target must be finite")
+    if not abs(target) <= _INT_BUDGET:
+        raise ValueError("target must be finite with |target| <= 2**60")
     if parent_parity not in PARITIES:
         raise ValueError(f"parent_parity must be one of {PARITIES}")
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    p = PARITIES.index(parent_parity)
-    m = int(_round_nearest((target - p) / 2.0, tie_break))
-    return 2 * m + p
+    return int(_parity_round(target, PARITIES.index(parent_parity), tie_break))
 
 
 def _check_budget(levels, what: str) -> None:
@@ -225,13 +197,10 @@ def _quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> list[np.ndarray]
     totals = _pairwise_levels(values)
     _check_budget(totals, "signal totals")
 
-    parent = _round_nearest(totals[0], cfg.tie_break).astype(np.int64)
+    parent = _round_nearest(totals[0], cfg.tie_break)
     glevels = [parent]
     for v in totals[1:]:
-        target = v[:, 1::2] - v[:, 0::2]
-        parity = parent & 1
-        m = _round_nearest((target - parity) * 0.5, cfg.tie_break).astype(np.int64)
-        diff = 2 * m + parity
+        diff = _parity_round(v[:, 1::2] - v[:, 0::2], parent & 1, cfg.tie_break)
         child = np.empty(v.shape, dtype=np.int64)
         # parent - diff is even by construction, so the shift halves it exactly.
         child[:, 0::2] = (parent - diff) >> 1
@@ -246,12 +215,12 @@ def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     _check_budget([values], "signal values")
-    return _round_nearest(values, tie_break).astype(np.int64)
+    return _round_nearest(values, tie_break)
 
 
 def quantize_haar_optimal(
     f: Signal, config: QuantizerConfig | None = None
-) -> tuple[QuantizedSignal, IntegerPyramid]:
+) -> tuple[QuantizedSignal, tuple[np.ndarray, ...]]:
     """Quantize by rounding the totals pyramid level by level.
 
     Steps: (1) sum the (optionally dithered) input over the dyadic tree;
@@ -259,21 +228,18 @@ def quantize_haar_optimal(
     (3) walking down, round each child difference to the nearest integer
     of the parent's parity and split the parent accordingly; (4) read the
     quantized samples off the bottom level.  O(2**N) total work.
+
+    Returns the quantized signal and its integer pyramid: read-only int64
+    levels[0..N], levels[k] with 2**k entries, equal to totals_pyramid(g).
     """
     cfg = config if config is not None else QuantizerConfig()
-    levels = [level[0] for level in _quantize_rows(f.values[None, :], cfg)]
-    pyramid = IntegerPyramid(f.n_exponent, tuple(levels))
-    return QuantizedSignal(f.grid, levels[-1]), pyramid
+    levels = tuple(_readonly(v[0]) for v in _quantize_rows(f.values[None, :], cfg))
+    return QuantizedSignal(f.grid, levels[-1]), levels
 
 
 def quantize_simple(f: Signal, tie_break: str = "toward_negative") -> QuantizedSignal:
     """Per-sample rounding to the nearest integer, half-ties per tie_break."""
     return QuantizedSignal(f.grid, _round_rows(f.values, tie_break))
-
-
-def integer_totals_pyramid(g: QuantizedSignal) -> IntegerPyramid:
-    """Exact integer totals of a quantized signal over the dyadic tree."""
-    return IntegerPyramid(g.n_exponent, tuple(_pairwise_levels(g.values)))
 
 
 def _haar_error_rows(f: np.ndarray, g: np.ndarray) -> list[HaarErrorReport]:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .haar import MAX_EXPONENT, Signal, _readonly, make_grid
+from .haar import MAX_EXPONENT, _readonly
 from .quantizer import HaarErrorReport
 from .spectral import NoiseBoundTable
 
@@ -78,12 +78,6 @@ class BlockedInput:
     values: np.ndarray
     original_length: int
     pad_count: int
-
-    @property
-    def blocks(self) -> tuple[Signal, ...]:
-        """Each row as its own Signal."""
-        grid = make_grid(self.values.shape[1].bit_length() - 1)
-        return tuple(Signal(grid, row) for row in self.values)
 
 
 def _read_csv_values(lines, source: str) -> np.ndarray:
@@ -215,7 +209,6 @@ class BlockResult:
     dc_total: int
     haar: HaarErrorReport
     spectrum_pass: bool | None = None
-    spectrum_csv: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -249,7 +242,6 @@ class BlockResult:
             "dc_total": self.dc_total,
             "haar": haar_summary,
             "spectrum_pass": self.spectrum_pass,
-            "spectrum_csv": self.spectrum_csv,
             "pass": self.passed,
         }
 

@@ -40,9 +40,6 @@ __all__ = [
 # Additive slack for all envelope comparisons (absorbs transcendental rounding).
 SPECTRUM_SLACK = 1e-10
 
-# Row length from which _dft_rows multiplies spectrum * phase, not phase * spectrum.
-_SWAPPED_PRODUCT_SIZE = 1 << 14
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -127,15 +124,7 @@ def _dft_rows(values: np.ndarray) -> np.ndarray:
     sign = 1.0 - 2.0 * (freqs & 1)
     phase = sign * np.exp(-1j * np.pi * freqs / size)
     spectrum = np.fft.fft(values, axis=-1)[:, np.mod(freqs, size)]
-    # NumPy's complex product can differ in the last bit when its operands
-    # are swapped.  These orders give the bits of the one-row expression
-    # `phase * spectrum / size`, which NumPy evaluates in place as
-    # `spectrum *= phase` once the temporary holds 256 KiB, so spectrum
-    # tables for N > 10 are the same as from the one-row transform.
-    if size >= _SWAPPED_PRODUCT_SIZE:
-        np.multiply(spectrum, phase, out=spectrum)
-    else:
-        np.multiply(phase, spectrum, out=spectrum)
+    spectrum *= phase
     spectrum /= size
     return spectrum
 
@@ -186,10 +175,7 @@ def fourier_error_bound_exact(xi: int, n_exponent: int) -> float:
         raise ValueError(f"frequency {xi} outside the grid for N={n}")
     if xi == 0:
         raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    angles = 2.0 * np.pi * np.mod(xi * np.exp2(-ks), 1.0)
-    terms = np.exp2(-2.0 * n + 2.0 * (ks - 1.0)) * (1.0 - np.cos(angles))
-    return float(terms.sum() / abs(math.sin(math.pi * xi * 2.0**-n)))
+    return float(_exact_envelope(np.array([xi], dtype=np.float64), n)[0])
 
 
 def fourier_error_bound_linear(xi: int, n_exponent: int) -> float:
@@ -200,6 +186,15 @@ def fourier_error_bound_linear(xi: int, n_exponent: int) -> float:
     if xi == 0:
         raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
     return n * math.pi**2 * abs(operator.index(xi)) * 2.0 ** (-n - 2)
+
+
+def _exact_envelope(xi: np.ndarray, n: int) -> np.ndarray:
+    """Summed envelope at the nonzero float frequencies xi, level by level."""
+    acc = np.zeros(xi.shape)
+    for k in range(1, n + 1):
+        angles = 2.0 * np.pi * np.mod(xi * 2.0**-k, 1.0)
+        acc += np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * (1.0 - np.cos(angles))
+    return acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
 
 
 @lru_cache(maxsize=32)
@@ -213,11 +208,7 @@ def _noise_envelopes(n_exponent: int) -> tuple[np.ndarray, np.ndarray]:
     nz = freqs != 0
     if np.any(nz):
         xi = freqs[nz]
-        acc = np.zeros(xi.shape[0])
-        for k in range(1, n + 1):
-            angles = 2.0 * np.pi * np.mod(xi * 2.0**-k, 1.0)
-            acc += np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * (1.0 - np.cos(angles))
-        exact[nz] = acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
+        exact[nz] = _exact_envelope(xi, n)
         linear[nz] = n * np.pi**2 * np.abs(xi) * 2.0 ** (-n - 2)
     return _readonly(exact), _readonly(linear)
 

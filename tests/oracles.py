@@ -8,6 +8,7 @@ with them.
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -48,15 +49,19 @@ def all_indices(n: int):
 
 
 def parity_choice_oracle(target: float, parity: str, tie_break: str) -> int:
-    """Enumerate nearby integers of the right parity and pick the closest."""
+    """Enumerate nearby integers of the right parity and pick the closest.
+
+    Distances are exact rationals, so near-ties are never decided by float
+    rounding.
+    """
     p = 0 if parity == "even" else 1
-    lo = math.floor(target) - 2
-    hi = math.ceil(target) + 2
-    candidates = [
-        c for c in range(lo, hi + 1) if (c - p) % 2 == 0 and abs(c - target) <= 1.0
-    ]
-    best = min(abs(c - target) for c in candidates)
-    tied = [c for c in candidates if abs(c - target) == best]
+    t = Fraction(target)
+    lo = math.floor(t) - 2
+    hi = math.ceil(t) + 2
+    distance = {c: abs(c - t) for c in range(lo, hi + 1) if (c - p) % 2 == 0}
+    candidates = [c for c, d in distance.items() if d <= 1]
+    best = min(distance[c] for c in candidates)
+    tied = [c for c in candidates if distance[c] == best]
     return min(tied) if tie_break == "toward_negative" else max(tied)
 
 

@@ -21,11 +21,11 @@ from haarq import (
     haar_fourier_coefficient,
     haar_synthesize,
     inner_product,
-    integer_totals_pyramid,
     make_grid,
     quantize_haar_optimal,
     quantize_simple,
     spectrum_error,
+    totals_pyramid,
     verify_haar_bounds,
 )
 from haarq.cli import main as cli_main
@@ -75,8 +75,8 @@ def bound_sweep():
                 worst_detail = max(worst_detail, float(err.max()) - float(bound))
             # parent = sum of children is enforced exactly on construction;
             # additionally the integer pyramid must be the totals of g.
-            rebuilt = integer_totals_pyramid(g)
-            for a, b in zip(rebuilt.levels, pyramid.levels):
+            rebuilt = totals_pyramid(g)
+            for a, b in zip(rebuilt, pyramid):
                 pyramid_ok &= bool(np.array_equal(a, b))
     _sweep_cache.update(
         bounds_ok=bounds_ok,
@@ -223,7 +223,7 @@ def test_criterion_7_worked_example(tmp_path):
     report = verify_haar_bounds(f, g)
 
     ok = g.values.tolist() == [0, 0, 1, 0]
-    ok &= pyramid.root == 1
+    ok &= pyramid[0][0] == 1
     ok &= abs(report.dc_input - 0.15) < 1e-15
 
     # independent brute-force check: enumerate all integer signals within
@@ -253,7 +253,7 @@ def test_criterion_7_worked_example(tmp_path):
     announce(
         7,
         ok,
-        f"g = {g.values.tolist()}, root total = {pyramid.root}, "
+        f"g = {g.values.tolist()}, root total = {pyramid[0][0]}, "
         f"{len(satisfying)} candidates satisfy all bounds by brute force",
     )
     assert ok

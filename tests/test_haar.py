@@ -10,7 +10,6 @@ from haarq import (
     Signal,
     haar_analyze,
     haar_basis,
-    haar_indices,
     haar_synthesize,
     inner_product,
     make_grid,
@@ -128,28 +127,27 @@ class TestBasis:
 class TestTotalsPyramid:
     def test_small_integer_example(self):
         p = totals_pyramid(Signal(make_grid(2), [1.0, 2.0, 3.0, 4.0]))
-        assert p.levels[2].tolist() == [1, 2, 3, 4]
-        assert p.levels[1].tolist() == [3, 7]
-        assert p.levels[0].tolist() == [10]
+        assert p[2].tolist() == [1, 2, 3, 4]
+        assert p[1].tolist() == [3, 7]
+        assert p[0].tolist() == [10]
 
     def test_zero_signal(self):
         p = totals_pyramid(Signal(make_grid(3), np.zeros(8)))
-        assert all(np.all(level == 0) for level in p.levels)
+        assert all(np.all(level == 0) for level in p)
 
     def test_fraction_example(self):
         p = totals_pyramid(Signal(make_grid(2), [0.3, -0.2, 0.4, 0.1]))
-        assert p.levels[1] == pytest.approx([0.1, 0.5], abs=1e-15)
-        assert p.levels[0] == pytest.approx([0.6], abs=1e-15)
+        assert p[1] == pytest.approx([0.1, 0.5], abs=1e-15)
+        assert p[0] == pytest.approx([0.6], abs=1e-15)
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_parent_child_consistency(self, n):
         rng = np.random.default_rng(100 + n)
         p = totals_pyramid(random_signal(n, rng))
         for k in range(1, n + 1):
-            child = p.levels[k]
-            parent = p.levels[k - 1]
+            child = p[k]
+            parent = p[k - 1]
             assert np.allclose(parent, child[0::2] + child[1::2], rtol=1e-12, atol=0)
-        assert p.value(n, 1) == p.levels[n][0]
 
 
 class TestAnalyze:
@@ -186,7 +184,7 @@ class TestAnalyze:
         for n in range(0, 8):
             c = haar_analyze(Signal(make_grid(n), np.zeros(1 << n)))
             assert c.as_array().shape == (1 << n,)
-            assert len(list(haar_indices(n))) == 1 << n
+            assert len(list(all_indices(n))) == 1 << n
 
 
 class TestSynthesize:

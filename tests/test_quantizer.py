@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haarq import (
@@ -10,7 +10,6 @@ from haarq import (
     check_range,
     choose_parity_constrained,
     haar_analyze,
-    integer_totals_pyramid,
     make_grid,
     quantize_haar_optimal,
     quantize_simple,
@@ -43,6 +42,11 @@ class TestParityChoice:
         with pytest.raises(ValueError):
             choose_parity_constrained(float("nan"), "odd")
 
+    def test_target_beyond_int_budget_rejected(self):
+        assert choose_parity_constrained(2.0**60, "odd") == 2**60 - 1
+        with pytest.raises(ValueError):
+            choose_parity_constrained(1e300, "even")
+
     def test_bad_enums_rejected(self):
         with pytest.raises(ValueError):
             choose_parity_constrained(0.0, "mixed")
@@ -55,6 +59,9 @@ class TestParityChoice:
         st.sampled_from(["toward_negative", "toward_positive"]),
     )
     @settings(max_examples=400, deadline=None)
+    @example(8.9e-17, "odd", "toward_negative")
+    @example(4e-17, "odd", "toward_negative")
+    @example(-4e-17, "odd", "toward_positive")
     def test_matches_enumeration_oracle(self, target, parity, tie):
         got = choose_parity_constrained(target, parity, tie)
         assert got == parity_choice_oracle(target, parity, tie)
@@ -76,9 +83,9 @@ class TestQuantizeOptimal:
         f = Signal(make_grid(2), WORKED)
         g, pyramid = quantize_haar_optimal(f)
         assert g.values.tolist() == [0, 0, 1, 0]
-        assert pyramid.levels[0].tolist() == [1]
-        assert pyramid.levels[1].tolist() == [0, 1]
-        assert pyramid.levels[2].tolist() == [0, 0, 1, 0]
+        assert pyramid[0].tolist() == [1]
+        assert pyramid[1].tolist() == [0, 1]
+        assert pyramid[2].tolist() == [0, 0, 1, 0]
 
     @pytest.mark.parametrize("n", [0, 1, 3, 5])
     @pytest.mark.parametrize("c", [-3, 0, 7])
@@ -93,7 +100,7 @@ class TestQuantizeOptimal:
     def test_tie_goes_down_by_default(self):
         f = Signal(make_grid(1), [0.5, 0.5])
         g, pyramid = quantize_haar_optimal(f)
-        assert pyramid.root == 1
+        assert pyramid[0][0] == 1
         assert g.values.tolist() == [1, 0]
 
     def test_tie_direction_configurable(self):
@@ -110,8 +117,11 @@ class TestQuantizeOptimal:
             report = verify_haar_bounds(f, g)
             assert report.passed, (n, f.values)
             # integer pyramid really is the totals pyramid of g
-            rebuilt = integer_totals_pyramid(g)
-            for a, b in zip(rebuilt.levels, pyramid.levels):
+            rebuilt = totals_pyramid(g)
+            assert len(rebuilt) == len(pyramid) == n + 1
+            for a, b in zip(rebuilt, pyramid):
+                assert a.dtype == b.dtype == np.int64
+                assert not a.flags.writeable and not b.flags.writeable
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("n", range(0, 8))
@@ -121,12 +131,12 @@ class TestQuantizeOptimal:
         totals = totals_pyramid(f)
         _, pyramid = quantize_haar_optimal(f)
         for k in range(1, n + 1):
-            v = totals.levels[k]
-            gk = pyramid.levels[k]
+            v = totals[k]
+            gk = pyramid[k]
             target = v[1::2] - v[0::2]
             diff = gk[1::2] - gk[0::2]
             assert np.all(np.abs(target - diff) <= 1.0 + 1e-12)
-            assert np.all((diff - pyramid.levels[k - 1]) % 2 == 0)
+            assert np.all((diff - pyramid[k - 1]) % 2 == 0)
 
     def test_deterministic_and_seed_free_without_dither(self):
         rng = np.random.default_rng(7)
@@ -134,7 +144,7 @@ class TestQuantizeOptimal:
         g1, p1 = quantize_haar_optimal(f, QuantizerConfig(dither_seed=1))
         g2, p2 = quantize_haar_optimal(f, QuantizerConfig(dither_seed=99))
         assert np.array_equal(g1.values, g2.values)
-        for a, b in zip(p1.levels, p2.levels):
+        for a, b in zip(p1, p2):
             assert np.array_equal(a, b)
 
     def test_dither_is_seeded_and_deterministic(self):
@@ -196,6 +206,25 @@ class TestQuantizeSimple:
         f = Signal(make_grid(0), [2.0**61])
         with pytest.raises(OverflowError):
             quantize_simple(f)
+
+
+@pytest.mark.parametrize(
+    "value, tie, expected",
+    [
+        # Next to +-1/2, x +- 0.5 is not representable and rounds to an integer.
+        (0.49999999999999994, "toward_positive", 0),
+        (-0.49999999999999994, "toward_negative", 0),
+        # Above 2**52 x is an integer, and x +- 0.5 rounds to a neighbour of it.
+        (2.0**52 + 1, "toward_negative", 2**52 + 1),
+        (2.0**52 + 1, "toward_positive", 2**52 + 1),
+        (-(2.0**52) - 1, "toward_positive", -(2**52) - 1),
+    ],
+)
+def test_nearest_integer_rounding_is_exact(value, tie, expected):
+    f = Signal(make_grid(0), [value])
+    assert quantize_simple(f, tie).values.tolist() == [expected]
+    g, _ = quantize_haar_optimal(f, QuantizerConfig(tie_break=tie))
+    assert g.values.tolist() == [expected]
 
 
 class TestVerify:
@@ -317,8 +346,8 @@ def bounded_signals(draw, max_exponent=6):
 def test_bounds_hold_property(f):
     g, pyramid = quantize_haar_optimal(f)
     assert verify_haar_bounds(f, g).passed
-    rebuilt = integer_totals_pyramid(g)
-    for a, b in zip(rebuilt.levels, pyramid.levels):
+    rebuilt = totals_pyramid(g)
+    for a, b in zip(rebuilt, pyramid):
         assert np.array_equal(a, b)
 
 

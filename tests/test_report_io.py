@@ -31,16 +31,16 @@ class TestReadCsv:
         p = tmp_path / "in.csv"
         write_csv(p, np.arange(10) / 10.0)
         data = read_signal(InputSpec(str(p), block_exponent=3))
-        assert len(data.blocks) == 2
+        assert len(data.values) == 2
         assert data.original_length == 10
         assert data.pad_count == 6
-        assert np.all(data.blocks[1].values[2:] == 0.0)
+        assert np.all(data.values[1][2:] == 0.0)
 
     def test_exact_multiple_no_padding(self, tmp_path):
         p = tmp_path / "in.csv"
         write_csv(p, np.arange(8) / 8.0)
         data = read_signal(InputSpec(str(p), block_exponent=3))
-        assert len(data.blocks) == 1
+        assert len(data.values) == 1
         assert data.pad_count == 0
 
     def test_reject_partial(self, tmp_path):
@@ -53,7 +53,7 @@ class TestReadCsv:
         p = tmp_path / "in.csv"
         p.write_text("# header\n\n0.25\n  # indented comment\n0.75\n")
         data = read_signal(InputSpec(str(p), block_exponent=1))
-        assert data.blocks[0].values.tolist() == [0.25, 0.75]
+        assert data.values[0].tolist() == [0.25, 0.75]
 
     def test_bad_line_reports_line_number(self, tmp_path):
         p = tmp_path / "in.csv"
@@ -75,13 +75,13 @@ class TestReadCsv:
         p = tmp_path / "in.csv"
         write_csv(p, [1.5, -3.0])
         data = read_signal(InputSpec(str(p), 1, scale_delta=0.5))
-        assert data.blocks[0].values.tolist() == [3.0, -6.0]
+        assert data.values[0].tolist() == [3.0, -6.0]
 
     def test_empty_input_gives_no_blocks(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("# nothing\n")
         data = read_signal(InputSpec(str(p), 3))
-        assert data.blocks == ()
+        assert data.values.shape == (0, 8)
         assert data.original_length == 0
 
 
@@ -91,7 +91,7 @@ class TestReadRaw:
         values = np.array([0.1, -0.25, 2.0**-40, 1e17])
         write_values(str(p), values, "raw_f64_le")
         data = read_signal(InputSpec(str(p), 2, format="raw_f64_le"))
-        assert np.array_equal(data.blocks[0].values, values)
+        assert np.array_equal(data.values[0], values)
 
     def test_truncated_stream_rejected(self, tmp_path):
         p = tmp_path / "in.bin"
@@ -141,7 +141,7 @@ class TestFloatRendering:
         p = tmp_path / "cycle.csv"
         write_values(str(p), values, "csv")
         data = read_signal(InputSpec(str(p), 6))
-        assert np.array_equal(data.blocks[0].values, values)
+        assert np.array_equal(data.values[0], values)
 
 
 def make_report(tmp_path, values, n):
@@ -210,7 +210,6 @@ class TestRunReport:
             "dc_total",
             "haar",
             "spectrum_pass",
-            "spectrum_csv",
             "pass",
         }
         assert {"dc_input", "dc_error", "dc_bound", "detail_levels", "sup_error"} <= set(
@@ -263,6 +262,6 @@ class TestSpectrumCsv:
         p = tmp_path / "in.csv"
         write_csv(p, values)
         data = read_signal(InputSpec(str(p), 3, scale_delta=0.25))
-        merged = np.concatenate([b.values for b in data.blocks]) * 0.25
+        merged = data.values.reshape(-1) * 0.25
         assert merged[: data.original_length] == pytest.approx(values, abs=0)
         assert np.all(merged[data.original_length :] == 0.0)

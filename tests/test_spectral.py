@@ -20,7 +20,7 @@ from haarq import (
     spectrum_error,
 )
 from haarq.quantizer import QuantizedSignal
-from haarq.spectral import _dft_rows, _noise_tables
+from haarq.spectral import _dft_rows, _noise_envelopes, _noise_tables
 
 from oracles import all_indices, dft_by_sum, dft_direct
 
@@ -109,7 +109,7 @@ class TestDft:
         phase = (1.0 - 2.0 * (freqs & 1)) * np.exp(-1j * np.pi * freqs / size)
         batched = _dft_rows(rows)
         for row, got in zip(rows, batched):
-            expected = phase * np.fft.fft(row)[np.mod(freqs, size)] / size
+            expected = np.fft.fft(row)[np.mod(freqs, size)] * phase / size
             assert np.array_equal(got, expected)
             assert np.array_equal(dft(Signal(make_grid(n), row)).values, expected)
 
@@ -184,6 +184,13 @@ class TestEnvelopes:
             fourier_error_bound_exact(0, 4)
         with pytest.raises(ValueError):
             fourier_error_bound_linear(0, 4)
+
+    @pytest.mark.parametrize("n", [1, 8, 12])
+    def test_scalar_matches_table_bit_for_bit(self, n):
+        exact, _ = _noise_envelopes(n)
+        for xi, table_value in zip(FrequencyGrid(n).frequencies, exact):
+            if xi != 0:
+                assert fourier_error_bound_exact(int(xi), n) == table_value
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_term_chain_inequality(self, n):
