@@ -5,19 +5,27 @@ Exit codes: 0 success (all bounds pass), 1 bound violation, 2 usage error,
 """
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .haar import check_index, haar_basis, make_grid
-from .quantizer import QuantizerConfig, _haar_error_rows, _quantize_rows, _round_rows
+from .quantizer import (
+    QuantizerConfig,
+    _check_pair_budget,
+    _haar_error_rows,
+    _quantize_rows,
+    _round_rows,
+)
 from .report_io import (
     PAD_POLICIES,
     BlockResult,
     InputFormatError,
     InputSpec,
     RunReport,
+    _write_lines,
     format_float,
     read_signal,
     write_report,
@@ -191,6 +199,7 @@ def _load_quantized(args, data) -> np.ndarray:
         )
     if not np.all(qdata.values == np.rint(qdata.values)):
         raise InputFormatError(f"{args.quantized}: values are not integers")
+    _check_pair_budget(data.values, qdata.values)
     return qdata.values.astype(np.int64)
 
 
@@ -233,26 +242,22 @@ def cmd_spectrum(args) -> int:
 
 def cmd_basis(args) -> int:
     grid = make_grid(args.block_exp)
-    index = check_index((args.level, args.position), grid.n_exponent)
-    lines = []
+    n = grid.n_exponent
+    index = check_index((args.level, args.position), n)
     if args.fourier:
-        lines.append("xi,re,im,abs")
-        for xi in FrequencyGrid(grid.n_exponent).frequencies:
-            value = haar_fourier_coefficient(int(xi), index, grid.n_exponent)
-            lines.append(
-                f"{int(xi)},{format_float(value.real)},"
-                f"{format_float(value.imag)},{format_float(abs(value))}"
-            )
+        header = "xi,re,im,abs\n"
+        freqs = FrequencyGrid(n).frequencies.tolist()
+        values = [haar_fourier_coefficient(xi, index, n) for xi in freqs]
+        rows = (
+            f"{xi},{format_float(v.real)},{format_float(v.imag)},"
+            f"{format_float(abs(v))}\n"
+            for xi, v in zip(freqs, values)
+        )
     else:
-        basis = haar_basis(index, grid)
-        lines.append("n,t,value")
-        for i, (t, v) in enumerate(zip(grid.samples, basis.values), start=1):
-            lines.append(f"{i},{format_float(t)},{format_float(v)}")
-    text = "".join(line + "\n" for line in lines)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text, encoding="utf-8")
+        header = "n,t,value\n"
+        samples = zip(grid.samples.tolist(), haar_basis(index, grid).values.tolist())
+        rows = (f"{i},{t!r},{v!r}\n" for i, (t, v) in enumerate(samples, start=1))
+    _write_lines(args.output, itertools.chain([header], rows))
     return 0
 
 

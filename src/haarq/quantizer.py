@@ -173,6 +173,13 @@ def _check_budget(levels, what: str) -> None:
             raise OverflowError(f"{what} exceed the 64-bit integer budget")
 
 
+def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> None:
+    """Reject (rows, 2**N) signal and code arrays with totals beyond the
+    budget, so their residual and block sums stay exact in int64."""
+    _check_budget(_pairwise_levels(f), "signal totals")
+    _check_budget(_pairwise_levels(np.asarray(g, dtype=np.float64)), "quantized totals")
+
+
 def _quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> list[np.ndarray]:
     """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
 
@@ -214,7 +221,7 @@ def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
     """Per-sample rounding to the nearest integer, half-ties per tie_break."""
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    _check_budget([values], "signal values")
+    _check_budget(_pairwise_levels(values), "signal totals")
     return _round_nearest(values, tie_break)
 
 
@@ -242,18 +249,28 @@ def quantize_simple(f: Signal, tie_break: str = "toward_negative") -> QuantizedS
     return QuantizedSignal(f.grid, _round_rows(f.values, tie_break))
 
 
+def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f - g for float samples and int64 codes within the budget, accurate
+    to a few ulps of 1 + |f - g| however large f is: floor(f) - g is exact
+    in int64 and f - floor(f) lies in [0, 1]."""
+    floor = np.floor(f)
+    return (f - floor) + (floor.astype(np.int64) - g)
+
+
 def _haar_error_rows(f: np.ndarray, g: np.ndarray) -> list[HaarErrorReport]:
-    """One HaarErrorReport per row pair of (rows, 2**N) signal and code arrays."""
+    """One HaarErrorReport per row pair of (rows, 2**N) signal and code arrays,
+    each error measured on the residual f - g, not on two large transforms."""
     n = f.shape[-1].bit_length() - 1
-    gf = g.astype(np.float64)
-    dc_f, details_f = _haar_rows(f)
-    dc_g, details_g = _haar_rows(gf)
+    r = _residual(f, g)
+    dc_r, details_r = _haar_rows(r)
 
     dc_bound = 2.0 ** (-n - 1)
-    dc_error = np.abs(dc_f - dc_g)
-    detail_errors = [_readonly(np.abs(a - b)) for a, b in zip(details_f, details_g)]
+    dc_f = _pairwise_levels(f)[0][:, 0] * np.exp2(-n)
+    dc_g = g.sum(axis=1) * np.exp2(-n)
+    dc_error = np.abs(dc_r)
+    detail_errors = [_readonly(np.abs(d)) for d in details_r]
     detail_bounds = _readonly(np.exp2(-n + 0.5 * np.arange(n, dtype=np.float64)))
-    sup_error = np.abs(f - gf).max(axis=1)
+    sup_error = np.abs(r).max(axis=1)
     sup_bound = 1.0 - dc_bound
 
     details_ok = np.ones(f.shape[0], dtype=bool)
@@ -291,10 +308,12 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
 
     Checks the DC bound 2**(-N-1), the level-k bound 2**(-N+(k-1)/2) and
     the uniform bound 1 - 2**(-N-1), each with BOUND_SLACK of additive
-    tolerance for float rounding.
+    tolerance for float rounding.  Raises OverflowError when either
+    signal's dyadic totals exceed 2**60.
     """
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
+    _check_pair_budget(f.values[None, :], g.values[None, :])
     return _haar_error_rows(f.values[None, :], g.values[None, :])[0]
 
 

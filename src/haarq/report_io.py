@@ -2,15 +2,18 @@
 
 Readers accept one-value-per-line CSV (with '#' comments) or headerless
 little-endian float64 streams, scale by the quantization step, and cut the
-stream into blocks of 2**N samples.  Writers render every float with 17
-significant digits so identical runs produce byte-identical files.
+stream into blocks of 2**N samples.  Writers render every float as its
+shortest round-trip text (Python's repr), so files parse back to the same
+float64 bits and identical runs produce byte-identical files.
 """
 
+import itertools
 import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
@@ -151,53 +154,13 @@ def read_signal(spec: InputSpec) -> BlockedInput:
 
 
 def format_float(x: float) -> str:
-    """Render with 17 significant digits; round trips float64 exactly."""
-    value = float(x)
-    if not math.isfinite(value):
-        raise ValueError("cannot render non-finite value")
-    text = format(value, ".17g")
-    if "." not in text and "e" not in text:
-        text += ".0"
-    return text
-
-
-def _canon(obj, depth: int) -> str:
-    pad = "  " * depth
-    inner_pad = "  " * (depth + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(inner_pad + _canon(v, depth + 1) for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            parts.append(
-                inner_pad + json.dumps(key) + ": " + _canon(obj[key], depth + 1)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+    """Shortest round-trip text of a finite float; 1.0 keeps its '.0'."""
+    return repr(_floats(x))
 
 
 def dumps_canonical(obj) -> str:
-    """Key-sorted JSON with 17-significant-digit floats; byte deterministic."""
-    return _canon(obj, 0) + "\n"
+    """Key-sorted JSON, 2-space indent, shortest round-trip floats; NaN raises."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 @dataclass
@@ -217,28 +180,19 @@ class BlockResult:
     def to_dict(self) -> dict:
         r = self.haar
         haar_summary = {
-            "n_exponent": r.n_exponent,
-            "dc_input": r.dc_input,
-            "dc_quantized": r.dc_quantized,
-            "dc_error": r.dc_error,
-            "dc_bound": r.dc_bound,
-            "detail_levels": [
-                {"level": k, "max_error": float(err.max()), "bound": float(bound)}
-                for k, (err, bound) in enumerate(
-                    zip(r.detail_errors, r.detail_bounds), start=1
-                )
-            ],
-            "sup_error": r.sup_error,
-            "sup_bound": r.sup_bound,
-            "slack": r.slack,
-            "dc_ok": r.dc_ok,
-            "details_ok": r.details_ok,
-            "sup_ok": r.sup_ok,
-            "pass": r.passed,
+            f.name: getattr(r, f.name)
+            for f in fields(r)
+            if f.name not in ("detail_errors", "detail_bounds")
         }
+        levels = zip(r.detail_errors, r.detail_bounds)
+        haar_summary["detail_levels"] = [
+            {"level": k, "max_error": float(err.max()), "bound": float(bound)}
+            for k, (err, bound) in enumerate(levels, start=1)
+        ]
+        haar_summary["pass"] = r.passed
         return {
             "index": self.index,
-            "quantized": [int(v) for v in self.quantized],
+            "quantized_sha256": sha256(self.quantized.astype("<i8")).hexdigest(),
             "dc_total": self.dc_total,
             "haar": haar_summary,
             "spectrum_pass": self.spectrum_pass,
@@ -270,12 +224,21 @@ class RunReport:
         }
 
 
-def _write_text(path: str, text: str) -> None:
+def _floats(column):
+    """Finite values as Python floats, whose repr is the shortest round-trip text."""
+    arr = np.asarray(column, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("cannot render non-finite value")
+    return arr.tolist()
+
+
+def _write_lines(path: str, lines) -> None:
+    """Write an iterable of text lines to a file, or to stdout for '-'."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(lines)
 
 
 def _write_bytes(path: str, data) -> None:
@@ -290,34 +253,28 @@ def write_values(path: str, values: np.ndarray, format: str = "csv") -> None:
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     arr = np.asarray(values)
-    if format == "csv":
-        if np.issubdtype(arr.dtype, np.integer):
-            lines = [str(int(v)) for v in arr]
-        else:
-            lines = [format_float(v) for v in arr]
-        _write_text(path, "".join(line + "\n" for line in lines))
-    else:
+    if format == "raw_f64_le":
         _write_bytes(path, arr.astype("<f8"))
+    elif np.issubdtype(arr.dtype, np.integer):
+        _write_lines(path, (f"{v}\n" for v in arr.tolist()))
+    else:
+        _write_lines(path, (f"{v!r}\n" for v in _floats(arr)))
 
 
 def write_report(report: RunReport, path: str) -> None:
     """Emit the run report as canonical JSON."""
-    _write_text(path, dumps_canonical(report.to_dict()))
+    _write_lines(path, [dumps_canonical(report.to_dict())])
 
 
 def write_spectrum_csv(table: NoiseBoundTable, path: str) -> None:
     """One row per frequency, ascending, with measured error and envelopes."""
-    lines = ["xi,measured,bound_exact,bound_linear,baseline_bound"]
-    for i, xi in enumerate(table.frequencies):
-        lines.append(
-            ",".join(
-                [
-                    str(int(xi)),
-                    format_float(table.measured[i]),
-                    format_float(table.bound_exact[i]),
-                    format_float(table.bound_linear[i]),
-                    format_float(table.baseline_bound[i]),
-                ]
-            )
-        )
-    _write_text(path, "".join(line + "\n" for line in lines))
+    columns = zip(
+        table.frequencies.tolist(),
+        _floats(table.measured),
+        _floats(table.bound_exact),
+        _floats(table.bound_linear),
+        _floats(table.baseline_bound),
+    )
+    rows = (f"{xi},{m!r},{e!r},{lin!r},{b!r}\n" for xi, m, e, lin, b in columns)
+    header = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
+    _write_lines(path, itertools.chain([header], rows))

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .haar import MAX_EXPONENT, IndexLike, Signal, _readonly, check_index
-from .quantizer import QuantizedSignal
+from .quantizer import QuantizedSignal, _check_pair_budget, _residual
 
 __all__ = [
     "SPECTRUM_SLACK",
@@ -217,7 +217,7 @@ def _noise_tables(f: np.ndarray, g: np.ndarray) -> list[NoiseBoundTable]:
     """One NoiseBoundTable per row pair of (rows, 2**N) signal and code arrays."""
     n = f.shape[-1].bit_length() - 1
     frequencies = FrequencyGrid(n).frequencies
-    measured = _readonly(np.abs(_dft_rows(f) - _dft_rows(g.astype(np.float64))))
+    measured = _readonly(np.abs(_dft_rows(_residual(f, g))))
     exact, linear = _noise_envelopes(n)
     baseline = _readonly(np.full(measured.shape[-1], 0.5))
     passes = _readonly(measured <= exact + SPECTRUM_SLACK)
@@ -237,7 +237,11 @@ def _noise_tables(f: np.ndarray, g: np.ndarray) -> list[NoiseBoundTable]:
 
 
 def spectrum_error(f: Signal, g: QuantizedSignal) -> NoiseBoundTable:
-    """Per-frequency |F(f) - F(g)| next to the envelopes, with pass flags."""
+    """Per-frequency |F(f - g)| next to the envelopes, with pass flags.
+
+    Raises OverflowError when either signal's dyadic totals exceed 2**60.
+    """
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
+    _check_pair_budget(f.values[None, :], g.values[None, :])
     return _noise_tables(f.values[None, :], g.values[None, :])[0]

@@ -6,6 +6,7 @@ fast pyramid code paths are checked against something that shares no code
 with them.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -93,6 +94,17 @@ def quantize_per_block(values, n: int, config=None) -> np.ndarray:
         for a in range(0, len(padded), size)
     ]
     return np.concatenate(codes)[: len(values)]
+
+
+def codes_sha256(codes) -> str:
+    """SHA-256 hex digest of integer codes stored as little-endian int64."""
+    return hashlib.sha256(np.asarray(codes, dtype="<i8").tobytes()).hexdigest()
+
+
+def dc_error_fraction(f_values, g_values) -> Fraction:
+    """Exact |dc(f) - dc(g)| in rationals: the mean of the residual f - g."""
+    residual = sum(Fraction(float(v)) - int(c) for v, c in zip(f_values, g_values))
+    return abs(residual) / len(f_values)
 
 
 def enumerate_integer_quantizations(f: Signal):

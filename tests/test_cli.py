@@ -6,7 +6,7 @@ import pytest
 from haarq import QuantizerConfig, format_float
 from haarq.cli import CHUNK_SAMPLES, main
 
-from oracles import quantize_per_block
+from oracles import codes_sha256, dc_error_fraction, quantize_per_block
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
 
@@ -43,7 +43,7 @@ class TestQuantize:
         assert code == 0
         parsed = json.loads(rep.read_text())
         assert parsed["pass"] is True
-        assert parsed["blocks"][0]["quantized"] == [0, 0, 1, 0]
+        assert parsed["blocks"][0]["quantized_sha256"] == codes_sha256([0, 0, 1, 0])
         assert parsed["blocks"][0]["dc_total"] == 1
         assert parsed["blocks"][0]["haar"]["dc_input"] == 0.15
         assert parsed["config"]["tie_break"] == "toward_negative"
@@ -175,7 +175,8 @@ class TestBaselineTieBreak:
         code = main(["verify", "--input", str(src), "--block-exp", "0",
                      "--baseline", "--tie-break", tie, "--report", str(rep)])
         assert code == 0
-        assert json.loads(rep.read_text())["blocks"][0]["quantized"] == [expected]
+        block = json.loads(rep.read_text())["blocks"][0]
+        assert block["quantized_sha256"] == codes_sha256([expected])
 
 
 def write_raw(path, values):
@@ -257,6 +258,35 @@ class TestChunkBoundaries:
         assert [b["index"] for b in blocks if not b["pass"]] == [rows]
 
 
+class TestLargeMagnitudes:
+    # Totals near 2**56: the float totals have no fractional bits left, so
+    # the quantizer's DC error is 21 times its bound.  The report must say
+    # so, with the exact error.
+    VALUES = 2.0**46 + np.random.default_rng(3).uniform(-0.5, 0.5, 1 << 10)
+
+    def test_report_measures_the_residual(self, tmp_path):
+        src, out, rep = tmp_path / "in.raw", tmp_path / "q.raw", tmp_path / "r.json"
+        write_raw(src, self.VALUES)
+        main(["quantize", "--format", "raw", "--input", str(src),
+              "--output", str(out), "--report", str(rep)])
+        block = json.loads(rep.read_text())["blocks"][0]
+        exact = dc_error_fraction(self.VALUES, read_codes(out, "raw"))
+        assert block["haar"]["dc_error"] == float(exact)
+        assert float(exact) > 20 * block["haar"]["dc_bound"]
+        assert block["haar"]["dc_ok"] is False
+        assert block["pass"] is False
+
+    @pytest.mark.parametrize("which", ["input", "quantized"])
+    def test_verify_rejects_values_beyond_budget(self, tmp_path, capsys, which):
+        files = {"input": tmp_path / "in.csv", "quantized": tmp_path / "q.csv"}
+        for name, path in files.items():
+            path.write_text("1e300\n0\n" if name == which else "0\n0\n")
+        code = main(["verify", "--block-exp", "1", "--input", str(files["input"]),
+                     "--quantized", str(files["quantized"])])
+        assert code == 2
+        assert "64-bit integer budget" in capsys.readouterr().err
+
+
 class TestSpectrum:
     def test_single_block_table(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -270,6 +300,16 @@ class TestSpectrum:
         lines = out.read_text().splitlines()
         assert lines[0] == "xi,measured,bound_exact,bound_linear,baseline_bound"
         assert len(lines) == 65
+
+    def test_stdout_matches_file_bytes(self, tmp_path, capsysbinary):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "table.csv"
+        write_csv(src, np.random.default_rng(71).uniform(-0.5, 0.5, 16))
+        args = ["spectrum", "--input", str(src), "--block-exp", "4", "--output"]
+        assert main([*args, str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main([*args, "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_multi_block_suffixes(self, tmp_path):
         src = tmp_path / "in.csv"

@@ -19,7 +19,12 @@ from haarq import (
 
 from haarq.quantizer import _haar_error_rows
 
-from oracles import all_indices, naive_coefficient, parity_choice_oracle
+from oracles import (
+    all_indices,
+    dc_error_fraction,
+    naive_coefficient,
+    parity_choice_oracle,
+)
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
 
@@ -207,6 +212,12 @@ class TestQuantizeSimple:
         with pytest.raises(OverflowError):
             quantize_simple(f)
 
+    def test_block_total_overflow_guard(self):
+        # Each sample is inside the budget, their int64 block sum is not.
+        f = Signal(make_grid(1), [2.0**60, 2.0**60])
+        with pytest.raises(OverflowError):
+            quantize_simple(f)
+
 
 @pytest.mark.parametrize(
     "value, tie, expected",
@@ -279,6 +290,21 @@ class TestVerify:
         g = QuantizedSignal(make_grid(2), np.zeros(4))
         with pytest.raises(ValueError):
             verify_haar_bounds(f, g)
+
+    def test_large_magnitude_error_is_measured_exactly(self):
+        # Totals near 2**56 keep no fractional bits in float64, so the
+        # difference of two transforms would read 0 here.
+        values = 2.0**46 + np.random.default_rng(3).uniform(-0.5, 0.5, 1 << 10)
+        f = Signal(make_grid(10), values)
+        g, _ = quantize_haar_optimal(f)
+        report = verify_haar_bounds(f, g)
+        assert report.dc_error == float(dc_error_fraction(values, g.values))
+        assert not report.dc_ok and not report.passed
+
+    def test_totals_beyond_budget_rejected(self):
+        f = Signal(make_grid(1), [1e300, 0.0])
+        with pytest.raises(OverflowError):
+            verify_haar_bounds(f, QuantizedSignal(make_grid(1), np.zeros(2)))
 
     @pytest.mark.parametrize("n", [0, 3, 7])
     def test_row_reports_match_one_signal_calls(self, n):

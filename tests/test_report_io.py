@@ -21,6 +21,8 @@ from haarq import (
 )
 from haarq.report_io import BlockResult
 
+from oracles import codes_sha256
+
 
 def write_csv(path, values):
     path.write_text("".join(format_float(v) + "\n" for v in values))
@@ -123,17 +125,26 @@ class TestInputSpecValidation:
 class TestFloatRendering:
     @pytest.mark.parametrize(
         "value",
-        [0.1, -0.1, 1.0, 0.0, -0.0, 2.0**-52, 1e300, 123456789.123456789, 0.15],
+        [0.1, -0.1, 1.0, 0.0, -0.0, 2.0**-52, 1e300, 123456789.123456789, 0.15,
+         5e-324, 1e16, 2.0**53 + 2],
     )
     def test_seventeen_digit_round_trip(self, value):
         assert float(format_float(value)) == value
 
     def test_integral_floats_stay_floats_in_json(self):
         assert isinstance(json.loads(format_float(1.0)), float)
+        assert isinstance(json.loads(format_float(1e16)), float)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             format_float(float("nan"))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_csv_non_finite_rejected(self, tmp_path, bad):
+        p = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            write_values(str(p), np.array([0.5, bad]), "csv")
+        assert not p.exists()
 
     def test_csv_write_read_cycle_is_exact(self, tmp_path):
         rng = np.random.default_rng(37)
@@ -186,7 +197,7 @@ class TestRunReport:
         write_report(report, str(p))
         parsed = json.loads(p.read_text())
         block = parsed["blocks"][0]
-        assert block["quantized"] == [0, 0, 1, 0]
+        assert block["quantized_sha256"] == codes_sha256([0, 0, 1, 0])
         assert block["dc_total"] == 1
         assert block["haar"]["dc_input"] == 0.15
         assert block["pass"] is True
@@ -206,7 +217,7 @@ class TestRunReport:
         block = parsed["blocks"][0]
         assert set(block) == {
             "index",
-            "quantized",
+            "quantized_sha256",
             "dc_total",
             "haar",
             "spectrum_pass",
@@ -214,6 +225,27 @@ class TestRunReport:
         }
         assert {"dc_input", "dc_error", "dc_bound", "detail_levels", "sup_error"} <= set(
             block["haar"]
+        )
+
+    def test_canonical_json_golden_bytes(self):
+        obj = {
+            "z": [0.1, 1.0, 1e-12],
+            "a": {"empty_list": [], "empty_dict": {}, "flag": True, "none": None},
+        }
+        assert dumps_canonical(obj) == (
+            '{\n'
+            '  "a": {\n'
+            '    "empty_dict": {},\n'
+            '    "empty_list": [],\n'
+            '    "flag": true,\n'
+            '    "none": null\n'
+            '  },\n'
+            '  "z": [\n'
+            '    0.1,\n'
+            '    1.0,\n'
+            '    1e-12\n'
+            '  ]\n'
+            '}\n'
         )
 
     def test_canonical_json_sorts_keys(self):

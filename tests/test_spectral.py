@@ -22,7 +22,7 @@ from haarq import (
 from haarq.quantizer import QuantizedSignal
 from haarq.spectral import _dft_rows, _noise_envelopes, _noise_tables
 
-from oracles import all_indices, dft_by_sum, dft_direct
+from oracles import all_indices, dc_error_fraction, dft_by_sum, dft_direct
 
 
 def random_signal(n, rng):
@@ -262,3 +262,19 @@ class TestSpectrumError:
         g = QuantizedSignal(make_grid(2), np.zeros(4))
         with pytest.raises(ValueError):
             spectrum_error(f, g)
+
+    def test_large_magnitude_dc_error_is_measured_exactly(self):
+        # Totals near 2**56: the DC row is the mean of the residual f - g,
+        # exact here, not the difference of two large transforms.
+        values = 2.0**46 + np.random.default_rng(3).uniform(-0.5, 0.5, 1 << 10)
+        f = Signal(make_grid(10), values)
+        g, _ = quantize_haar_optimal(f)
+        table = spectrum_error(f, g)
+        dc = table.measured[list(table.frequencies).index(0)]
+        assert dc == float(dc_error_fraction(values, g.values))
+        assert not table.all_pass
+
+    def test_totals_beyond_budget_rejected(self):
+        f = Signal(make_grid(1), [1e300, 0.0])
+        with pytest.raises(OverflowError):
+            spectrum_error(f, QuantizedSignal(make_grid(1), np.zeros(2)))
