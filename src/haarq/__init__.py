@@ -26,7 +26,6 @@ from .quantizer import (
     BOUND_SLACK,
     HaarErrorReport,
     QuantizedSignal,
-    QuantizerConfig,
     check_range,
     choose_parity_constrained,
     quantize_haar_optimal,
@@ -66,7 +65,6 @@ __all__ = [
     "TimeGrid",
     "Signal",
     "HaarCoefficients",
-    "QuantizerConfig",
     "QuantizedSignal",
     "HaarErrorReport",
     "FrequencyGrid",

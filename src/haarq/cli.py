@@ -1,7 +1,10 @@
 """Command-line front end: quantize, verify, spectrum, and basis dumps.
 
-Exit codes: 0 success (all bounds pass), 1 bound violation, 2 usage error,
-3 I/O or input-format error.
+The quantizer is a pure function of the signal and the tie rule.  Exit
+codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
+input-format error.  Bounds are measured by verify, spectrum and
+quantize --report; each writes every output first and then exits 1 if
+any measured bound failed.  quantize without --report measures nothing.
 """
 
 import argparse
@@ -12,13 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .haar import check_index, haar_basis, make_grid
-from .quantizer import (
-    QuantizerConfig,
-    _check_pair_budget,
-    _haar_error_rows,
-    _quantize_rows,
-    _round_rows,
-)
+from .quantizer import _check_pair_budget, _haar_error_rows, _quantize_rows, _round_rows
 from .report_io import (
     PAD_POLICIES,
     BlockResult,
@@ -57,9 +54,6 @@ def _add_input_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_quantizer_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--dither", type=float, default=0.0, metavar="EPS",
-                    help="uniform dither width added before quantizing (default 0)")
-    sp.add_argument("--seed", type=int, default=0, help="dither seed (default 0)")
     sp.add_argument("--tie-break", choices=sorted(_TIE_BY_FLAG), default="down",
                     help="direction for exact rounding ties (default down)")
     sp.add_argument("--baseline", action="store_true",
@@ -119,20 +113,10 @@ def _input_spec(args, path=None, delta=None) -> InputSpec:
     )
 
 
-def _config(args) -> QuantizerConfig:
-    return QuantizerConfig(
-        tie_break=_TIE_BY_FLAG[args.tie_break],
-        dither_amplitude=args.dither,
-        dither_seed=args.seed,
-    )
-
-
 def _config_echo(args) -> dict:
     return {
         "baseline": bool(args.baseline),
         "block_exponent": args.block_exp,
-        "dither_amplitude": float(args.dither),
-        "dither_seed": int(args.seed),
         "format": _FORMAT_BY_FLAG[args.format],
         "pad_policy": args.pad_policy,
         "scale_delta": float(args.delta),
@@ -148,10 +132,10 @@ def _chunks(values: np.ndarray):
 
 
 def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
-    cfg = _config(args)
+    tie_break = _TIE_BY_FLAG[args.tie_break]
     if args.baseline:
-        return _round_rows(f, cfg.tie_break)
-    return _quantize_rows(f, cfg)[-1]
+        return _round_rows(f, tie_break)
+    return _quantize_rows(f, tie_break)[-1]
 
 
 def _block_results(start: int, g: np.ndarray, haar, spectrum=None) -> list:
@@ -186,7 +170,8 @@ def cmd_quantize(args) -> int:
                  _FORMAT_BY_FLAG[args.format])
     if args.report:
         write_report(report, args.report)
-    return 0
+    # Without --report no block was measured, and an empty report passes.
+    return 0 if report.passed else 1
 
 
 def _load_quantized(args, data) -> np.ndarray:
@@ -233,11 +218,13 @@ def _block_path(base: str, index: int, count: int) -> str:
 def cmd_spectrum(args) -> int:
     data = read_signal(_input_spec(args))
     count = data.values.shape[0]
+    passed = True
     for a, f in _chunks(data.values):
         tables = _noise_tables(f, _quantize_chunk(f, args))
         for i, table in enumerate(tables, start=a):
             write_spectrum_csv(table, _block_path(args.output, i, count))
-    return 0
+            passed &= table.all_pass
+    return 0 if passed else 1
 
 
 def cmd_basis(args) -> int:

@@ -17,9 +17,7 @@ for contrast, together with a report type that re-measures all three
 bound families for any (signal, quantized) pair.
 """
 
-import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +28,6 @@ __all__ = [
     "TIE_BREAKS",
     "PARITIES",
     "BOUND_SLACK",
-    "QuantizerConfig",
     "QuantizedSignal",
     "HaarErrorReport",
     "choose_parity_constrained",
@@ -48,29 +45,6 @@ BOUND_SLACK = 1e-12
 
 # Totals beyond this magnitude risk int64 trouble downstream; reject early.
 _INT_BUDGET = float(2**60)
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    """Tie rule plus optional input dither.
-
-    dither_amplitude is the full width of the uniform perturbation added to
-    the input before pyramid construction; with the default 0 the seed is
-    never consulted and output depends on the input and tie rule alone.
-    """
-
-    tie_break: str = "toward_negative"
-    dither_amplitude: float = 0.0
-    dither_seed: int = 0
-
-    def __post_init__(self):
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-        amp = float(self.dither_amplitude)
-        if not (math.isfinite(amp) and amp >= 0.0):
-            raise ValueError("dither_amplitude must be finite and >= 0")
-        object.__setattr__(self, "dither_amplitude", amp)
-        object.__setattr__(self, "dither_seed", operator.index(self.dither_seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +110,8 @@ def _parity_round(target, parity, tie_break: str):
     target == i, both at distance 1.  No float arithmetic rounds, so the
     choice is exact for every finite target in the int64 range.
     """
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     floor = np.floor(target)
     i = floor.astype(np.int64)
     step = (i - parity) & 1
@@ -162,14 +138,12 @@ def choose_parity_constrained(
         raise ValueError("target must be finite with |target| <= 2**60")
     if parent_parity not in PARITIES:
         raise ValueError(f"parent_parity must be one of {PARITIES}")
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     return int(_parity_round(target, PARITIES.index(parent_parity), tie_break))
 
 
 def _check_budget(levels, what: str) -> None:
     for level in levels:
-        if float(np.abs(level).max()) > _INT_BUDGET:
+        if float(np.abs(level).max(initial=0.0)) > _INT_BUDGET:
             raise OverflowError(f"{what} exceed the 64-bit integer budget")
 
 
@@ -180,34 +154,19 @@ def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> None:
     _check_budget(_pairwise_levels(np.asarray(g, dtype=np.float64)), "quantized totals")
 
 
-def _quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> list[np.ndarray]:
+def _quantize_rows(values: np.ndarray, tie_break: str) -> list[np.ndarray]:
     """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
 
     Returns the integer pyramid levels[0..N], levels[k] of shape
-    (rows, 2**k); levels[N] holds the quantized samples.  With dither every
-    row gets the same seeded sequence, so each row's result is the one it
-    would get on its own.
+    (rows, 2**k); levels[N] holds the quantized samples.
     """
-    n = values.shape[-1].bit_length() - 1
-    if cfg.dither_amplitude > 0.0:
-        if cfg.dither_amplitude >= 2.0 ** (-n - 1):
-            warnings.warn(
-                f"dither amplitude {cfg.dither_amplitude} is >= 2**-(N+1)="
-                f"{2.0 ** (-n - 1)}; bound checks against the undithered "
-                "input may fail",
-                stacklevel=3,
-            )
-        rng = np.random.default_rng(cfg.dither_seed & 0xFFFF_FFFF_FFFF_FFFF)
-        half = cfg.dither_amplitude / 2.0
-        values = values + rng.uniform(-half, half, values.shape[-1])
-
     totals = _pairwise_levels(values)
     _check_budget(totals, "signal totals")
 
-    parent = _round_nearest(totals[0], cfg.tie_break)
+    parent = _round_nearest(totals[0], tie_break)
     glevels = [parent]
     for v in totals[1:]:
-        diff = _parity_round(v[:, 1::2] - v[:, 0::2], parent & 1, cfg.tie_break)
+        diff = _parity_round(v[:, 1::2] - v[:, 0::2], parent & 1, tie_break)
         child = np.empty(v.shape, dtype=np.int64)
         # parent - diff is even by construction, so the shift halves it exactly.
         child[:, 0::2] = (parent - diff) >> 1
@@ -219,28 +178,26 @@ def _quantize_rows(values: np.ndarray, cfg: QuantizerConfig) -> list[np.ndarray]
 
 def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
     """Per-sample rounding to the nearest integer, half-ties per tie_break."""
-    if tie_break not in TIE_BREAKS:
-        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     _check_budget(_pairwise_levels(values), "signal totals")
     return _round_nearest(values, tie_break)
 
 
 def quantize_haar_optimal(
-    f: Signal, config: QuantizerConfig | None = None
+    f: Signal, tie_break: str = "toward_negative"
 ) -> tuple[QuantizedSignal, tuple[np.ndarray, ...]]:
     """Quantize by rounding the totals pyramid level by level.
 
-    Steps: (1) sum the (optionally dithered) input over the dyadic tree;
-    (2) round the grand total to the nearest integer, ties per config;
-    (3) walking down, round each child difference to the nearest integer
-    of the parent's parity and split the parent accordingly; (4) read the
-    quantized samples off the bottom level.  O(2**N) total work.
+    Steps: (1) sum the input over the dyadic tree; (2) round the grand
+    total to the nearest integer, ties per tie_break; (3) walking down,
+    round each child difference to the nearest integer of the parent's
+    parity and split the parent accordingly; (4) read the quantized
+    samples off the bottom level.  O(2**N) total work.
 
     Returns the quantized signal and its integer pyramid: read-only int64
     levels[0..N], levels[k] with 2**k entries, equal to totals_pyramid(g).
     """
-    cfg = config if config is not None else QuantizerConfig()
-    levels = tuple(_readonly(v[0]) for v in _quantize_rows(f.values[None, :], cfg))
+    rows = _quantize_rows(f.values[None, :], tie_break)
+    levels = tuple(_readonly(v[0]) for v in rows)
     return QuantizedSignal(f.grid, levels[-1]), levels
 
 

@@ -164,28 +164,29 @@ def haar_fourier_coefficient(xi: int, index: IndexLike, n_exponent: int) -> comp
     return amplitude * (numerator / denominator) * phase * -1j
 
 
+def _nonzero_frequency(xi: int, n_exponent: int) -> tuple[np.ndarray, int]:
+    """xi as a one-element float array, once it is a nonzero grid frequency."""
+    n = operator.index(n_exponent)
+    xi = operator.index(xi)
+    if not FrequencyGrid(n).contains(xi):
+        raise ValueError(f"frequency {xi} outside the grid for N={n}")
+    if xi == 0:
+        raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
+    return np.array([xi], dtype=np.float64), n
+
+
 def fourier_error_bound_exact(xi: int, n_exponent: int) -> float:
     """Summed noise envelope at a nonzero frequency.
 
     The DC error has the separate bound 2**(-N-1); passing xi = 0 here is
     an error.
     """
-    n = operator.index(n_exponent)
-    if not FrequencyGrid(n).contains(xi):
-        raise ValueError(f"frequency {xi} outside the grid for N={n}")
-    if xi == 0:
-        raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
-    return float(_exact_envelope(np.array([xi], dtype=np.float64), n)[0])
+    return float(_exact_envelope(*_nonzero_frequency(xi, n_exponent))[0])
 
 
 def fourier_error_bound_linear(xi: int, n_exponent: int) -> float:
-    """Linear envelope N * pi**2 * |xi| / 2**(N+2) for xi != 0."""
-    n = operator.index(n_exponent)
-    if not 0 <= n <= MAX_EXPONENT:
-        raise ValueError(f"n_exponent must be in [0, {MAX_EXPONENT}], got {n}")
-    if xi == 0:
-        raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
-    return n * math.pi**2 * abs(operator.index(xi)) * 2.0 ** (-n - 2)
+    """Linear envelope N * pi**2 * |xi| / 2**(N+2) at a nonzero frequency."""
+    return float(_linear_envelope(*_nonzero_frequency(xi, n_exponent))[0])
 
 
 def _exact_envelope(xi: np.ndarray, n: int) -> np.ndarray:
@@ -195,6 +196,11 @@ def _exact_envelope(xi: np.ndarray, n: int) -> np.ndarray:
         angles = 2.0 * np.pi * np.mod(xi * 2.0**-k, 1.0)
         acc += np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * (1.0 - np.cos(angles))
     return acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
+
+
+def _linear_envelope(xi: np.ndarray, n: int) -> np.ndarray:
+    """Linear envelope at the nonzero float frequencies xi."""
+    return n * np.pi**2 * np.abs(xi) * 2.0 ** (-n - 2)
 
 
 @lru_cache(maxsize=32)
@@ -209,7 +215,7 @@ def _noise_envelopes(n_exponent: int) -> tuple[np.ndarray, np.ndarray]:
     if np.any(nz):
         xi = freqs[nz]
         exact[nz] = _exact_envelope(xi, n)
-        linear[nz] = n * np.pi**2 * np.abs(xi) * 2.0 ** (-n - 2)
+        linear[nz] = _linear_envelope(xi, n)
     return _readonly(exact), _readonly(linear)
 
 

@@ -84,13 +84,13 @@ def dft_direct(f: Signal) -> np.ndarray:
     return _dft_matrix(f.grid.n_exponent) @ f.values
 
 
-def quantize_per_block(values, n: int, config=None) -> np.ndarray:
+def quantize_per_block(values, n: int, tie_break="toward_negative") -> np.ndarray:
     """Zero-pad to whole blocks of 2**n and quantize each block on its own."""
     size = 1 << n
     padded = np.concatenate([values, np.zeros(-len(values) % size)])
     grid = make_grid(n)
     codes = [
-        quantize_haar_optimal(Signal(grid, padded[a : a + size]), config)[0].values
+        quantize_haar_optimal(Signal(grid, padded[a : a + size]), tie_break)[0].values
         for a in range(0, len(padded), size)
     ]
     return np.concatenate(codes)[: len(values)]

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from haarq import QuantizerConfig, format_float
+from haarq import format_float
 from haarq.cli import CHUNK_SAMPLES, main
 
 from oracles import codes_sha256, dc_error_fraction, quantize_per_block
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
+UNIFORM = np.random.default_rng(1).uniform(-0.5, 0.5, 1 << 10)
 
 
 def write_csv(path, values):
@@ -47,6 +48,24 @@ class TestQuantize:
         assert parsed["blocks"][0]["dc_total"] == 1
         assert parsed["blocks"][0]["haar"]["dc_input"] == 0.15
         assert parsed["config"]["tie_break"] == "toward_negative"
+
+    def test_report_bound_violation_exits_one(self, tmp_path):
+        # Per-sample rounding breaks the DC bound on uniform samples.
+        src, out, rep = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "r.json"
+        write_csv(src, UNIFORM)
+        code = main(["quantize", "--input", str(src), "--output", str(out),
+                     "--baseline", "--report", str(rep)])
+        assert code == 1
+        assert len(read_int_csv(out)) == len(UNIFORM)
+        assert json.loads(rep.read_text())["pass"] is False
+
+    def test_without_report_nothing_is_measured(self, tmp_path):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_csv(src, UNIFORM)
+        code = main(["quantize", "--input", str(src), "--output", str(out),
+                     "--baseline"])
+        assert code == 0
+        assert len(read_int_csv(out)) == len(UNIFORM)
 
     def test_output_trimmed_to_input_length(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -134,6 +153,16 @@ class TestVerify:
         parsed = json.loads(rep.read_text())
         assert parsed["blocks"][0]["spectrum_pass"] is True
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_empty_input_passes_with_no_blocks(self, tmp_path, capsys, quantized):
+        src = tmp_path / "in.csv"
+        src.write_text("")
+        args = ["verify", "--input", str(src)]
+        if quantized:
+            args += ["--quantized", str(src)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == "verify: PASS (0 blocks)\n"
+
     def test_length_mismatch_is_io_error(self, tmp_path):
         src = tmp_path / "in.csv"
         q = tmp_path / "q.csv"
@@ -192,12 +221,10 @@ def read_codes(path, fmt):
 class TestChunkBoundaries:
     """Inputs of one chunk plus a partial block must match per-block quantizing."""
 
-    # (flags, config the per-block oracle uses)
+    # (flags, tie rule the per-block oracle uses)
     CASES = {
-        "down": ((), QuantizerConfig()),
-        "up": (("--tie-break", "up"), QuantizerConfig(tie_break="toward_positive")),
-        "dither": (("--dither", "1e-7", "--seed", "5"),
-                   QuantizerConfig(dither_amplitude=1e-7, dither_seed=5)),
+        "down": ((), "toward_negative"),
+        "up": (("--tie-break", "up"), "toward_positive"),
     }
 
     @pytest.fixture(scope="class", params=[0, 3, 10])
@@ -211,8 +238,8 @@ class TestChunkBoundaries:
         # Quarter steps make exact rounding ties common.
         values = np.round(rng.uniform(-40.0, 40.0, length) * 4.0) / 4.0
         expected = {
-            name: quantize_per_block(values, n, cfg)
-            for name, (_, cfg) in self.CASES.items()
+            name: quantize_per_block(values, n, tie_break)
+            for name, (_, tie_break) in self.CASES.items()
         }
         return n, values, expected
 
@@ -267,8 +294,9 @@ class TestLargeMagnitudes:
     def test_report_measures_the_residual(self, tmp_path):
         src, out, rep = tmp_path / "in.raw", tmp_path / "q.raw", tmp_path / "r.json"
         write_raw(src, self.VALUES)
-        main(["quantize", "--format", "raw", "--input", str(src),
-              "--output", str(out), "--report", str(rep)])
+        code = main(["quantize", "--format", "raw", "--input", str(src),
+                     "--output", str(out), "--report", str(rep)])
+        assert code == 1
         block = json.loads(rep.read_text())["blocks"][0]
         exact = dc_error_fraction(self.VALUES, read_codes(out, "raw"))
         assert block["haar"]["dc_error"] == float(exact)
@@ -310,6 +338,17 @@ class TestSpectrum:
         capsysbinary.readouterr()
         assert main([*args, "-"]) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
+
+    def test_bound_violation_exits_one_after_writing(self, tmp_path):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "table.csv"
+        write_csv(src, UNIFORM)
+        code = main(["spectrum", "--input", str(src), "--output", str(out),
+                     "--baseline"])
+        assert code == 1
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(UNIFORM)
+        assert any(float(r[1]) > float(r[2]) + 1e-10 for r in rows)
 
     def test_multi_block_suffixes(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -354,6 +393,13 @@ class TestExitCodes:
             main(["quantize", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--dither", "1e-7"], ["--seed", "5"]])
+    @pytest.mark.parametrize("command", ["quantize", "verify", "spectrum"])
+    def test_removed_quantizer_flags_are_usage_errors(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+
     def test_bad_block_exp_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         write_csv(src, WORKED)
@@ -366,6 +412,35 @@ class TestExitCodes:
         src = tmp_path / "in.csv"
         src.write_text("0.5\noops\n")
         assert main(["quantize", "--input", str(src), "--block-exp", "1"]) == 3
+
+
+class TestEveryFlagActs:
+    """Each quantizer and input flag changes the output bytes or the exit code."""
+
+    # Quarter steps make rounding ties common; 13 samples end in a partial block.
+    VALUES = [0.5, -0.25, 1.75, 0.5, 2.5, -1.5, 0.25, 0.75,
+              -0.5, 1.25, 3.5, -2.25, 0.5]
+    # (flags of the run to compare with, the same flags plus the one under test)
+    CASES = {
+        "tie-break": ((), ("--tie-break", "up")),
+        "baseline": ((), ("--baseline",)),
+        "baseline-tie-break": (("--baseline",), ("--baseline", "--tie-break", "up")),
+        "delta": ((), ("--delta", "0.5")),
+        "pad-policy": ((), ("--pad-policy", "reject_partial")),
+    }
+
+    def run(self, tmp_path, flags):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_csv(src, self.VALUES)
+        out.unlink(missing_ok=True)
+        code = main(["quantize", "--block-exp", "3", "--input", str(src),
+                     "--output", str(out), *flags])
+        return code, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flag_changes_output_or_exit_code(self, tmp_path, capsys, case):
+        reference, flagged = self.CASES[case]
+        assert self.run(tmp_path, flagged) != self.run(tmp_path, reference)
 
 
 class TestDeterminism:
@@ -386,17 +461,3 @@ class TestDeterminism:
             reps.append(rep.read_bytes())
         assert outs[0] == outs[1]
         assert reps[0] == reps[1]
-
-    def test_seed_irrelevant_without_dither(self, tmp_path):
-        rng = np.random.default_rng(73)
-        src = tmp_path / "in.csv"
-        write_csv(src, rng.uniform(-0.5, 0.5, 32))
-        results = []
-        for seed in ("0", "12345"):
-            out = tmp_path / f"out_{seed}.csv"
-            assert main([
-                "quantize", "--input", str(src), "--output", str(out),
-                "--block-exp", "5", "--seed", seed,
-            ]) == 0
-            results.append(out.read_bytes())
-        assert results[0] == results[1]

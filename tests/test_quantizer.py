@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from haarq import (
     QuantizedSignal,
-    QuantizerConfig,
     Signal,
     check_range,
     choose_parity_constrained,
@@ -110,7 +109,7 @@ class TestQuantizeOptimal:
 
     def test_tie_direction_configurable(self):
         f = Signal(make_grid(1), [0.5, 0.5])
-        g, _ = quantize_haar_optimal(f, QuantizerConfig(tie_break="toward_positive"))
+        g, _ = quantize_haar_optimal(f, tie_break="toward_positive")
         assert g.values.tolist() == [0, 1]
 
     @pytest.mark.parametrize("n", range(0, 10))
@@ -143,42 +142,22 @@ class TestQuantizeOptimal:
             assert np.all(np.abs(target - diff) <= 1.0 + 1e-12)
             assert np.all((diff - pyramid[k - 1]) % 2 == 0)
 
-    def test_deterministic_and_seed_free_without_dither(self):
-        rng = np.random.default_rng(7)
-        f = random_signal(6, rng)
-        g1, p1 = quantize_haar_optimal(f, QuantizerConfig(dither_seed=1))
-        g2, p2 = quantize_haar_optimal(f, QuantizerConfig(dither_seed=99))
-        assert np.array_equal(g1.values, g2.values)
-        for a, b in zip(p1, p2):
-            assert np.array_equal(a, b)
-
-    def test_dither_is_seeded_and_deterministic(self):
-        rng = np.random.default_rng(8)
-        f = random_signal(6, rng)
-        cfg = QuantizerConfig(dither_amplitude=2.0**-9, dither_seed=42)
-        g1, _ = quantize_haar_optimal(f, cfg)
-        g2, _ = quantize_haar_optimal(f, cfg)
-        assert np.array_equal(g1.values, g2.values)
-        g3, _ = quantize_haar_optimal(
-            f, QuantizerConfig(dither_amplitude=2.0**-9, dither_seed=43)
-        )
-        assert not np.array_equal(g1.values, g3.values) or True  # may coincide
-
-    def test_large_dither_warns(self):
-        f = Signal(make_grid(2), WORKED)
-        with pytest.warns(UserWarning):
-            quantize_haar_optimal(f, QuantizerConfig(dither_amplitude=0.5))
-
     def test_overflow_guard(self):
         f = Signal(make_grid(1), [2.0**61, 2.0**61])
         with pytest.raises(OverflowError):
             quantize_haar_optimal(f)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuantizerConfig(tie_break="closest")
-        with pytest.raises(ValueError):
-            QuantizerConfig(dither_amplitude=-0.5)
+        # One check, in the rounding helper, serves every public entry point.
+        f = Signal(make_grid(2), WORKED)
+        message = r"tie_break must be one of \('toward_negative', 'toward_positive'\)"
+        for call in (
+            lambda: quantize_haar_optimal(f, tie_break="closest"),
+            lambda: quantize_simple(f, tie_break="closest"),
+            lambda: choose_parity_constrained(0.0, "even", "closest"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestQuantizeSimple:
@@ -234,7 +213,7 @@ class TestQuantizeSimple:
 def test_nearest_integer_rounding_is_exact(value, tie, expected):
     f = Signal(make_grid(0), [value])
     assert quantize_simple(f, tie).values.tolist() == [expected]
-    g, _ = quantize_haar_optimal(f, QuantizerConfig(tie_break=tie))
+    g, _ = quantize_haar_optimal(f, tie_break=tie)
     assert g.values.tolist() == [expected]
 
 

@@ -185,12 +185,24 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             fourier_error_bound_linear(0, 4)
 
+    @pytest.mark.parametrize("bound", ["exact", "linear"])
+    def test_off_grid_rejected(self, bound):
+        scalar = {"exact": fourier_error_bound_exact,
+                  "linear": fourier_error_bound_linear}[bound]
+        assert scalar(-1, 3) > 0.0
+        for xi in (-4, 5, 10**6):
+            with pytest.raises(ValueError, match="outside the grid"):
+                scalar(xi, 3)
+
     @pytest.mark.parametrize("n", [1, 8, 12])
     def test_scalar_matches_table_bit_for_bit(self, n):
-        exact, _ = _noise_envelopes(n)
-        for xi, table_value in zip(FrequencyGrid(n).frequencies, exact):
+        exact, linear = _noise_envelopes(n)
+        for xi, exact_value, linear_value in zip(
+            FrequencyGrid(n).frequencies, exact, linear
+        ):
             if xi != 0:
-                assert fourier_error_bound_exact(int(xi), n) == table_value
+                assert fourier_error_bound_exact(int(xi), n) == exact_value
+                assert fourier_error_bound_linear(int(xi), n) == linear_value
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_term_chain_inequality(self, n):
