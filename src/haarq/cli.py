@@ -22,6 +22,7 @@ from .report_io import (
     InputFormatError,
     InputSpec,
     RunReport,
+    _SPECTRUM_HEADER,
     _write_lines,
     format_float,
     read_signal,
@@ -218,6 +219,9 @@ def _block_path(base: str, index: int, count: int) -> str:
 def cmd_spectrum(args) -> int:
     data = read_signal(_input_spec(args))
     count = data.values.shape[0]
+    if count == 0:
+        # No block: the table is its header alone, as quantize writes empty codes.
+        _write_lines(args.output, [_SPECTRUM_HEADER])
     passed = True
     for a, f in _chunks(data.values):
         tables = _noise_tables(f, _quantize_chunk(f, args))

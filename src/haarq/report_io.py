@@ -20,7 +20,7 @@ import numpy as np
 
 from .haar import MAX_EXPONENT, _readonly
 from .quantizer import HaarErrorReport
-from .spectral import NoiseBoundTable
+from .spectral import FrequencyGrid, NoiseBoundTable
 
 __all__ = [
     "FORMATS",
@@ -266,15 +266,41 @@ def write_report(report: RunReport, path: str) -> None:
     _write_lines(path, [dumps_canonical(report.to_dict())])
 
 
+_SPECTRUM_HEADER = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
+
+
+def _nonneg_half(column, grid: FrequencyGrid) -> list:
+    """A column's values at xi = 0..2**(N-1), once it is bitwise even in xi."""
+    arr = np.asarray(column, dtype=np.float64)
+    zero = grid.index_of(0)
+    bits = arr.view(np.int64)
+    mirrored = bits[2 * zero : zero : -1]
+    if arr.shape != (grid.size,) or not np.array_equal(bits[:zero], mirrored):
+        raise ValueError("spectrum table column is not even in xi, bit for bit")
+    return _floats(arr[zero:])
+
+
 def write_spectrum_csv(table: NoiseBoundTable, path: str) -> None:
-    """One row per frequency, ascending, with measured error and envelopes."""
-    columns = zip(
-        table.frequencies.tolist(),
-        _floats(table.measured),
-        _floats(table.bound_exact),
-        _floats(table.bound_linear),
-        _floats(table.baseline_bound),
+    """One row per frequency, ascending, with measured error and envelopes.
+
+    Every column of a spectrum table is even in xi, so each |xi| is
+    formatted once and its text serves the rows xi and -xi.  A table whose
+    frequencies are not its grid's, or with a column that is not bitwise
+    even or not finite, raises ValueError before the file is opened.
+    """
+    grid = FrequencyGrid(table.n_exponent)
+    if not np.array_equal(table.frequencies, grid.frequencies):
+        raise ValueError("spectrum table frequencies are not its grid's")
+    columns = (
+        table.measured, table.bound_exact, table.bound_linear, table.baseline_bound
     )
-    rows = (f"{xi},{m!r},{e!r},{lin!r},{b!r}\n" for xi, m, e, lin, b in columns)
-    header = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
-    _write_lines(path, itertools.chain([header], rows))
+    suffixes = [
+        f",{m!r},{e!r},{lin!r},{b!r}\n"
+        for m, e, lin, b in zip(*(_nonneg_half(c, grid) for c in columns))
+    ]
+    # The grid holds index_of(0) negative frequencies.
+    rows = itertools.chain(
+        (f"-{xi}{suffixes[xi]}" for xi in range(grid.index_of(0), 0, -1)),
+        (f"{xi}{suffix}" for xi, suffix in enumerate(suffixes)),
+    )
+    _write_lines(path, itertools.chain([_SPECTRUM_HEADER], rows))

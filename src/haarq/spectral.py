@@ -5,6 +5,11 @@ frequencies (-2**(N-1), 2**(N-1)].  Because the grid samples midpoints,
 a standard FFT needs a half-sample phase correction.  The tests check the
 corrected FFT against the defining direct sum.
 
+Signals and residuals are real, so F(-xi) = conj(F(xi)), and both noise
+envelopes are even in xi.  A real-input FFT computes xi = 0..2**(N-1);
+the negative half is the conjugate mirror, and the envelopes are computed
+on xi > 0 and mirrored the same way, so every table is bitwise even.
+
 For a signal quantized by the parity-constrained pyramid, the absolute
 spectral error at frequency xi != 0 is bounded by the summed envelope
 
@@ -116,24 +121,38 @@ class NoiseBoundTable:
         return bool(np.all(self.passes))
 
 
+def _mirror(nonneg: np.ndarray) -> np.ndarray:
+    """Ascending full grid from the values at xi = 0..2**(N-1): F(-xi) = conj F(xi).
+
+    Real values are mirrored unchanged, so an even column stays bitwise even.
+    """
+    return np.concatenate([np.conj(nonneg[..., -2:0:-1]), nonneg], axis=-1)
+
+
 def _dft_rows(values: np.ndarray) -> np.ndarray:
-    """Transform every row of a (rows, 2**N) array; columns ascend in frequency."""
+    """Transform every row of a real (rows, 2**N) array; columns ascend in frequency.
+
+    A real-input FFT gives xi = 0..2**(N-1); the negative half is the
+    conjugate of the mirrored positive half.
+    """
     size = values.shape[-1]
-    freqs = FrequencyGrid(size.bit_length() - 1).frequencies
+    xi = np.arange(size // 2 + 1)
     # Midpoint sampling: exp(i pi xi (1 - 1/2**N)) = (-1)**xi * exp(-i pi xi / 2**N).
-    sign = 1.0 - 2.0 * (freqs & 1)
-    phase = sign * np.exp(-1j * np.pi * freqs / size)
-    spectrum = np.fft.fft(values, axis=-1)[:, np.mod(freqs, size)]
+    sign = 1.0 - 2.0 * (xi & 1)
+    phase = sign * np.exp(-1j * np.pi * xi / size)
+    spectrum = np.fft.rfft(values, axis=-1)
     spectrum *= phase
     spectrum /= size
-    return spectrum
+    return _mirror(spectrum)
 
 
 def dft(f: Signal) -> FourierSpectrum:
     """Transform with the 1/2**N normalization and midpoint-grid phase.
 
-    Evaluated by a phase-corrected radix-2 FFT in O(N * 2**N).  The DC
-    value always equals the DC Haar coefficient.
+    Evaluated by a phase-corrected real-input FFT in O(N * 2**N); the
+    negative frequencies are conjugates, so value_at(-xi) equals
+    value_at(xi).conjugate() exactly.  The DC value always equals the DC
+    Haar coefficient.
     """
     return FourierSpectrum(FrequencyGrid(f.n_exponent), _dft_rows(f.values[None, :])[0])
 
@@ -172,7 +191,8 @@ def _nonzero_frequency(xi: int, n_exponent: int) -> tuple[np.ndarray, int]:
         raise ValueError(f"frequency {xi} outside the grid for N={n}")
     if xi == 0:
         raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
-    return np.array([xi], dtype=np.float64), n
+    # |xi|: the table computes the even envelopes on xi > 0 and mirrors them.
+    return np.array([abs(xi)], dtype=np.float64), n
 
 
 def fourier_error_bound_exact(xi: int, n_exponent: int) -> float:
@@ -205,17 +225,15 @@ def _linear_envelope(xi: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _noise_envelopes(n_exponent: int) -> tuple[np.ndarray, np.ndarray]:
-    """(exact, linear) envelope per frequency, DC slot set to 2**(-N-1)."""
+    """(exact, linear) envelope per frequency, DC slot set to 2**(-N-1).
+
+    Both are even in xi: computed on xi > 0 and mirrored.
+    """
     n = n_exponent
-    freqs = FrequencyGrid(n).frequencies.astype(np.float64)
-    dc_bound = 2.0 ** (-n - 1)
-    exact = np.full(freqs.shape[0], dc_bound)
-    linear = np.full(freqs.shape[0], dc_bound)
-    nz = freqs != 0
-    if np.any(nz):
-        xi = freqs[nz]
-        exact[nz] = _exact_envelope(xi, n)
-        linear[nz] = _linear_envelope(xi, n)
+    positive = np.arange(1, (1 << n) // 2 + 1, dtype=np.float64)
+    dc_bound = np.array([2.0 ** (-n - 1)])
+    exact = _mirror(np.concatenate([dc_bound, _exact_envelope(positive, n)]))
+    linear = _mirror(np.concatenate([dc_bound, _linear_envelope(positive, n)]))
     return _readonly(exact), _readonly(linear)
 
 

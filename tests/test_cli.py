@@ -362,6 +362,17 @@ class TestSpectrum:
         assert (tmp_path / "table.block0000.csv").exists()
         assert (tmp_path / "table.block0001.csv").exists()
 
+    def test_empty_input_writes_the_header_alone(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        out = tmp_path / "table.csv"
+        src.write_text("")
+        header = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
+        args = ["spectrum", "--input", str(src), "--output"]
+        assert main([*args, str(out)]) == 0
+        assert out.read_text() == header
+        assert main([*args, "-"]) == 0
+        assert capsys.readouterr().out == header
+
 
 class TestBasis:
     def test_time_domain_dump(self, capsys):

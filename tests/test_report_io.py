@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,6 +265,41 @@ class TestSpectrumCsv:
         assert lines[0] == "xi,measured,bound_exact,bound_linear,baseline_bound"
         assert len(lines) == 3
         assert [row.split(",")[0] for row in lines[1:]] == ["0", "1"]
+
+    def test_spectrum_csv_golden_bytes(self, tmp_path):
+        f = Signal(make_grid(3), [0.3, -0.2, 0.4, 0.1, 0.75, -0.45, 0.05, 0.5])
+        g, _ = quantize_haar_optimal(f)
+        p = tmp_path / "spec.csv"
+        write_spectrum_csv(spectrum_error(f, g), str(p))
+        assert p.read_text() == (
+            "xi,measured,bound_exact,bound_linear,baseline_bound\n"
+            "-3,0.1965244809053144,0.5634140350330553,2.775826237806382,0.5\n"
+            "-2,0.10625,0.5303300858899107,1.8505508252042546,0.5\n"
+            "-1,0.05905508788323583,0.4363222720968654,0.9252754126021273,0.5\n"
+            "0,0.05625000000000001,0.0625,0.0625,0.5\n"
+            "1,0.05905508788323583,0.4363222720968654,0.9252754126021273,0.5\n"
+            "2,0.10625,0.5303300858899107,1.8505508252042546,0.5\n"
+            "3,0.1965244809053144,0.5634140350330553,2.775826237806382,0.5\n"
+            "4,0.06874999999999999,0.5,3.7011016504085092,0.5\n"
+        )
+
+    @pytest.mark.parametrize(
+        "field, index",
+        [("measured", 0), ("bound_exact", 2), ("bound_linear", 4),
+         ("baseline_bound", 1), ("frequencies", 0)],
+    )
+    def test_non_even_table_rejected_before_writing(self, tmp_path, field, index):
+        f = Signal(make_grid(3), np.random.default_rng(47).uniform(-0.5, 0.5, 8))
+        g, _ = quantize_haar_optimal(f)
+        table = spectrum_error(f, g)
+        column = getattr(table, field).copy()
+        column[index] = -column[index] if field == "frequencies" else np.nextafter(
+            column[index], np.inf
+        )
+        p = tmp_path / "spec.csv"
+        with pytest.raises(ValueError):
+            write_spectrum_csv(replace(table, **{field: column}), str(p))
+        assert not p.exists()
 
     def test_integer_signal_measures_zero(self, tmp_path):
         vals = np.array([1.0, 2.0, -1.0, 0.0])

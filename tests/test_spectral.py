@@ -105,11 +105,13 @@ class TestDft:
         rng = np.random.default_rng(1050 + n)
         size = 1 << n
         rows = rng.uniform(-0.5, 0.5, (3, size))
-        freqs = FrequencyGrid(n).frequencies
-        phase = (1.0 - 2.0 * (freqs & 1)) * np.exp(-1j * np.pi * freqs / size)
+        xi = np.arange(size // 2 + 1)
+        phase = (1.0 - 2.0 * (xi & 1)) * np.exp(-1j * np.pi * xi / size)
         batched = _dft_rows(rows)
         for row, got in zip(rows, batched):
-            expected = np.fft.fft(row)[np.mod(freqs, size)] * phase / size
+            positive = np.fft.rfft(row) * phase / size
+            negative = np.conj(positive[1 : size - size // 2][::-1])
+            expected = np.concatenate([negative, positive])
             assert np.array_equal(got, expected)
             assert np.array_equal(dft(Signal(make_grid(n), row)).values, expected)
 
@@ -118,9 +120,7 @@ class TestDft:
         rng = np.random.default_rng(1100 + n)
         spec = dft(random_signal(n, rng))
         for xi in range(1, (1 << (n - 1))):
-            assert spec.value_at(-xi) == pytest.approx(
-                spec.value_at(xi).conjugate(), abs=1e-12
-            )
+            assert spec.value_at(-xi) == spec.value_at(xi).conjugate()
 
 
 class TestClosedForm:
@@ -204,6 +204,12 @@ class TestEnvelopes:
                 assert fourier_error_bound_exact(int(xi), n) == exact_value
                 assert fourier_error_bound_linear(int(xi), n) == linear_value
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_scalars_are_even_bit_for_bit(self, n):
+        for xi in range(1, 1 << (n - 1)):
+            for scalar in (fourier_error_bound_exact, fourier_error_bound_linear):
+                assert scalar(-xi, n) == scalar(xi, n)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_term_chain_inequality(self, n):
         # (1 - cos(2 pi xi / 2**k)) / |sin(pi xi / 2**N)| <= 2**(N-2k) pi^2 |xi|
@@ -231,6 +237,23 @@ class TestSpectrumError:
             assert table.all_pass
             dc = table.measured[list(table.frequencies).index(0)]
             assert dc <= 2.0 ** (-n - 1) + 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("step", [None, 0.25], ids=["uniform", "quarter_steps"])
+    def test_every_column_is_bitwise_even(self, n, step):
+        # Quarter-step samples put many totals on rounding ties.
+        rng = np.random.default_rng(1250 + n)
+        values = rng.uniform(-2.0, 2.0, 1 << n)
+        if step is not None:
+            values = np.round(values / step) * step
+        f = Signal(make_grid(n), values)
+        table = spectrum_error(f, quantize_haar_optimal(f)[0])
+        half = 1 << (n - 1)
+        for column in (table.measured, table.bound_exact, table.bound_linear,
+                       table.baseline_bound):
+            bits = column.view(np.int64)
+            # Index half - 1 holds xi = 0: xi and -xi sit half - 1 +- xi.
+            assert np.array_equal(bits[: half - 1], bits[2 * half - 2 : half - 1 : -1])
 
     def test_integer_signal_zero_error(self):
         vals = np.array([1.0, -3.0, 0.0, 2.0])
