@@ -33,7 +33,6 @@ from .quantizer import (
     verify_haar_bounds,
 )
 from .report_io import (
-    BlockedInput,
     BlockResult,
     InputFormatError,
     InputSpec,
@@ -71,7 +70,6 @@ __all__ = [
     "FourierSpectrum",
     "NoiseBoundTable",
     "InputSpec",
-    "BlockedInput",
     "BlockResult",
     "RunReport",
     "InputFormatError",

@@ -1,7 +1,17 @@
 """Command-line front end: quantize, verify, spectrum, and basis dumps.
 
-The quantizer is a pure function of the signal and the tie rule.  Exit
-codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
+The quantizer is a pure function of the signal and the tie rule, and
+blocks are independent, so every command is one streaming pass: each
+chunk of blocks (CHUNK_SAMPLES samples, or one block when N >= 16) is
+read, scaled, quantized, measured and written, then dropped.  Memory
+depends on the block size, not on the input length; `--report` adds a
+small summary per block.  verify --quantized reads its two inputs in
+step.  Each output file is written to a temporary file beside it and
+renamed into place once the run succeeds, so a run that fails leaves no
+output file; output to '-' (stdout) is written as it is made, and an
+input error found after some of it was written still exits 3.
+
+Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
 input-format error.  Bounds are measured by verify, spectrum and
 quantize --report; each writes every output first and then exits 1 if
 any measured bound failed.  quantize without --report measures nothing.
@@ -17,11 +27,13 @@ import numpy as np
 from .haar import check_index, haar_basis, make_grid
 from .quantizer import _check_pair_budget, _haar_error_rows, _quantize_rows, _round_rows
 from .report_io import (
+    CHUNK_SAMPLES,
     PAD_POLICIES,
     BlockResult,
     InputFormatError,
     InputSpec,
     RunReport,
+    _Outputs,
     _SPECTRUM_HEADER,
     _write_lines,
     format_float,
@@ -34,11 +46,6 @@ from .spectral import FrequencyGrid, _noise_tables, haar_fourier_coefficient
 
 _FORMAT_BY_FLAG = {"csv": "csv", "raw": "raw_f64_le"}
 _TIE_BY_FLAG = {"down": "toward_negative", "up": "toward_positive"}
-
-# Blocks are processed as (rows, 2**N) arrays of about this many samples:
-# 512 KiB of float64, so each stage's temporaries stay in cache.  Blocks of
-# 2**16 samples or more run one per chunk.
-CHUNK_SAMPLES = 1 << 16
 
 
 def _add_input_args(sp: argparse.ArgumentParser) -> None:
@@ -125,13 +132,6 @@ def _config_echo(args) -> dict:
     }
 
 
-def _chunks(values: np.ndarray):
-    """Yield (index of the first block, rows) for consecutive row slices."""
-    step = max(1, CHUNK_SAMPLES >> (values.shape[1].bit_length() - 1))
-    for a in range(0, values.shape[0], step):
-        yield a, values[a : a + step]
-
-
 def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
     tie_break = _TIE_BY_FLAG[args.tie_break]
     if args.baseline:
@@ -158,76 +158,97 @@ def _block_results(start: int, g: np.ndarray, haar, spectrum=None) -> list:
     ]
 
 
+def _run_report(args, blocks: list, length: int) -> RunReport:
+    """The report of a run over length input samples, padded to whole blocks."""
+    return RunReport(_config_echo(args), length, -length % (1 << args.block_exp), blocks)
+
+
 def cmd_quantize(args) -> int:
-    data = read_signal(_input_spec(args))
-    report = RunReport(_config_echo(args), data.original_length, data.pad_count)
-    codes = np.empty(data.values.shape, dtype=np.int64)
-    for a, f in _chunks(data.values):
-        g = codes[a : a + f.shape[0]]
-        g[:] = _quantize_chunk(f, args)
+    fmt = _FORMAT_BY_FLAG[args.format]
+    blocks, length = [], 0
+    binary = fmt == "raw_f64_le"
+    with _Outputs() as outputs, outputs.open(args.output, binary=binary) as out:
+        for a, f, valid in read_signal(_input_spec(args)):
+            g = _quantize_chunk(f, args)
+            write_values(out, g.reshape(-1)[:valid], fmt)
+            if args.report:
+                blocks += _block_results(a, g, _haar_error_rows(f, g))
+            length += valid
         if args.report:
-            report.blocks += _block_results(a, g, _haar_error_rows(f, g))
-    write_values(args.output, codes.reshape(-1)[: data.original_length],
-                 _FORMAT_BY_FLAG[args.format])
-    if args.report:
-        write_report(report, args.report)
-    # Without --report no block was measured, and an empty report passes.
-    return 0 if report.passed else 1
+            write_report(_run_report(args, blocks, length), args.report)
+    # Without --report no block was measured, and no block fails.
+    return 0 if all(block.passed for block in blocks) else 1
 
 
-def _load_quantized(args, data) -> np.ndarray:
-    spec = _input_spec(args, path=args.quantized, delta=1.0)
-    qdata = read_signal(spec)
-    if qdata.original_length != data.original_length:
-        raise InputFormatError(
-            f"quantized length {qdata.original_length} does not match "
-            f"input length {data.original_length}"
-        )
-    if not np.all(qdata.values == np.rint(qdata.values)):
-        raise InputFormatError(f"{args.quantized}: values are not integers")
-    _check_pair_budget(data.values, qdata.values)
-    return qdata.values.astype(np.int64)
+def _with_codes(chunks, args):
+    """Each input chunk with the matching chunk of the --quantized codes.
+
+    The two files are read in step.  When their lengths differ, both are
+    read to the end, so the error gives both lengths.
+    """
+    codes = read_signal(_input_spec(args, path=args.quantized, delta=1.0))
+    done = 0
+    pairs = itertools.zip_longest(chunks, codes, fillvalue=(0, None, 0))
+    for (a, f, valid), (_, q, q_valid) in pairs:
+        if valid != q_valid:
+            length = done + valid + sum(c[2] for c in chunks)
+            q_length = done + q_valid + sum(c[2] for c in codes)
+            raise InputFormatError(
+                f"quantized length {q_length} does not match input length {length}"
+            )
+        if not np.all(q == np.rint(q)):
+            raise InputFormatError(f"{args.quantized}: values are not integers")
+        _check_pair_budget(f, q)
+        yield a, f, valid, q.astype(np.int64)
+        done += valid
 
 
 def cmd_verify(args) -> int:
-    data = read_signal(_input_spec(args))
-    codes = _load_quantized(args, data) if args.quantized else None
-
-    report = RunReport(_config_echo(args), data.original_length, data.pad_count)
-    for a, f in _chunks(data.values):
-        if codes is None:
-            g = _quantize_chunk(f, args)
-        else:
-            g = codes[a : a + f.shape[0]]
-        report.blocks += _block_results(
-            a, g, _haar_error_rows(f, g), _noise_tables(f, g)
-        )
+    chunks = read_signal(_input_spec(args))
+    if args.quantized:
+        paired = _with_codes(chunks, args)
+    else:
+        paired = ((a, f, valid, _quantize_chunk(f, args)) for a, f, valid in chunks)
+    # Per-block results are kept only for the report.
+    blocks, length, count, passed = [], 0, 0, True
+    for a, f, valid, g in paired:
+        haar, spectrum = _haar_error_rows(f, g), _noise_tables(f, g)
+        passed &= all(r.passed for r in haar) and all(t.all_pass for t in spectrum)
+        if args.report:
+            blocks += _block_results(a, g, haar, spectrum)
+        length += valid
+        count += f.shape[0]
     if args.report:
-        write_report(report, args.report)
-    verdict = "PASS" if report.passed else "FAIL"
-    print(f"verify: {verdict} ({len(report.blocks)} blocks)")
-    return 0 if report.passed else 1
+        write_report(_run_report(args, blocks, length), args.report)
+    print(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)")
+    return 0 if passed else 1
 
 
-def _block_path(base: str, index: int, count: int) -> str:
-    if count == 1 or base == "-":
+def _block_path(base: str, index: int, single: bool) -> str:
+    if single or base == "-":
         return base
     p = Path(base)
     return str(p.with_name(f"{p.stem}.block{index:04d}{p.suffix}"))
 
 
 def cmd_spectrum(args) -> int:
-    data = read_signal(_input_spec(args))
-    count = data.values.shape[0]
-    if count == 0:
-        # No block: the table is its header alone, as quantize writes empty codes.
-        _write_lines(args.output, [_SPECTRUM_HEADER])
+    chunks = read_signal(_input_spec(args))
+    # One chunk ahead: a lone block is named by the base path alone.
+    ahead = list(itertools.islice(chunks, 2))
+    single = len(ahead) == 1 and ahead[0][1].shape[0] == 1
     passed = True
-    for a, f in _chunks(data.values):
-        tables = _noise_tables(f, _quantize_chunk(f, args))
-        for i, table in enumerate(tables, start=a):
-            write_spectrum_csv(table, _block_path(args.output, i, count))
-            passed &= table.all_pass
+    with _Outputs() as outputs:
+        if not ahead:
+            # No block: the table is its header alone, as quantize writes empty codes.
+            with outputs.open(args.output, binary=False) as out:
+                out.write(_SPECTRUM_HEADER)
+        for a, f, _ in itertools.chain(ahead, chunks):
+            tables = _noise_tables(f, _quantize_chunk(f, args))
+            for i, table in enumerate(tables, start=a):
+                path = _block_path(args.output, i, single)
+                with outputs.open(path, binary=False) as out:
+                    write_spectrum_csv(table, out)
+                passed &= table.all_pass
     return 0 if passed else 1
 
 

@@ -2,17 +2,22 @@
 
 Readers accept one-value-per-line CSV (with '#' comments) or headerless
 little-endian float64 streams, scale by the quantization step, and cut the
-stream into blocks of 2**N samples.  Writers render every float as its
-shortest round-trip text (Python's repr), so files parse back to the same
-float64 bits and identical runs produce byte-identical files.
+stream into blocks of 2**N samples, yielded one chunk of blocks at a time
+so that memory does not grow with the input.  Writers render every float
+as its shortest round-trip text (Python's repr), so files parse back to
+the same float64 bits and identical runs produce byte-identical files.
+They take a path, whose file is replaced only once it is written whole,
+or an open stream to append one chunk to.
 """
 
+import contextlib
 import itertools
 import json
 import math
 import operator
+import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from hashlib import sha256
 from pathlib import Path
 
@@ -27,7 +32,6 @@ __all__ = [
     "PAD_POLICIES",
     "InputFormatError",
     "InputSpec",
-    "BlockedInput",
     "BlockResult",
     "RunReport",
     "read_signal",
@@ -73,19 +77,17 @@ class InputSpec:
         object.__setattr__(self, "scale_delta", delta)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockedInput:
-    """Scaled samples as a read-only (blocks, 2**N) array, one block per row,
-    plus the blocking bookkeeping."""
-
-    values: np.ndarray
-    original_length: int
-    pad_count: int
+# Every stage works on chunks of about this many samples: (rows, 2**N)
+# arrays of 512 KiB of float64, so each stage's temporaries stay in cache
+# and memory does not grow with the input.  Blocks of 2**16 samples or
+# more are one chunk each.
+CHUNK_SAMPLES = 1 << 16
 
 
-def _read_csv_values(lines, source: str) -> np.ndarray:
+def _read_csv_values(lines, source: str, first_lineno: int) -> np.ndarray:
+    """The line parser: skips blank and '#' lines, names the first bad one."""
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first_lineno):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -101,56 +103,105 @@ def _read_csv_values(lines, source: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
-def _read_raw_values(data: bytes, source: str) -> np.ndarray:
-    if len(data) % 8:
-        raise InputFormatError(
-            f"{source}: raw stream length {len(data)} is not a multiple of 8"
-        )
-    values = np.frombuffer(data, dtype="<f8").astype(np.float64, copy=False)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise InputFormatError(f"{source}: non-finite sample at index {bad[0]}")
-    return values
+def _csv_pieces(fh, source: str, count: int):
+    """Samples of successive chunks of `count` lines.
 
-
-def read_signal(spec: InputSpec) -> BlockedInput:
-    """Read, scale by 1/delta, and split into blocks of 2**N samples.
-
-    A trailing partial block is zero padded (padding applied after scaling,
-    so pad samples are exactly 0) or rejected, per the pad policy.
+    NumPy converts each line with float(), so a chunk of plain numbers
+    parses in one call, to the same bits; a chunk that this rejects or
+    that holds a non-finite value goes through the line parser instead.
     """
-    source = "<stdin>" if spec.path == "-" else spec.path
-    if spec.format == "csv":
-        if spec.path == "-":
-            raw = _read_csv_values(sys.stdin, source)
-        else:
-            with open(spec.path, "r", encoding="utf-8") as fh:
-                raw = _read_csv_values(fh, source)
-    else:
-        if spec.path == "-":
-            data = sys.stdin.buffer.read()
-        else:
-            data = Path(spec.path).read_bytes()
-        raw = _read_raw_values(data, source)
+    first_lineno = 1
+    while lines := list(itertools.islice(fh, count)):
+        try:
+            values = np.array(lines, dtype=np.float64)
+        except ValueError:
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            values = _read_csv_values(lines, source, first_lineno)
+        yield values
+        first_lineno += len(lines)
 
-    scaled = raw / spec.scale_delta
-    size = 1 << spec.block_exponent
-    original_length = scaled.shape[0]
-    remainder = original_length % size
-    pad_count = 0
-    if remainder:
-        if spec.pad_policy == "reject_partial":
+
+def _raw_pieces(fh, source: str, count: int):
+    """Samples of successive reads of `count` little-endian float64 values,
+    each read into an array of its own."""
+    done = 0
+    while True:
+        values = np.empty(count, dtype="<f8")
+        got = fh.readinto(values)
+        if not got:
+            return
+        if got % 8:
             raise InputFormatError(
-                f"{source}: length {original_length} is not a multiple of {size}"
+                f"{source}: raw stream length {8 * done + got} is not a multiple of 8"
             )
-        pad_count = size - remainder
-        scaled = np.concatenate([scaled, np.zeros(pad_count)])
+        values = values[: got // 8]
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InputFormatError(
+                f"{source}: non-finite sample at index {done + bad[0]}"
+            )
+        yield values
+        done += values.size
 
-    return BlockedInput(
-        values=_readonly(scaled.reshape(-1, size)),
-        original_length=original_length,
-        pad_count=pad_count,
-    )
+
+def _exact_pieces(pieces, count: int):
+    """Re-cut a stream of sample arrays into arrays of exactly `count`
+    samples; only the last may be shorter, and none is empty."""
+    rest = np.empty(0)
+    for piece in pieces:
+        buf = np.concatenate([rest, piece]) if rest.size else piece
+        cut = buf.size - buf.size % count
+        for a in range(0, cut, count):
+            yield buf[a : a + count]
+        rest = buf[cut:]
+    if rest.size:
+        yield rest
+
+
+def _open_input(path: str, binary: bool):
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin.buffer if binary else sys.stdin)
+    if binary:
+        return open(path, "rb")
+    return open(path, "r", encoding="utf-8")
+
+
+def read_signal(spec: InputSpec):
+    """Yield the signal, scaled by 1/delta, one chunk at a time.
+
+    Each item is (first_block, rows, valid): rows is a read-only
+    (k, 2**N) array of k consecutive blocks starting at block first_block,
+    and valid the number of input samples in it.  Every chunk holds
+    max(1, CHUNK_SAMPLES >> N) blocks except the last, which alone may
+    end in a partial block.  That block is zero padded (after scaling, so
+    pad samples are exactly 0) or, per the pad policy, rejected once the
+    input has ended.  An empty input yields nothing.  The input is opened
+    when the first chunk is asked for, and a malformed sample raises
+    InputFormatError when its chunk is read.
+    """
+    size = 1 << spec.block_exponent
+    count = max(1, CHUNK_SAMPLES >> spec.block_exponent) * size
+    source = "<stdin>" if spec.path == "-" else spec.path
+    binary = spec.format == "raw_f64_le"
+    with _open_input(spec.path, binary) as fh:
+        pieces = (_raw_pieces if binary else _csv_pieces)(fh, source, count)
+        first_block = length = 0
+        for values in _exact_pieces(pieces, count):
+            valid = values.size
+            length += valid
+            # Every piece is a new array or a part of one that no other
+            # chunk shares, so it is scaled in place.
+            values /= spec.scale_delta
+            if valid % size:
+                if spec.pad_policy == "reject_partial":
+                    raise InputFormatError(
+                        f"{source}: length {length} is not a multiple of {size}"
+                    )
+                values = np.concatenate([values, np.zeros(-valid % size)])
+            rows = _readonly(values.reshape(-1, size))
+            yield first_block, rows, valid
+            first_block += rows.shape[0]
 
 
 def format_float(x: float) -> str:
@@ -163,38 +214,54 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _haar_summary(r: HaarErrorReport) -> dict:
+    """A block's Haar report with each level's errors reduced to their maximum."""
+    summary = {
+        f.name: getattr(r, f.name)
+        for f in fields(r)
+        if f.name not in ("detail_errors", "detail_bounds")
+    }
+    levels = zip(r.detail_errors, r.detail_bounds)
+    summary["detail_levels"] = [
+        {"level": k, "max_error": float(err.max()), "bound": float(bound)}
+        for k, (err, bound) in enumerate(levels, start=1)
+    ]
+    summary["pass"] = r.passed
+    return summary
+
+
 @dataclass
 class BlockResult:
-    """Verification outcome for one block."""
+    """Verification outcome for one block.
+
+    It keeps the SHA-256 of the block's codes (as little-endian int64) and
+    a per-level summary of its Haar report, not the codes or the errors, so
+    a run's results grow with its blocks and levels, not with its samples.
+    """
 
     index: int
-    quantized: np.ndarray
+    quantized: InitVar[np.ndarray]
     dc_total: int
-    haar: HaarErrorReport
+    haar: InitVar[HaarErrorReport]
     spectrum_pass: bool | None = None
+    quantized_sha256: str = field(init=False)
+    haar_summary: dict = field(init=False)
+
+    def __post_init__(self, quantized, haar):
+        codes = np.ascontiguousarray(quantized, dtype="<i8")
+        self.quantized_sha256 = sha256(codes).hexdigest()
+        self.haar_summary = _haar_summary(haar)
 
     @property
     def passed(self) -> bool:
-        return self.haar.passed and self.spectrum_pass is not False
+        return self.haar_summary["pass"] and self.spectrum_pass is not False
 
     def to_dict(self) -> dict:
-        r = self.haar
-        haar_summary = {
-            f.name: getattr(r, f.name)
-            for f in fields(r)
-            if f.name not in ("detail_errors", "detail_bounds")
-        }
-        levels = zip(r.detail_errors, r.detail_bounds)
-        haar_summary["detail_levels"] = [
-            {"level": k, "max_error": float(err.max()), "bound": float(bound)}
-            for k, (err, bound) in enumerate(levels, start=1)
-        ]
-        haar_summary["pass"] = r.passed
         return {
             "index": self.index,
-            "quantized_sha256": sha256(self.quantized.astype("<i8")).hexdigest(),
+            "quantized_sha256": self.quantized_sha256,
             "dc_total": self.dc_total,
-            "haar": haar_summary,
+            "haar": self.haar_summary,
             "spectrum_pass": self.spectrum_pass,
             "pass": self.passed,
         }
@@ -232,33 +299,86 @@ def _floats(column):
     return arr.tolist()
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write an iterable of text lines to a file, or to stdout for '-'."""
-    if path == "-":
-        sys.stdout.writelines(lines)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+class _Outputs:
+    """The files one command writes, put in place together.
+
+    open() gives the stream for one output.  A file output is written to a
+    new temporary file beside its target.  When the `with` block ends
+    without error, every temporary file is renamed onto its target; when
+    it raises, they are all removed, so a failed run leaves no output
+    file, and an output may replace the input it was made from.  Path '-'
+    is standard output, written as the data is made.
+    """
+
+    def __init__(self):
+        self._pending = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            while exc_type is None and self._pending:
+                os.replace(*self._pending.pop())
+        finally:
+            for tmp, _ in self._pending:
+                Path(tmp).unlink(missing_ok=True)
+
+    @contextlib.contextmanager
+    def open(self, path: str, binary: bool):
+        if path == "-":
+            yield sys.stdout.buffer if binary else sys.stdout
+            return
+        # A symbolic link keeps pointing at the file it names, and what is
+        # not a regular file, such as a device or a pipe, is written in place.
+        target = os.path.realpath(path)
+        in_place = os.path.exists(target) and not os.path.isfile(target)
+        head, name = os.path.split(target)
+        tmp = target if in_place else os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        mode = ("w" if in_place else "x") + ("b" if binary else "")
+        text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
+        with open(tmp, mode, **text) as fh:
+            if not in_place:
+                self._pending.append((tmp, target))
+            yield fh
+
+
+@contextlib.contextmanager
+def _opened(out, binary: bool):
+    """out itself when it is an open stream; else a stream to the file at
+    path out, which replaces it only once it is written whole."""
+    if isinstance(out, (str, os.PathLike)):
+        with _Outputs() as outputs, outputs.open(os.fspath(out), binary) as fh:
+            yield fh
+    else:
+        yield out
+
+
+def _write_lines(out, lines) -> None:
+    """Write an iterable of text lines to a path ('-' for stdout) or stream."""
+    with _opened(out, binary=False) as fh:
         fh.writelines(lines)
 
 
-def _write_bytes(path: str, data) -> None:
-    if path == "-":
-        sys.stdout.buffer.write(data)
-        return
-    Path(path).write_bytes(data)
+def write_values(out, values: np.ndarray, format: str = "csv") -> None:
+    """Write samples in the given format; integer arrays render as integers.
 
-
-def write_values(path: str, values: np.ndarray, format: str = "csv") -> None:
-    """Write samples in the given format; integer arrays render as integers."""
+    out is a path ('-' for stdout), whose file is replaced only once
+    written whole, or an open stream to append to (binary for raw, text
+    for CSV), which takes a long output one chunk at a time.
+    """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     arr = np.asarray(values)
-    if format == "raw_f64_le":
-        _write_bytes(path, arr.astype("<f8"))
+    binary = format == "raw_f64_le"
+    if binary:
+        data = arr.astype("<f8")
     elif np.issubdtype(arr.dtype, np.integer):
-        _write_lines(path, (f"{v}\n" for v in arr.tolist()))
+        data = "".join([f"{v}\n" for v in arr.tolist()])
     else:
-        _write_lines(path, (f"{v!r}\n" for v in _floats(arr)))
+        data = "".join([f"{v!r}\n" for v in _floats(arr)])
+    with _opened(out, binary) as fh:
+        fh.write(data)
 
 
 def write_report(report: RunReport, path: str) -> None:
@@ -269,38 +389,60 @@ def write_report(report: RunReport, path: str) -> None:
 _SPECTRUM_HEADER = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
 
 
-def _nonneg_half(column, grid: FrequencyGrid) -> list:
-    """A column's values at xi = 0..2**(N-1), once it is bitwise even in xi."""
+def _nonneg_half(column, grid: FrequencyGrid) -> np.ndarray:
+    """A column's values at xi = 0..2**(N-1), once it is finite and bitwise
+    even in xi."""
     arr = np.asarray(column, dtype=np.float64)
     zero = grid.index_of(0)
     bits = arr.view(np.int64)
     mirrored = bits[2 * zero : zero : -1]
     if arr.shape != (grid.size,) or not np.array_equal(bits[:zero], mirrored):
         raise ValueError("spectrum table column is not even in xi, bit for bit")
-    return _floats(arr[zero:])
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("cannot render non-finite value")
+    return arr[zero:]
 
 
-def write_spectrum_csv(table: NoiseBoundTable, path: str) -> None:
+def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     """One row per frequency, ascending, with measured error and envelopes.
 
-    Every column of a spectrum table is even in xi, so each |xi| is
-    formatted once and its text serves the rows xi and -xi.  A table whose
-    frequencies are not its grid's, or with a column that is not bitwise
-    even or not finite, raises ValueError before the file is opened.
+    out is a path ('-' for stdout), whose file is replaced only once
+    written whole, or an open text stream to append to.  Every column of
+    a spectrum table is even in xi, so each |xi| is formatted once: its
+    row xi, prefixed with '-', is the row -xi.  The table is formatted
+    in chunks of CHUNK_SAMPLES rows, from the highest |xi| down: a chunk's
+    rows -xi are written at once, and its rows xi are kept as one text
+    until the negative half is done.  A table whose frequencies are
+    not its grid's, or with a column that is not bitwise even or not
+    finite, raises ValueError before the file is opened.
     """
     grid = FrequencyGrid(table.n_exponent)
     if not np.array_equal(table.frequencies, grid.frequencies):
         raise ValueError("spectrum table frequencies are not its grid's")
-    columns = (
-        table.measured, table.bound_exact, table.bound_linear, table.baseline_bound
-    )
-    suffixes = [
-        f",{m!r},{e!r},{lin!r},{b!r}\n"
-        for m, e, lin, b in zip(*(_nonneg_half(c, grid) for c in columns))
+    columns = [
+        _nonneg_half(c, grid)
+        for c in (
+            table.measured, table.bound_exact, table.bound_linear,
+            table.baseline_bound,
+        )
     ]
-    # The grid holds index_of(0) negative frequencies.
-    rows = itertools.chain(
-        (f"-{xi}{suffixes[xi]}" for xi in range(grid.index_of(0), 0, -1)),
-        (f"{xi}{suffix}" for xi, suffix in enumerate(suffixes)),
-    )
-    _write_lines(path, itertools.chain([_SPECTRUM_HEADER], rows))
+    # The grid's negative frequencies are -1 .. -index_of(0).
+    last_negative = grid.index_of(0)
+    step = CHUNK_SAMPLES // 2  # values of |xi| per chunk, two rows each
+    positive_texts = []
+    with _opened(out, binary=False) as fh:
+        fh.write(_SPECTRUM_HEADER)
+        for hi in range(columns[0].size, 0, -step):
+            lo = max(0, hi - step)
+            rows = [
+                f"{xi},{m!r},{e!r},{lin!r},{b!r}\n"
+                for xi, m, e, lin, b in zip(
+                    range(lo, hi), *(c[lo:hi].tolist() for c in columns)
+                )
+            ]
+            # Rows end in a newline, so joining with '-' prefixes each one.
+            negative = rows[max(lo, 1) - lo : last_negative + 1 - lo]
+            if negative:
+                fh.write("-" + "-".join(reversed(negative)))
+            positive_texts.append("".join(rows))
+        fh.writelines(reversed(positive_texts))

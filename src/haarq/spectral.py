@@ -23,7 +23,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,6 +46,15 @@ __all__ = [
 SPECTRUM_SLACK = 1e-10
 
 
+@lru_cache(maxsize=32)
+def _frequencies(n: int) -> np.ndarray:
+    """The ascending frequencies of size 2**n, one shared read-only array."""
+    if n == 0:
+        return _readonly(np.array([0], dtype=np.int64))
+    half = 1 << (n - 1)
+    return _readonly(np.arange(-half + 1, half + 1, dtype=np.int64))
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Integer frequencies (-2**(N-1), 2**(N-1)] of the size-2**N transform."""
@@ -62,12 +71,9 @@ class FrequencyGrid:
     def size(self) -> int:
         return 1 << self.n_exponent
 
-    @cached_property
+    @property
     def frequencies(self) -> np.ndarray:
-        if self.n_exponent == 0:
-            return _readonly(np.array([0], dtype=np.int64))
-        half = self.size // 2
-        return _readonly(np.arange(-half + 1, half + 1, dtype=np.int64))
+        return _frequencies(self.n_exponent)
 
     def contains(self, xi: int) -> bool:
         if self.n_exponent == 0:
@@ -209,12 +215,29 @@ def fourier_error_bound_linear(xi: int, n_exponent: int) -> float:
     return float(_linear_envelope(*_nonzero_frequency(xi, n_exponent))[0])
 
 
+def _envelope_term(xi: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Level k's term of the summed envelope's numerator at the float
+    frequencies xi."""
+    angles = 2.0 * np.pi * np.mod(xi * 2.0**-k, 1.0)
+    return np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * (1.0 - np.cos(angles))
+
+
 def _exact_envelope(xi: np.ndarray, n: int) -> np.ndarray:
-    """Summed envelope at the nonzero float frequencies xi, level by level."""
+    """Summed envelope at the nonzero integral float frequencies xi.
+
+    Level k's term depends on xi only through xi * 2**-k mod 1, which is
+    exact, so it equals the term at xi mod 2**k.  When xi has more entries
+    than that, the term is looked up in a table of its 2**k values, with
+    the same bits as evaluating it at each xi.
+    """
     acc = np.zeros(xi.shape)
+    residues = xi.astype(np.int64)
     for k in range(1, n + 1):
-        angles = 2.0 * np.pi * np.mod(xi * 2.0**-k, 1.0)
-        acc += np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * (1.0 - np.cos(angles))
+        if xi.size > 1 << k:
+            table = _envelope_term(np.arange(1 << k, dtype=np.float64), k, n)
+            acc += table[residues & ((1 << k) - 1)]
+        else:
+            acc += _envelope_term(xi, k, n)
     return acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
 
 
@@ -243,7 +266,7 @@ def _noise_tables(f: np.ndarray, g: np.ndarray) -> list[NoiseBoundTable]:
     frequencies = FrequencyGrid(n).frequencies
     measured = _readonly(np.abs(_dft_rows(_residual(f, g))))
     exact, linear = _noise_envelopes(n)
-    baseline = _readonly(np.full(measured.shape[-1], 0.5))
+    baseline = np.broadcast_to(0.5, measured.shape[-1:])
     passes = _readonly(measured <= exact + SPECTRUM_SLACK)
     return [
         NoiseBoundTable(

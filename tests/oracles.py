@@ -84,6 +84,16 @@ def dft_direct(f: Signal) -> np.ndarray:
     return _dft_matrix(f.grid.n_exponent) @ f.values
 
 
+def exact_envelope_by_level(xi: np.ndarray, n: int) -> np.ndarray:
+    """Summed noise envelope at float frequencies xi, every level's term
+    evaluated at every xi."""
+    acc = np.zeros(xi.shape)
+    for k in range(1, n + 1):
+        angles = 2.0 * np.pi * np.mod(xi * 2.0**-k, 1.0)
+        acc += np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * (1.0 - np.cos(angles))
+    return acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
+
+
 def quantize_per_block(values, n: int, tie_break="toward_negative") -> np.ndarray:
     """Zero-pad to whole blocks of 2**n and quantize each block on its own."""
     size = 1 << n

@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -472,3 +475,169 @@ class TestDeterminism:
             reps.append(rep.read_bytes())
         assert outs[0] == outs[1]
         assert reps[0] == reps[1]
+
+
+class TestStreaming:
+    """Every command reads, measures and writes one chunk at a time."""
+
+    N = 10
+
+    def signal(self, length, seed=1700):
+        return np.random.default_rng(seed).uniform(-50.0, 50.0, length)
+
+    def quantize(self, src, *flags):
+        return main(["quantize", "--format", "raw", "--block-exp", str(self.N),
+                     "--input", str(src), *flags])
+
+    @pytest.mark.parametrize("command", ["quantize", "spectrum"])
+    def test_raw_nan_in_the_last_chunk_leaves_no_file(self, tmp_path, capsys, command):
+        values = self.signal(2 * CHUNK_SAMPLES + 100)
+        values[-7] = np.nan
+        src = tmp_path / "in.raw"
+        write_raw(src, values)
+        flags = ["--output", str(tmp_path / "out.csv")]
+        if command == "quantize":
+            flags += ["--report", str(tmp_path / "rep.json")]
+        code = main([command, "--format", "raw", "--block-exp", str(self.N),
+                     "--input", str(src), *flags])
+        assert code == 3
+        assert f"index {len(values) - 7}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.raw"]
+
+    def test_bad_csv_line_after_the_first_chunk_leaves_no_file(self, tmp_path, capsys):
+        lines = [f"{v}\n" for v in self.signal(CHUNK_SAMPLES + 50).tolist()]
+        lines[CHUNK_SAMPLES + 20] = "oops\n"
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("".join(lines))
+        code = main(["quantize", "--block-exp", str(self.N), "--input", str(src),
+                     "--output", str(out)])
+        assert code == 3
+        assert f":{CHUNK_SAMPLES + 21}: not a number" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+    def test_reject_partial_on_a_multi_chunk_input_leaves_no_file(self, tmp_path, capsys):
+        src, out = tmp_path / "in.raw", tmp_path / "out.raw"
+        write_raw(src, self.signal(3 * CHUNK_SAMPLES + 5))
+        code = self.quantize(src, "--output", str(out),
+                             "--pad-policy", "reject_partial")
+        assert code == 3
+        assert "is not a multiple of 1024" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.raw"]
+
+    def test_stdout_streams_what_was_made_before_a_late_error(self, tmp_path,
+                                                              capsysbinary):
+        values = self.signal(2 * CHUNK_SAMPLES)
+        src = tmp_path / "in.raw"
+        write_raw(src, values[:CHUNK_SAMPLES])
+        assert self.quantize(src, "--output", "-") == 0
+        first_chunk = capsysbinary.readouterr().out
+        values[-1] = np.inf
+        write_raw(src, values)
+        assert self.quantize(src, "--output", "-") == 3
+        assert capsysbinary.readouterr().out == first_chunk
+
+    @pytest.mark.parametrize("input_length, codes_length", [
+        (CHUNK_SAMPLES, CHUNK_SAMPLES + 1),
+        (CHUNK_SAMPLES + 1, CHUNK_SAMPLES),
+        (2 * CHUNK_SAMPLES, 2 * CHUNK_SAMPLES - 1),
+    ])
+    def test_verify_length_mismatch_across_a_chunk_boundary(
+        self, tmp_path, capsys, input_length, codes_length
+    ):
+        values = self.signal(max(input_length, codes_length))
+        src, q = tmp_path / "in.raw", tmp_path / "q.raw"
+        write_raw(src, values)
+        assert self.quantize(src, "--output", str(q)) == 0
+        write_raw(q, read_codes(q, "raw")[:codes_length])
+        write_raw(src, values[:input_length])
+        code = main(["verify", "--format", "raw", "--block-exp", str(self.N),
+                     "--input", str(src), "--quantized", str(q)])
+        assert code == 3
+        assert (f"quantized length {codes_length} does not match input length "
+                f"{input_length}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["raw", "csv"])
+    def test_output_may_replace_its_input(self, tmp_path, fmt):
+        values = self.signal(CHUNK_SAMPLES + 3)
+        src, out = tmp_path / f"in.{fmt}", tmp_path / f"out.{fmt}"
+        (write_raw if fmt == "raw" else write_csv)(src, values)
+        args = ["quantize", "--format", fmt, "--block-exp", str(self.N), "--input", str(src)]
+        assert main([*args, "--output", str(out)]) == 0
+        assert main([*args, "--output", str(src)]) == 0
+        assert src.read_bytes() == out.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"in.{fmt}", f"out.{fmt}"]
+
+    def test_raw_stdin_to_stdout_matches_the_file_run(self, tmp_path, capsysbinary,
+                                                       monkeypatch):
+        import io
+
+        src, out = tmp_path / "in.raw", tmp_path / "out.raw"
+        write_raw(src, self.signal(2 * CHUNK_SAMPLES + 3))
+        assert self.quantize(src, "--output", str(out)) == 0
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(src.read_bytes())))
+        assert self.quantize("-", "--output", "-") == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("length, names", [
+        (1 << 16, ["t.csv"]),
+        ((1 << 16) + 5, ["t.block0000.csv", "t.block0001.csv"]),
+    ])
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_spectrum_names_blocks_alike_from_stdin(self, tmp_path, monkeypatch,
+                                                    length, names, stdin):
+        import io
+
+        # At N = 16 a chunk is one block, so only the next chunk tells
+        # whether the first block is the only one.
+        src = tmp_path / "in" / "in.raw"
+        src.parent.mkdir()
+        write_raw(src, self.signal(length))
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(src.read_bytes())))
+        code = main(["spectrum", "--format", "raw", "--block-exp", "16",
+                     "--input", "-" if stdin else str(src),
+                     "--output", str(tmp_path / "t.csv")])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == names
+
+    def test_a_link_or_a_device_as_output_is_written_through(self, tmp_path):
+        src, real = tmp_path / "in.raw", tmp_path / "real" / "out.raw"
+        real.parent.mkdir()
+        real.write_bytes(b"old")
+        link = tmp_path / "link.raw"
+        link.symlink_to(real)
+        write_raw(src, self.signal(100))
+        assert self.quantize(src, "--output", str(link)) == 0
+        assert link.is_symlink()
+        assert len(real.read_bytes()) == 800
+        assert self.quantize(src, "--output", os.devnull) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+class TestBoundedMemory:
+    """Peak memory does not grow with the input: tracemalloc follows NumPy's
+    buffers, and 16 chunks must peak within one chunk's bytes of 4 chunks."""
+
+    def peak(self, tmp_path, chunks, n, flags):
+        src = tmp_path / f"in{chunks}.raw"
+        write_raw(src, np.random.default_rng(1800).normal(0.0, 300.0, chunks * CHUNK_SAMPLES))
+        tracemalloc.start()
+        try:
+            code = main(["quantize", "--format", "raw", "--block-exp", str(n),
+                         "--input", str(src), "--output", str(tmp_path / "out.raw"),
+                         *flags])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    # --report keeps a summary per block, so it runs with one block per
+    # chunk (N = 16): the summaries of 12 more blocks are far below a chunk.
+    @pytest.mark.parametrize("n, report", [(10, False), (16, True)])
+    def test_sixteen_chunks_peak_like_four(self, tmp_path, n, report):
+        flags = ["--report", str(tmp_path / "rep.json")] if report else []
+        self.peak(tmp_path, 1, n, flags)  # imports and caches
+        small = self.peak(tmp_path, 4, n, flags)
+        large = self.peak(tmp_path, 16, n, flags)
+        assert large - small <= CHUNK_SAMPLES * 8

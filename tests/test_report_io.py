@@ -20,7 +20,7 @@ from haarq import (
     write_spectrum_csv,
     write_values,
 )
-from haarq.report_io import BlockResult
+from haarq.report_io import CHUNK_SAMPLES, BlockResult
 
 from oracles import codes_sha256
 
@@ -29,63 +29,116 @@ def write_csv(path, values):
     path.write_text("".join(format_float(v) + "\n" for v in values))
 
 
+def read_blocks(spec):
+    """read_signal's chunks stacked: the (blocks, 2**N) values and the
+    number of input samples among them."""
+    chunks = list(read_signal(spec))
+    size = 1 << spec.block_exponent
+    values = np.concatenate([rows for _, rows, _ in chunks] or [np.empty((0, size))])
+    return values, sum(valid for _, _, valid in chunks)
+
+
 class TestReadCsv:
     def test_two_blocks_with_padding(self, tmp_path):
         p = tmp_path / "in.csv"
         write_csv(p, np.arange(10) / 10.0)
-        data = read_signal(InputSpec(str(p), block_exponent=3))
-        assert len(data.values) == 2
-        assert data.original_length == 10
-        assert data.pad_count == 6
-        assert np.all(data.values[1][2:] == 0.0)
+        values, length = read_blocks(InputSpec(str(p), block_exponent=3))
+        assert len(values) == 2
+        assert length == 10
+        assert values.size - length == 6
+        assert np.all(values[1][2:] == 0.0)
 
     def test_exact_multiple_no_padding(self, tmp_path):
         p = tmp_path / "in.csv"
         write_csv(p, np.arange(8) / 8.0)
-        data = read_signal(InputSpec(str(p), block_exponent=3))
-        assert len(data.values) == 1
-        assert data.pad_count == 0
+        values, length = read_blocks(InputSpec(str(p), block_exponent=3))
+        assert len(values) == 1
+        assert values.size - length == 0
 
     def test_reject_partial(self, tmp_path):
         p = tmp_path / "in.csv"
         write_csv(p, np.arange(10) / 10.0)
         with pytest.raises(InputFormatError):
-            read_signal(InputSpec(str(p), 3, pad_policy="reject_partial"))
+            read_blocks(InputSpec(str(p), 3, pad_policy="reject_partial"))
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("# header\n\n0.25\n  # indented comment\n0.75\n")
-        data = read_signal(InputSpec(str(p), block_exponent=1))
-        assert data.values[0].tolist() == [0.25, 0.75]
+        values, _ = read_blocks(InputSpec(str(p), block_exponent=1))
+        assert values[0].tolist() == [0.25, 0.75]
 
     def test_bad_line_reports_line_number(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("0.5\nbogus\n")
         with pytest.raises(InputFormatError, match=r":2:"):
-            read_signal(InputSpec(str(p), block_exponent=0))
+            read_blocks(InputSpec(str(p), block_exponent=0))
 
     def test_non_finite_rejected(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("inf\n")
         with pytest.raises(InputFormatError):
-            read_signal(InputSpec(str(p), block_exponent=0))
+            read_blocks(InputSpec(str(p), block_exponent=0))
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            read_signal(InputSpec(str(tmp_path / "nope.csv"), 3))
+            read_blocks(InputSpec(str(tmp_path / "nope.csv"), 3))
 
     def test_scaling_divides_by_delta(self, tmp_path):
         p = tmp_path / "in.csv"
         write_csv(p, [1.5, -3.0])
-        data = read_signal(InputSpec(str(p), 1, scale_delta=0.5))
-        assert data.values[0].tolist() == [3.0, -6.0]
+        values, _ = read_blocks(InputSpec(str(p), 1, scale_delta=0.5))
+        assert values[0].tolist() == [3.0, -6.0]
 
     def test_empty_input_gives_no_blocks(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("# nothing\n")
-        data = read_signal(InputSpec(str(p), 3))
-        assert data.values.shape == (0, 8)
-        assert data.original_length == 0
+        values, length = read_blocks(InputSpec(str(p), 3))
+        assert values.shape == (0, 8)
+        assert length == 0
+
+
+class TestCsvChunks:
+    """Chunks of plain numbers parse in bulk; others go through the line parser."""
+
+    # Full-precision values and forms float() accepts: whitespace, '_', 'E'.
+    VALUES = [repr(v) for v in np.random.default_rng(83).normal(0.0, 300.0, 40).tolist()]
+    VALUES += ["  1_0 ", "\t-2.5E-3", "+.5", "1e-320"]
+
+    def test_bulk_and_line_parser_give_the_same_bits(self, tmp_path):
+        plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+        plain.write_text("".join(f"{v}\n" for v in self.VALUES))
+        # A comment and a blank line send the whole chunk to the line parser.
+        commented.write_text("# header\n\n" + "".join(f"{v}\n" for v in self.VALUES))
+        bulk, n_bulk = read_blocks(InputSpec(str(plain), 2))
+        lines, n_lines = read_blocks(InputSpec(str(commented), 2))
+        expected = [float(v) for v in self.VALUES]
+        assert n_bulk == n_lines == len(expected)
+        assert np.array_equal(bulk.view(np.int64), lines.view(np.int64))
+        assert bulk.reshape(-1)[: len(expected)].tolist() == expected
+
+    @pytest.mark.parametrize("bad, message", [("oops", "not a number"),
+                                              ("inf", "non-finite sample"),
+                                              ("0x10", "not a number")])
+    def test_error_names_its_line_in_a_later_chunk(self, tmp_path, bad, message):
+        lineno = CHUNK_SAMPLES + 3
+        lines = ["0.25\n"] * (CHUNK_SAMPLES + 10)
+        lines[lineno - 1] = bad + "\n"
+        p = tmp_path / "in.csv"
+        p.write_text("".join(lines))
+        with pytest.raises(InputFormatError, match=f":{lineno}: {message}"):
+            read_blocks(InputSpec(str(p), 4))
+
+    def test_comment_lines_shift_the_chunks(self, tmp_path):
+        # Comments make chunks of lines hold fewer samples; the chunks of
+        # samples that read_signal yields are full all the same.
+        values = np.arange(CHUNK_SAMPLES + 5, dtype=np.float64)
+        p = tmp_path / "in.csv"
+        p.write_text("# a\n" * 7 + "".join(f"{v}\n" for v in values.tolist()))
+        chunks = list(read_signal(InputSpec(str(p), 0)))
+        assert [(a, rows.shape[0], valid) for a, rows, valid in chunks] == [
+            (0, CHUNK_SAMPLES, CHUNK_SAMPLES), (CHUNK_SAMPLES, 5, 5)
+        ]
+        assert np.array_equal(np.concatenate([rows for _, rows, _ in chunks])[:, 0], values)
 
 
 class TestReadRaw:
@@ -93,20 +146,20 @@ class TestReadRaw:
         p = tmp_path / "in.bin"
         values = np.array([0.1, -0.25, 2.0**-40, 1e17])
         write_values(str(p), values, "raw_f64_le")
-        data = read_signal(InputSpec(str(p), 2, format="raw_f64_le"))
-        assert np.array_equal(data.values[0], values)
+        blocks, _ = read_blocks(InputSpec(str(p), 2, format="raw_f64_le"))
+        assert np.array_equal(blocks[0], values)
 
     def test_truncated_stream_rejected(self, tmp_path):
         p = tmp_path / "in.bin"
         p.write_bytes(b"\x00" * 12)
         with pytest.raises(InputFormatError):
-            read_signal(InputSpec(str(p), 0, format="raw_f64_le"))
+            read_blocks(InputSpec(str(p), 0, format="raw_f64_le"))
 
     def test_non_finite_sample_rejected(self, tmp_path):
         p = tmp_path / "in.bin"
         p.write_bytes(np.array([0.0, np.inf]).astype("<f8").tobytes())
         with pytest.raises(InputFormatError, match="index 1"):
-            read_signal(InputSpec(str(p), 1, format="raw_f64_le"))
+            read_blocks(InputSpec(str(p), 1, format="raw_f64_le"))
 
 
 class TestInputSpecValidation:
@@ -152,8 +205,8 @@ class TestFloatRendering:
         values = rng.uniform(-1, 1, 64)
         p = tmp_path / "cycle.csv"
         write_values(str(p), values, "csv")
-        data = read_signal(InputSpec(str(p), 6))
-        assert np.array_equal(data.values[0], values)
+        blocks, _ = read_blocks(InputSpec(str(p), 6))
+        assert np.array_equal(blocks[0], values)
 
 
 def make_report(tmp_path, values, n):
@@ -329,7 +382,7 @@ class TestSpectrumCsv:
         values = rng.uniform(-1, 1, 21)
         p = tmp_path / "in.csv"
         write_csv(p, values)
-        data = read_signal(InputSpec(str(p), 3, scale_delta=0.25))
-        merged = data.values.reshape(-1) * 0.25
-        assert merged[: data.original_length] == pytest.approx(values, abs=0)
-        assert np.all(merged[data.original_length :] == 0.0)
+        blocks, length = read_blocks(InputSpec(str(p), 3, scale_delta=0.25))
+        merged = blocks.reshape(-1) * 0.25
+        assert merged[:length] == pytest.approx(values, abs=0)
+        assert np.all(merged[length:] == 0.0)

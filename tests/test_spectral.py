@@ -20,9 +20,15 @@ from haarq import (
     spectrum_error,
 )
 from haarq.quantizer import QuantizedSignal
-from haarq.spectral import _dft_rows, _noise_envelopes, _noise_tables
+from haarq.spectral import _dft_rows, _exact_envelope, _noise_envelopes, _noise_tables
 
-from oracles import all_indices, dc_error_fraction, dft_by_sum, dft_direct
+from oracles import (
+    all_indices,
+    dc_error_fraction,
+    dft_by_sum,
+    dft_direct,
+    exact_envelope_by_level,
+)
 
 
 def random_signal(n, rng):
@@ -193,6 +199,13 @@ class TestEnvelopes:
         for xi in (-4, 5, 10**6):
             with pytest.raises(ValueError, match="outside the grid"):
                 scalar(xi, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+    def test_table_lookup_matches_every_level_evaluated(self, n):
+        positive = np.arange(1, (1 << n) // 2 + 1, dtype=np.float64)
+        looked_up = _exact_envelope(positive, n)
+        direct = exact_envelope_by_level(positive, n)
+        assert np.array_equal(looked_up.view(np.int64), direct.view(np.int64))
 
     @pytest.mark.parametrize("n", [1, 8, 12])
     def test_scalar_matches_table_bit_for_bit(self, n):
