@@ -3,13 +3,17 @@
 The quantizer is a pure function of the signal and the tie rule, and
 blocks are independent, so every command is one streaming pass: each
 chunk of blocks (CHUNK_SAMPLES samples, or one block when N >= 16) is
-read, scaled, quantized, measured and written, then dropped.  Memory
-depends on the block size, not on the input length; `--report` adds a
-small summary per block.  verify --quantized reads its two inputs in
-step.  Each output file is written to a temporary file beside it and
-renamed into place once the run succeeds, so a run that fails leaves no
-output file; output to '-' (stdout) is written as it is made, and an
-input error found after some of it was written still exits 3.
+read, scaled, quantized, measured and written, then dropped.  Chunks
+are read and written on the calling thread, in input order, and
+computed on one thread per usable CPU, with at most workers + 1 in
+flight; an input of one chunk is computed on the calling thread.  The
+output does not depend on the number of CPUs.  Memory depends on the
+block size and the number of CPUs, not on the input length; `--report`
+adds a small summary per block.  verify --quantized reads its two
+inputs in step.  Each output file is written to a temporary file beside
+it and renamed into place once the run succeeds, so a run that fails
+leaves no output file; output to '-' (stdout) is written as it is made,
+and an input error found after some of it was written still exits 3.
 
 Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
 input-format error.  Bounds are measured by verify, spectrum and
@@ -18,8 +22,12 @@ any measured bound failed.  quantize without --report measures nothing.
 """
 
 import argparse
+import collections
+import contextlib
 import itertools
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +144,69 @@ def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
     tie_break = _TIE_BY_FLAG[args.tie_break]
     if args.baseline:
         return _round_rows(f, tie_break)
-    return _quantize_rows(f, tie_break)[-1]
+    return _quantize_rows(f, tie_break)
+
+
+def _in_order(compute, chunks):
+    """Yield compute(*chunk) for every chunk, in input order.
+
+    Chunks are read on the calling thread and computed on one thread per
+    usable CPU: `workers` chunks are submitted and one more is read ahead,
+    so at most workers + 1 are in flight.  When the oldest is done, the
+    next chunk is read and the one before it submitted before the result
+    is handed out, so no worker waits for a result to be written, and
+    with one worker no read runs beside a computation: peak memory does
+    not depend on thread timing.  A lone chunk is computed on the calling
+    thread; on a worker, the memory it frees would stay in that thread's
+    malloc arena.  A chunk's error is raised after the results of every
+    earlier chunk, and a read error after the results of every chunk read
+    before it.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    chunks = iter(chunks)
+    failure = None
+
+    def read():
+        """The next chunk; None at the end of the input or once reading failed."""
+        nonlocal failure
+        if failure is None:
+            try:
+                return next(chunks)
+            except StopIteration:
+                pass
+            except Exception as exc:
+                failure = exc
+        return None
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = collections.deque()  # futures of the submitted chunks, oldest first
+
+        def submit(chunk):
+            """Read the chunk after chunk, then submit chunk; return the one read."""
+            following = read()
+            pending.append(pool.submit(compute, *chunk))
+            return following
+
+        first, ahead = read(), read()
+        if ahead is None:
+            if first is not None:
+                # As on a worker, the chunk is dropped once it is computed.
+                result, first = compute(*first), None
+                yield result
+        else:
+            pending.append(pool.submit(compute, *first))
+        while pending:
+            while ahead is not None and len(pending) < workers:
+                ahead = submit(ahead)
+            result = pending.popleft().result()
+            if ahead is not None:
+                ahead = submit(ahead)
+            yield result
+    if failure is not None:
+        raise failure
 
 
 def _block_results(start: int, g: np.ndarray, haar, spectrum=None) -> list:
@@ -165,15 +235,25 @@ def _run_report(args, blocks: list, length: int) -> RunReport:
 
 def cmd_quantize(args) -> int:
     fmt = _FORMAT_BY_FLAG[args.format]
-    blocks, length = [], 0
     binary = fmt == "raw_f64_le"
-    with _Outputs() as outputs, outputs.open(args.output, binary=binary) as out:
-        for a, f, valid in read_signal(_input_spec(args)):
-            g = _quantize_chunk(f, args)
-            write_values(out, g.reshape(-1)[:valid], fmt)
-            if args.report:
-                blocks += _block_results(a, g, _haar_error_rows(f, g))
-            length += valid
+
+    def compute(a, f, valid):
+        g = _quantize_chunk(f, args)
+        results = _block_results(a, g, _haar_error_rows(f, g)) if args.report else []
+        codes = g.reshape(-1)[:valid]
+        # Raw codes are written as float64, converted here, off the writing thread.
+        return (codes.astype("<f8") if binary else codes), results
+
+    blocks, length = [], 0
+    with (
+        _Outputs() as outputs,
+        outputs.open(args.output, binary=binary) as out,
+        contextlib.closing(_in_order(compute, read_signal(_input_spec(args)))) as chunks,
+    ):
+        for codes, results in chunks:
+            write_values(out, codes, fmt)
+            blocks += results
+            length += codes.size
         if args.report:
             write_report(_run_report(args, blocks, length), args.report)
     # Without --report no block was measured, and no block fails.
@@ -206,18 +286,24 @@ def _with_codes(chunks, args):
 def cmd_verify(args) -> int:
     chunks = read_signal(_input_spec(args))
     if args.quantized:
-        paired = _with_codes(chunks, args)
-    else:
-        paired = ((a, f, valid, _quantize_chunk(f, args)) for a, f, valid in chunks)
-    # Per-block results are kept only for the report.
-    blocks, length, count, passed = [], 0, 0, True
-    for a, f, valid, g in paired:
+        chunks = _with_codes(chunks, args)
+
+    def compute(a, f, valid, g=None):
+        if g is None:
+            g = _quantize_chunk(f, args)
         haar, spectrum = _haar_error_rows(f, g), _noise_tables(f, g)
-        passed &= all(r.passed for r in haar) and all(t.all_pass for t in spectrum)
-        if args.report:
-            blocks += _block_results(a, g, haar, spectrum)
-        length += valid
-        count += f.shape[0]
+        passed = all(r.passed for r in haar) and all(t.all_pass for t in spectrum)
+        # Per-block results are kept only for the report.
+        results = _block_results(a, g, haar, spectrum) if args.report else []
+        return valid, f.shape[0], passed, results
+
+    blocks, length, count, passed = [], 0, 0, True
+    with contextlib.closing(_in_order(compute, chunks)) as measured:
+        for valid, rows, chunk_passed, results in measured:
+            blocks += results
+            length += valid
+            count += rows
+            passed &= chunk_passed
     if args.report:
         write_report(_run_report(args, blocks, length), args.report)
     print(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)")
@@ -236,14 +322,24 @@ def cmd_spectrum(args) -> int:
     # One chunk ahead: a lone block is named by the base path alone.
     ahead = list(itertools.islice(chunks, 2))
     single = len(ahead) == 1 and ahead[0][1].shape[0] == 1
+    empty = not ahead
+    # Only the iterator holds the chunks read ahead, so each is dropped once computed.
+    chunks = itertools.chain(iter(ahead), chunks)
+    del ahead
+
+    def compute(a, f, valid):
+        return a, _noise_tables(f, _quantize_chunk(f, args))
+
     passed = True
-    with _Outputs() as outputs:
-        if not ahead:
+    with (
+        _Outputs() as outputs,
+        contextlib.closing(_in_order(compute, chunks)) as measured,
+    ):
+        if empty:
             # No block: the table is its header alone, as quantize writes empty codes.
             with outputs.open(args.output, binary=False) as out:
                 out.write(_SPECTRUM_HEADER)
-        for a, f, _ in itertools.chain(ahead, chunks):
-            tables = _noise_tables(f, _quantize_chunk(f, args))
+        for a, tables in measured:
             for i, table in enumerate(tables, start=a):
                 path = _block_path(args.output, i, single)
                 with outputs.open(path, binary=False) as out:

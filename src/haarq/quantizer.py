@@ -46,6 +46,13 @@ BOUND_SLACK = 1e-12
 # Totals beyond this magnitude risk int64 trouble downstream; reject early.
 _INT_BUDGET = float(2**60)
 
+# Every stage works on chunks of about this many samples: (rows, 2**N)
+# arrays of 512 KiB of float64, so each stage's temporaries stay in cache
+# and memory does not grow with the input.  Blocks of 2**16 samples or
+# more are one chunk each, and the quantizer descends them by subtrees of
+# this size.
+CHUNK_SAMPLES = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class QuantizedSignal:
@@ -154,26 +161,50 @@ def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> None:
     _check_budget(_pairwise_levels(np.asarray(g, dtype=np.float64)), "quantized totals")
 
 
-def _quantize_rows(values: np.ndarray, tie_break: str) -> list[np.ndarray]:
-    """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
-
-    Returns the integer pyramid levels[0..N], levels[k] of shape
-    (rows, 2**k); levels[N] holds the quantized samples.
-    """
-    totals = _pairwise_levels(values)
-    _check_budget(totals, "signal totals")
-
-    parent = _round_nearest(totals[0], tie_break)
-    glevels = [parent]
-    for v in totals[1:]:
+def _descend(parent: np.ndarray, totals, tie_break: str) -> np.ndarray:
+    """Split the integer totals parent down through the float totals levels
+    below it, one level at a time; returns the bottom level."""
+    for v in totals:
         diff = _parity_round(v[:, 1::2] - v[:, 0::2], parent & 1, tie_break)
         child = np.empty(v.shape, dtype=np.int64)
         # parent - diff is even by construction, so the shift halves it exactly.
         child[:, 0::2] = (parent - diff) >> 1
         child[:, 1::2] = parent - child[:, 0::2]
-        glevels.append(child)
         parent = child
-    return glevels
+    return parent
+
+
+def _quantize_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
+    """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
+
+    Returns the int64 codes, one row per block.  A block longer than
+    CHUNK_SAMPLES is descended in two stages, so that each stage's levels
+    stay in cache: the top levels, from the block's total down to the
+    totals of its CHUNK_SAMPLES-sample subtrees, then each subtree from its
+    own pyramid.  The subtrees' pyramids are the parts of the block's, sum
+    for sum, so the codes are those of a whole-block descent.  Each
+    subtree's pyramid is built twice, for its total and for its descent,
+    so that only one is held at a time.
+    """
+    width = min(values.shape[-1], CHUNK_SAMPLES)
+    if width == values.shape[-1]:
+        totals = _pairwise_levels(values)
+        _check_budget(totals, "signal totals")
+        return _descend(_round_nearest(totals[0], tie_break), totals[1:], tie_break)
+    subtrees = [values[:, a : a + width] for a in range(0, values.shape[-1], width)]
+    roots = np.empty((values.shape[0], len(subtrees)))
+    for s, sub in enumerate(subtrees):
+        totals = _pairwise_levels(sub)
+        _check_budget(totals, "signal totals")
+        roots[:, s] = totals[0][:, 0]
+    top = _pairwise_levels(roots)
+    _check_budget(top, "signal totals")
+    parents = _descend(_round_nearest(top[0], tie_break), top[1:], tie_break)
+    codes = np.empty(values.shape, dtype=np.int64)
+    for s, sub in enumerate(subtrees):
+        levels = _pairwise_levels(sub)[1:]
+        codes[:, s * width : (s + 1) * width] = _descend(parents[:, s : s + 1], levels, tie_break)
+    return codes
 
 
 def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
@@ -196,8 +227,9 @@ def quantize_haar_optimal(
     Returns the quantized signal and its integer pyramid: read-only int64
     levels[0..N], levels[k] with 2**k entries, equal to totals_pyramid(g).
     """
-    rows = _quantize_rows(f.values[None, :], tie_break)
-    levels = tuple(_readonly(v[0]) for v in rows)
+    codes = _quantize_rows(f.values[None, :], tie_break)[0]
+    # Integer pairwise sums are exact, so these are the levels of the descent.
+    levels = tuple(_readonly(v) for v in _pairwise_levels(codes))
     return QuantizedSignal(f.grid, levels[-1]), levels
 
 

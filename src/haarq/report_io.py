@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .haar import MAX_EXPONENT, _readonly
-from .quantizer import HaarErrorReport
+from .quantizer import CHUNK_SAMPLES, HaarErrorReport
 from .spectral import FrequencyGrid, NoiseBoundTable
 
 __all__ = [
@@ -75,13 +75,6 @@ class InputSpec:
         if not (math.isfinite(delta) and delta > 0.0):
             raise ValueError("scale_delta must be finite and > 0")
         object.__setattr__(self, "scale_delta", delta)
-
-
-# Every stage works on chunks of about this many samples: (rows, 2**N)
-# arrays of 512 KiB of float64, so each stage's temporaries stay in cache
-# and memory does not grow with the input.  Blocks of 2**16 samples or
-# more are one chunk each.
-CHUNK_SAMPLES = 1 << 16
 
 
 def _read_csv_values(lines, source: str, first_lineno: int) -> np.ndarray:
@@ -372,9 +365,9 @@ def write_values(out, values: np.ndarray, format: str = "csv") -> None:
     arr = np.asarray(values)
     binary = format == "raw_f64_le"
     if binary:
-        data = arr.astype("<f8")
+        data = arr.astype("<f8", copy=False)
     elif np.issubdtype(arr.dtype, np.integer):
-        data = "".join([f"{v}\n" for v in arr.tolist()])
+        data = ("%d\n" * arr.size) % tuple(arr.tolist())
     else:
         data = "".join([f"{v!r}\n" for v in _floats(arr)])
     with _opened(out, binary) as fh:

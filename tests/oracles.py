@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from haarq import FrequencyGrid, Signal, make_grid, quantize_haar_optimal
+from haarq import FrequencyGrid, Signal, make_grid
 
 
 def mother_step(u: float) -> float:
@@ -94,16 +94,44 @@ def exact_envelope_by_level(xi: np.ndarray, n: int) -> np.ndarray:
     return acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
 
 
+def _nearest_of_parity(target: np.ndarray, parity: np.ndarray, tie_break: str) -> np.ndarray:
+    """Nearest integer of the given parity (0 or 1) to each float target.
+
+    With i = floor(target): i when it has the parity; otherwise i + 1,
+    unless target is i exactly, where i - 1 and i + 1 tie at distance 1.
+    """
+    floor = np.floor(target)
+    i = floor.astype(np.int64)
+    tie = (target == floor) & (tie_break == "toward_negative")
+    return np.where((i - parity) % 2 == 0, i, np.where(tie, i - 1, i + 1))
+
+
+def quantize_rows_reference(values, tie_break="toward_negative") -> np.ndarray:
+    """Codes of every row of a (rows, 2**N) array by the whole-block
+    per-level descent: the full totals pyramid, then one level at a time
+    from the rounded grand total down to the samples."""
+    totals = [np.asarray(values, dtype=np.float64)]
+    while totals[0].shape[-1] > 1:
+        totals.insert(0, totals[0][:, 0::2] + totals[0][:, 1::2])
+    floor = np.floor(totals[0])
+    frac = totals[0] - floor  # exact
+    up = (frac > 0.5) | ((frac == 0.5) & (tie_break == "toward_positive"))
+    parent = floor.astype(np.int64) + up
+    for v in totals[1:]:
+        diff = _nearest_of_parity(v[:, 1::2] - v[:, 0::2], parent % 2, tie_break)
+        child = np.empty(v.shape, dtype=np.int64)
+        child[:, 0::2] = (parent - diff) // 2
+        child[:, 1::2] = (parent + diff) // 2
+        parent = child
+    return parent
+
+
 def quantize_per_block(values, n: int, tie_break="toward_negative") -> np.ndarray:
-    """Zero-pad to whole blocks of 2**n and quantize each block on its own."""
+    """Zero-pad to whole blocks of 2**n and quantize each block on its own,
+    by the reference descent."""
     size = 1 << n
     padded = np.concatenate([values, np.zeros(-len(values) % size)])
-    grid = make_grid(n)
-    codes = [
-        quantize_haar_optimal(Signal(grid, padded[a : a + size]), tie_break)[0].values
-        for a in range(0, len(padded), size)
-    ]
-    return np.concatenate(codes)[: len(values)]
+    return quantize_rows_reference(padded.reshape(-1, size), tie_break).reshape(-1)[: len(values)]
 
 
 def codes_sha256(codes) -> str:

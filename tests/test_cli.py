@@ -1,12 +1,14 @@
 import json
 import os
 import stat
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from haarq import format_float
+from haarq import spectral
 from haarq.cli import CHUNK_SAMPLES, main
 
 from oracles import codes_sha256, dc_error_fraction, quantize_per_block
@@ -15,8 +17,22 @@ WORKED = [0.3, -0.2, 0.4, 0.1]
 UNIFORM = np.random.default_rng(1).uniform(-0.5, 0.5, 1 << 10)
 
 
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, "a thread outlived the test"
+
+
+def use_cpus(monkeypatch, count):
+    """Make the CLI see `count` CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
 def write_csv(path, values):
-    path.write_text("".join(format_float(v) + "\n" for v in values))
+    # repr is the shortest round-trip text, which the CLI's writers use too.
+    path.write_text("".join(f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist()))
 
 
 def read_int_csv(path):
@@ -614,6 +630,131 @@ class TestStreaming:
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+class TestThreadPool:
+    """Chunks are computed on one thread per usable CPU and written in input
+    order: the outputs do not depend on the number of CPUs."""
+
+    N = 10
+    # 1, 2 and 7 chunks, each ending in a partial block.
+    LENGTHS = [CHUNK_SAMPLES - 3, CHUNK_SAMPLES + 1000, 6 * CHUNK_SAMPLES + 5]
+    CASES = {
+        "quantize-raw-report": ("raw", ["quantize", "--output", "out.raw",
+                                        "--report", "rep.json"]),
+        "quantize-csv-report": ("csv", ["quantize", "--output", "out.csv",
+                                        "--report", "rep.json"]),
+        "quantize-raw-baseline": ("raw", ["quantize", "--output", "out.raw", "--baseline"]),
+        "quantize-csv-baseline": ("csv", ["quantize", "--output", "out.csv", "--baseline"]),
+        "verify-quantized-report": ("raw", ["verify", "--quantized", "q.raw",
+                                            "--report", "rep.json"]),
+        "spectrum-n11": ("raw", ["spectrum", "--block-exp", "11", "--output", "t.csv"]),
+    }
+
+    def run(self, work, monkeypatch, capsysbinary, cpus, fmt, argv):
+        """Exit code, stdout and every file the command wrote, by name."""
+        use_cpus(monkeypatch, cpus)
+        inputs = set(os.listdir(work))
+        monkeypatch.chdir(work)
+        code = main([argv[0], "--format", fmt, "--block-exp", str(self.N),
+                     "--input", f"in.{fmt}", *argv[1:]])
+        written = {p: (work / p).read_bytes() for p in os.listdir(work) if p not in inputs}
+        for p in written:
+            (work / p).unlink()
+        return code, capsysbinary.readouterr().out, written
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_and_four_cpus_write_the_same_bytes(self, tmp_path, monkeypatch,
+                                                    capsysbinary, case, length):
+        fmt, argv = self.CASES[case]
+        values = np.random.default_rng(1900).uniform(-50.0, 50.0, length)
+        (write_raw if fmt == "raw" else write_csv)(tmp_path / f"in.{fmt}", values)
+        if "--quantized" in argv:
+            write_raw(tmp_path / "q.raw", quantize_per_block(values, self.N))
+        code, out, files = self.run(tmp_path, monkeypatch, capsysbinary, 1, fmt, argv)
+        assert (code, out, files) == self.run(tmp_path, monkeypatch, capsysbinary,
+                                              4, fmt, argv)
+        assert code == 0 and files
+        if argv[0] == "quantize" and "--baseline" not in argv:
+            codes = tmp_path / argv[argv.index("--output") + 1]
+            codes.write_bytes(files[codes.name])
+            assert np.array_equal(read_codes(codes, fmt), quantize_per_block(values, self.N))
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_an_earlier_chunks_error_wins_over_a_later_read_error(
+        self, tmp_path, monkeypatch, capsys, cpus
+    ):
+        use_cpus(monkeypatch, cpus)
+        values = np.random.default_rng(2000).uniform(-50.0, 50.0, 5 * CHUNK_SAMPLES)
+        lines = [f"{v}\n" for v in values.tolist()]
+        lines[CHUNK_SAMPLES + 7] = "1e300\n"  # chunk 1: totals beyond the budget
+        lines[3 * CHUNK_SAMPLES + 7] = "oops\n"  # chunk 3: not a number
+        src = tmp_path / "in.csv"
+        src.write_text("".join(lines))
+        code = main(["quantize", "--block-exp", str(self.N), "--input", str(src),
+                     "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "64-bit integer budget" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_a_late_read_error_leaves_the_earlier_chunks_on_stdout(
+        self, tmp_path, monkeypatch, capsys, cpus
+    ):
+        use_cpus(monkeypatch, cpus)
+        values = np.random.default_rng(2100).uniform(-50.0, 50.0, 5 * CHUNK_SAMPLES)
+        lines = [f"{v}\n" for v in values.tolist()]
+        lines[3 * CHUNK_SAMPLES + 7] = "oops\n"  # chunk 3
+        src = tmp_path / "in.csv"
+        src.write_text("".join(lines))
+        code = main(["quantize", "--block-exp", str(self.N), "--input", str(src),
+                     "--output", "-"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert f":{3 * CHUNK_SAMPLES + 8}: not a number" in captured.err
+        expected = quantize_per_block(values[: 3 * CHUNK_SAMPLES], self.N)
+        assert captured.out == "".join(f"{c}\n" for c in expected.tolist())
+
+
+    def test_cold_caches_under_frequent_thread_switches(self, tmp_path, monkeypatch,
+                                                        capsysbinary):
+        # The workers share only spectral's lru_caches, filled here by
+        # several workers at once while threads switch every 10 us.
+        fmt, argv = self.CASES["verify-quantized-report"]
+        values = np.random.default_rng(2300).uniform(-50.0, 50.0, 6 * CHUNK_SAMPLES + 5)
+        write_raw(tmp_path / "in.raw", values)
+        write_raw(tmp_path / "q.raw", quantize_per_block(values, self.N))
+        spectral._noise_envelopes.cache_clear()
+        spectral._frequencies.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            switched = self.run(tmp_path, monkeypatch, capsysbinary, 4, fmt, argv)
+        finally:
+            sys.setswitchinterval(interval)
+        assert switched == self.run(tmp_path, monkeypatch, capsysbinary, 1, fmt, argv)
+        assert switched[0] == 0
+
+    def test_a_failed_write_stops_the_pool(self, tmp_path, monkeypatch, capsys):
+        import io
+
+        class FullAfterOneChunk(io.BytesIO):
+            def write(self, data):
+                if self.tell():
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+
+        use_cpus(monkeypatch, 4)
+        src = tmp_path / "in.raw"
+        write_raw(src, np.random.default_rng(2200).uniform(-50.0, 50.0, 7 * CHUNK_SAMPLES))
+        monkeypatch.setattr("sys.stdout", io.TextIOWrapper(FullAfterOneChunk()))
+        code = main(["quantize", "--format", "raw", "--block-exp", str(self.N),
+                     "--input", str(src), "--output", "-", "--report",
+                     str(tmp_path / "rep.json")])
+        assert code == 3
+        assert "No space left on device" in capsys.readouterr().err
+        # The autouse fixture checks that no worker thread is left.
+
+
 class TestBoundedMemory:
     """Peak memory does not grow with the input: tracemalloc follows NumPy's
     buffers, and 16 chunks must peak within one chunk's bytes of 4 chunks."""
@@ -634,10 +775,30 @@ class TestBoundedMemory:
 
     # --report keeps a summary per block, so it runs with one block per
     # chunk (N = 16): the summaries of 12 more blocks are far below a chunk.
+    # One worker: with two, whether their temporaries (about four chunks'
+    # bytes each) coincide varies by several chunks from run to run.
     @pytest.mark.parametrize("n, report", [(10, False), (16, True)])
-    def test_sixteen_chunks_peak_like_four(self, tmp_path, n, report):
+    def test_sixteen_chunks_peak_like_four(self, tmp_path, monkeypatch, n, report):
+        use_cpus(monkeypatch, 1)
         flags = ["--report", str(tmp_path / "rep.json")] if report else []
         self.peak(tmp_path, 1, n, flags)  # imports and caches
         small = self.peak(tmp_path, 4, n, flags)
         large = self.peak(tmp_path, 16, n, flags)
         assert large - small <= CHUNK_SAMPLES * 8
+
+    def test_two_workers_peak_below_three_lone_chunks(self, tmp_path, monkeypatch):
+        # Each worker holds at most one chunk's compute, and the calling
+        # thread one chunk's read and one result's write: together below
+        # three times a lone chunk's run, which reads, computes and writes
+        # one chunk.  Reading all 32 chunks ahead would exceed it.
+        use_cpus(monkeypatch, 2)
+        self.peak(tmp_path, 1, 10, [])  # imports and caches
+        lone = self.peak(tmp_path, 1, 10, [])
+        assert self.peak(tmp_path, 32, 10, []) <= 3 * lone
+
+    def test_a_large_block_is_quantized_by_subtrees(self, tmp_path):
+        # Holding the whole block's float and int64 pyramids took 6.4 times
+        # the block's bytes.
+        n = 18
+        self.peak(tmp_path, 1, n, [])  # imports and caches
+        assert self.peak(tmp_path, (1 << n) // CHUNK_SAMPLES, n, []) <= 4 * (8 << n)

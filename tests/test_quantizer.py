@@ -16,13 +16,14 @@ from haarq import (
     verify_haar_bounds,
 )
 
-from haarq.quantizer import _haar_error_rows
+from haarq.quantizer import CHUNK_SAMPLES, _haar_error_rows, _quantize_rows
 
 from oracles import (
     all_indices,
     dc_error_fraction,
     naive_coefficient,
     parity_choice_oracle,
+    quantize_rows_reference,
 )
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
@@ -158,6 +159,54 @@ class TestQuantizeOptimal:
         ):
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+class TestSubtreeDescent:
+    """Blocks longer than CHUNK_SAMPLES (N = 17, 18 here) are descended by
+    subtrees; the codes must be those of the whole-block per-level descent."""
+
+    @staticmethod
+    def rows(kind, n):
+        rng = np.random.default_rng(800 + n)
+        shape = (2, 1 << n)
+        if kind == "uniform":
+            return rng.uniform(-0.5, 0.5, shape)
+        if kind == "quarter_steps":
+            # Quarter steps make exact rounding ties common at every level.
+            return np.round(rng.uniform(-40.0, 40.0, shape) * 4.0) / 4.0
+        return 2.0**40 + rng.uniform(-0.5, 0.5, shape)
+
+    @pytest.mark.parametrize("tie", ["toward_negative", "toward_positive"])
+    @pytest.mark.parametrize("kind", ["uniform", "quarter_steps", "magnitude_2_40"])
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_codes_match_the_whole_block_descent(self, n, kind, tie):
+        values = self.rows(kind, n)
+        codes = _quantize_rows(values, tie)
+        assert codes.dtype == np.int64
+        assert np.array_equal(codes, quantize_rows_reference(values, tie))
+
+    @pytest.mark.parametrize("n", [12, 15, 16, 17, 18])
+    def test_levels_are_the_totals_pyramid_of_the_codes(self, n):
+        f = Signal(make_grid(n), self.rows("quarter_steps", n)[0])
+        g, pyramid = quantize_haar_optimal(f)
+        rebuilt = totals_pyramid(g)
+        assert len(pyramid) == n + 1
+        for a, b in zip(rebuilt, pyramid):
+            assert a.dtype == b.dtype == np.int64
+            assert not b.flags.writeable
+            assert np.array_equal(a, b)
+
+    def test_overflow_in_a_later_subtree_is_caught(self):
+        values = np.zeros((1, 4 * CHUNK_SAMPLES))
+        values[0, -1] = 2.0**61
+        with pytest.raises(OverflowError):
+            _quantize_rows(values, "toward_negative")
+
+    def test_overflow_of_the_block_total_alone_is_caught(self):
+        # Each subtree totals 2**59, inside the budget; the block, 2**61.
+        values = np.full((1, 4 * CHUNK_SAMPLES), 2.0**59 / CHUNK_SAMPLES)
+        with pytest.raises(OverflowError):
+            _quantize_rows(values, "toward_negative")
 
 
 class TestQuantizeSimple:

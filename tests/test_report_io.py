@@ -209,6 +209,30 @@ class TestFloatRendering:
         assert np.array_equal(blocks[0], values)
 
 
+class TestIntegerCsv:
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_golden_bytes(self, tmp_path, dtype):
+        p = tmp_path / "codes.csv"
+        write_values(str(p), np.array([0, 1, -1, 42, 2**31 - 1], dtype=dtype), "csv")
+        assert p.read_bytes() == b"0\n1\n-1\n42\n2147483647\n"
+
+    def test_int64_extremes(self, tmp_path):
+        p = tmp_path / "codes.csv"
+        extremes = np.array([-(2**63), 2**63 - 1, 2**53 + 1], dtype=np.int64)
+        write_values(str(p), extremes, "csv")
+        assert p.read_bytes() == b"-9223372036854775808\n9223372036854775807\n9007199254740993\n"
+
+    def test_chunks_append_and_the_empty_chunk_writes_nothing(self, tmp_path):
+        p = tmp_path / "codes.csv"
+        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+            write_values(fh, np.array([3, -4], dtype=np.int64), "csv")
+            write_values(fh, np.array([], dtype=np.int64), "csv")
+            write_values(fh, np.array([5], dtype=np.int64), "csv")
+        assert p.read_bytes() == b"3\n-4\n5\n"
+        write_values(str(p), np.array([], dtype=np.int64), "csv")
+        assert p.read_bytes() == b""
+
+
 def make_report(tmp_path, values, n):
     f = Signal(make_grid(n), values)
     g, _ = quantize_haar_optimal(f)
