@@ -33,7 +33,13 @@ from pathlib import Path
 import numpy as np
 
 from .haar import check_index, haar_basis, make_grid
-from .quantizer import _check_pair_budget, _haar_error_rows, _quantize_rows, _round_rows
+from .quantizer import (
+    _check_pair_budget,
+    _haar_error_rows,
+    _quantize_rows,
+    _residual,
+    _round_rows,
+)
 from .report_io import (
     CHUNK_SAMPLES,
     PAD_POLICIES,
@@ -50,7 +56,7 @@ from .report_io import (
     write_spectrum_csv,
     write_values,
 )
-from .spectral import FrequencyGrid, _noise_tables, haar_fourier_coefficient
+from .spectral import FrequencyGrid, _residual_tables, haar_fourier_coefficient
 
 _FORMAT_BY_FLAG = {"csv": "csv", "raw": "raw_f64_le"}
 _TIE_BY_FLAG = {"down": "toward_negative", "up": "toward_positive"}
@@ -291,7 +297,8 @@ def cmd_verify(args) -> int:
     def compute(a, f, valid, g=None):
         if g is None:
             g = _quantize_chunk(f, args)
-        haar, spectrum = _haar_error_rows(f, g), _noise_tables(f, g)
+        residual = _residual(f, g)
+        haar, spectrum = _haar_error_rows(f, g, residual), _residual_tables(residual)
         passed = all(r.passed for r in haar) and all(t.all_pass for t in spectrum)
         # Per-block results are kept only for the report.
         results = _block_results(a, g, haar, spectrum) if args.report else []
@@ -328,7 +335,8 @@ def cmd_spectrum(args) -> int:
     del ahead
 
     def compute(a, f, valid):
-        return a, _noise_tables(f, _quantize_chunk(f, args))
+        # The codes are dropped once the residual is formed, before the FFT.
+        return a, _residual_tables(_residual(f, _quantize_chunk(f, args)))
 
     passed = True
     with (

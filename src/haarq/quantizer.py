@@ -241,16 +241,25 @@ def quantize_simple(f: Signal, tie_break: str = "toward_negative") -> QuantizedS
 def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f - g for float samples and int64 codes within the budget, accurate
     to a few ulps of 1 + |f - g| however large f is: floor(f) - g is exact
-    in int64 and f - floor(f) lies in [0, 1]."""
-    floor = np.floor(f)
-    return (f - floor) + (floor.astype(np.int64) - g)
+    in int64 and f - floor(f) lies in [0, 1].  Only the fraction and the
+    integer part are held."""
+    r = np.floor(f)
+    whole = r.astype(np.int64)
+    np.subtract(f, r, out=r)
+    whole -= g
+    r += whole
+    return r
 
 
-def _haar_error_rows(f: np.ndarray, g: np.ndarray) -> list[HaarErrorReport]:
+def _haar_error_rows(
+    f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None
+) -> list[HaarErrorReport]:
     """One HaarErrorReport per row pair of (rows, 2**N) signal and code arrays,
-    each error measured on the residual f - g, not on two large transforms."""
+    each error measured on the residual r = f - g (formed here when not
+    given), not on two large transforms."""
     n = f.shape[-1].bit_length() - 1
-    r = _residual(f, g)
+    if r is None:
+        r = _residual(f, g)
     dc_r, details_r = _haar_rows(r)
 
     dc_bound = 2.0 ** (-n - 1)

@@ -129,11 +129,9 @@ def _raw_pieces(fh, source: str, count: int):
                 f"{source}: raw stream length {8 * done + got} is not a multiple of 8"
             )
         values = values[: got // 8]
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise InputFormatError(
-                f"{source}: non-finite sample at index {done + bad[0]}"
-            )
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            raise InputFormatError(f"{source}: non-finite sample at index {done + bad}")
         yield values
         done += values.size
 
@@ -184,8 +182,9 @@ def read_signal(spec: InputSpec):
             valid = values.size
             length += valid
             # Every piece is a new array or a part of one that no other
-            # chunk shares, so it is scaled in place.
-            values /= spec.scale_delta
+            # chunk shares, so it is scaled in place; x / 1.0 is x.
+            if spec.scale_delta != 1.0:
+                values /= spec.scale_delta
             if valid % size:
                 if spec.pad_policy == "reject_partial":
                     raise InputFormatError(
@@ -296,11 +295,13 @@ class _Outputs:
     """The files one command writes, put in place together.
 
     open() gives the stream for one output.  A file output is written to a
-    new temporary file beside its target.  When the `with` block ends
-    without error, every temporary file is renamed onto its target; when
-    it raises, they are all removed, so a failed run leaves no output
-    file, and an output may replace the input it was made from.  Path '-'
-    is standard output, written as the data is made.
+    new temporary file beside its target, opened for reading too, so that
+    a writer may read back what it wrote, as write_spectrum_csv does.
+    When the `with` block ends without error, every temporary file is
+    renamed onto its target; when it raises, they are all removed, so a
+    failed run leaves no output file, and an output may replace the input
+    it was made from.  Path '-' is standard output, written as the data is
+    made.  A device or a pipe is written in place, and cannot be read.
     """
 
     def __init__(self):
@@ -328,7 +329,7 @@ class _Outputs:
         in_place = os.path.exists(target) and not os.path.isfile(target)
         head, name = os.path.split(target)
         tmp = target if in_place else os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-        mode = ("w" if in_place else "x") + ("b" if binary else "")
+        mode = ("w" if in_place else "x+") + ("b" if binary else "")
         text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
         with open(tmp, mode, **text) as fh:
             if not in_place:
@@ -382,18 +383,28 @@ def write_report(report: RunReport, path: str) -> None:
 _SPECTRUM_HEADER = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
 
 
-def _nonneg_half(column, grid: FrequencyGrid) -> np.ndarray:
-    """A column's values at xi = 0..2**(N-1), once it is finite and bitwise
-    even in xi."""
-    arr = np.asarray(column, dtype=np.float64)
-    zero = grid.index_of(0)
-    bits = arr.view(np.int64)
-    mirrored = bits[2 * zero : zero : -1]
-    if arr.shape != (grid.size,) or not np.array_equal(bits[:zero], mirrored):
-        raise ValueError("spectrum table column is not even in xi, bit for bit")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot render non-finite value")
-    return arr[zero:]
+def _spill(fh):
+    """The binary buffer under a text stream that can read back what is
+    written to it, with ASCII text as its own bytes; else None."""
+    buffer = getattr(fh, "buffer", None)
+    if buffer is None or not (fh.seekable() and fh.readable()):
+        return None
+    return buffer if "-".encode(fh.encoding) == b"-" else None
+
+
+def _append_unmirrored(buffer, ends) -> None:
+    """Append the rows xi made from the rows -xi between successive ends,
+    the last range first: each row's '-' stripped and the rows reversed."""
+    for start, end in reversed(list(itertools.pairwise(ends))):
+        pos = buffer.tell()
+        buffer.seek(end - 1)
+        newline = buffer.read(1)  # the last byte of the stream's line ending
+        buffer.seek(start + 1)  # past the first row's '-'
+        rows = buffer.read(end - start - 2).split(newline + b"-")
+        rows.reverse()
+        buffer.seek(pos)
+        buffer.write(newline.join(rows))
+        buffer.write(newline)
 
 
 def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
@@ -403,29 +414,33 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     written whole, or an open text stream to append to.  Every column of
     a spectrum table is even in xi, so each |xi| is formatted once: its
     row xi, prefixed with '-', is the row -xi.  The table is formatted
-    in chunks of CHUNK_SAMPLES rows, from the highest |xi| down: a chunk's
-    rows -xi are written at once, and its rows xi are kept as one text
-    until the negative half is done.  A table whose frequencies are
-    not its grid's, or with a column that is not bitwise even or not
-    finite, raises ValueError before the file is opened.
+    in chunks of CHUNK_SAMPLES rows, from the highest |xi| down, and a
+    chunk's rows -xi are written at once.  The rows xi follow.  A stream
+    that can be read back (a file output, or a seekable and readable
+    stream) is its own spill: they are made by reading its rows -xi back.
+    Any other stream (stdout, a pipe, a device, a write-only stream) has
+    their text kept in memory until the negative half is written.  A
+    table with a non-finite value raises ValueError before the file is
+    opened.
     """
-    grid = FrequencyGrid(table.n_exponent)
-    if not np.array_equal(table.frequencies, grid.frequencies):
-        raise ValueError("spectrum table frequencies are not its grid's")
     columns = [
-        _nonneg_half(c, grid)
-        for c in (
-            table.measured, table.bound_exact, table.bound_linear,
-            table.baseline_bound,
-        )
+        table.measured_half, table.bound_exact_half, table.bound_linear_half,
+        table.baseline_bound_half,
     ]
-    # The grid's negative frequencies are -1 .. -index_of(0).
-    last_negative = grid.index_of(0)
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ValueError("cannot render non-finite value")
+    # The grid's negative frequencies are -1 .. -last_negative.
+    last_negative = FrequencyGrid(table.n_exponent).index_of(0)
+    size = columns[0].size
     step = CHUNK_SAMPLES // 2  # values of |xi| per chunk, two rows each
-    positive_texts = []
     with _opened(out, binary=False) as fh:
         fh.write(_SPECTRUM_HEADER)
-        for hi in range(columns[0].size, 0, -step):
+        buffer = _spill(fh)
+        if buffer is not None:
+            fh.flush()
+            ends = [buffer.tell()]  # where each chunk's rows -xi end
+        kept = []  # unless spilled, each chunk's text of its rows xi with a twin
+        for hi in range(size, 0, -step):
             lo = max(0, hi - step)
             rows = [
                 f"{xi},{m!r},{e!r},{lin!r},{b!r}\n"
@@ -433,9 +448,25 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
                     range(lo, hi), *(c[lo:hi].tolist() for c in columns)
                 )
             ]
-            # Rows end in a newline, so joining with '-' prefixes each one.
-            negative = rows[max(lo, 1) - lo : last_negative + 1 - lo]
-            if negative:
-                fh.write("-" + "-".join(reversed(negative)))
-            positive_texts.append("".join(rows))
-        fh.writelines(reversed(positive_texts))
+            # rows[a:b] have a twin -xi; xi = 0 and 2**(N-1) have none.
+            a, b = max(lo, 1) - lo, last_negative + 1 - lo
+            if hi == size:
+                tail = "".join(rows[b:])
+            if lo == 0:
+                head = "".join(rows[:a])
+            if rows[a:b]:
+                # Rows end in a newline, so joining with '-' prefixes each one.
+                fh.write("-")
+                fh.write("-".join(reversed(rows[a:b])))
+                if buffer is None:
+                    kept.append("".join(rows[a:b]))
+                else:
+                    fh.flush()
+                    ends.append(buffer.tell())
+        fh.write(head)
+        if buffer is None:
+            fh.writelines(reversed(kept))
+        else:
+            fh.flush()
+            _append_unmirrored(buffer, ends)
+        fh.write(tail)

@@ -6,9 +6,10 @@ a standard FFT needs a half-sample phase correction.  The tests check the
 corrected FFT against the defining direct sum.
 
 Signals and residuals are real, so F(-xi) = conj(F(xi)), and both noise
-envelopes are even in xi.  A real-input FFT computes xi = 0..2**(N-1);
-the negative half is the conjugate mirror, and the envelopes are computed
-on xi > 0 and mirrored the same way, so every table is bitwise even.
+envelopes are even in xi.  A real-input FFT computes xi = 0..2**(N-1),
+and noise tables are computed and stored on that half alone; the full
+grid is its mirror, made only when it is asked for, so every table is
+bitwise even.
 
 For a signal quantized by the parity-constrained pyramid, the absolute
 spectral error at frequency xi != 0 is bounded by the summed envelope
@@ -22,7 +23,7 @@ the DC error is bounded by 2**(-N-1).
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -104,52 +105,78 @@ class FourierSpectrum:
         return complex(self.values[self.grid.index_of(xi)])
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseBoundTable:
-    """Measured spectral errors next to their envelopes, one row per frequency.
-
-    Both bound columns hold 2**(-N-1) in the DC row.  baseline_bound is the
-    flat 1/2 guaranteed by per-sample rounding.  A row passes when
-    measured <= bound_exact + slack.
-    """
-
-    n_exponent: int
-    frequencies: np.ndarray
-    measured: np.ndarray
-    bound_exact: np.ndarray
-    bound_linear: np.ndarray
-    baseline_bound: np.ndarray
-    passes: np.ndarray
-    slack: float
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(np.all(self.passes))
-
-
 def _mirror(nonneg: np.ndarray) -> np.ndarray:
     """Ascending full grid from the values at xi = 0..2**(N-1): F(-xi) = conj F(xi).
 
     Real values are mirrored unchanged, so an even column stays bitwise even.
     """
-    return np.concatenate([np.conj(nonneg[..., -2:0:-1]), nonneg], axis=-1)
+    negative = nonneg[..., -2:0:-1]
+    if np.iscomplexobj(negative):
+        negative = np.conj(negative)
+    return np.concatenate([negative, nonneg], axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class NoiseBoundTable:
+    """Measured spectral errors next to their envelopes, one row per frequency.
+
+    Every column is even in xi, so the table stores only the rows
+    xi = 0..2**(N-1): the *_half fields.  The full-grid columns
+    (frequencies, measured, bound_exact, bound_linear, baseline_bound and
+    passes, ascending in xi) are mirrored from them on each access, and
+    are bitwise even by construction.  Both bound columns hold 2**(-N-1)
+    in the DC row.  baseline_bound is the flat 1/2 guaranteed by
+    per-sample rounding.  A row passes when measured <= bound_exact + slack.
+    """
+
+    n_exponent: int
+    measured_half: np.ndarray
+    bound_exact_half: np.ndarray
+    bound_linear_half: np.ndarray
+    baseline_bound_half: np.ndarray
+    passes_half: np.ndarray
+    slack: float
+
+    def __post_init__(self):
+        shape = ((1 << FrequencyGrid(self.n_exponent).n_exponent) // 2 + 1,)
+        for f in fields(self):
+            if f.name.endswith("_half") and np.shape(getattr(self, f.name)) != shape:
+                raise ValueError(f"{f.name} must hold the {shape[0]} rows xi >= 0")
+
+    frequencies = property(lambda self: _frequencies(self.n_exponent))
+    measured = property(lambda self: _readonly(_mirror(self.measured_half)))
+    bound_exact = property(lambda self: _readonly(_mirror(self.bound_exact_half)))
+    bound_linear = property(lambda self: _readonly(_mirror(self.bound_linear_half)))
+    baseline_bound = property(lambda self: _readonly(_mirror(self.baseline_bound_half)))
+    passes = property(lambda self: _readonly(_mirror(self.passes_half)))
+
+    @property
+    def all_pass(self) -> bool:
+        return bool(np.all(self.passes_half))
+
+
+def _half_spectrum(values: np.ndarray) -> np.ndarray:
+    """Transform every row of a real (rows, 2**N) array at xi = 0..2**(N-1)."""
+    size = values.shape[-1]
+    # Midpoint sampling: exp(i pi xi (1 - 1/2**N)) = (-1)**xi * exp(-i pi xi / 2**N),
+    # built in one array.
+    phase = np.arange(size // 2 + 1, dtype=np.complex128)
+    phase *= -1j * np.pi
+    phase /= size
+    np.exp(phase, out=phase)
+    phase[1::2] *= -1.0
+    spectrum = np.fft.rfft(values, axis=-1)
+    spectrum *= phase
+    spectrum /= size
+    return spectrum
 
 
 def _dft_rows(values: np.ndarray) -> np.ndarray:
     """Transform every row of a real (rows, 2**N) array; columns ascend in frequency.
 
-    A real-input FFT gives xi = 0..2**(N-1); the negative half is the
-    conjugate of the mirrored positive half.
+    The negative half is the conjugate of the mirrored positive half.
     """
-    size = values.shape[-1]
-    xi = np.arange(size // 2 + 1)
-    # Midpoint sampling: exp(i pi xi (1 - 1/2**N)) = (-1)**xi * exp(-i pi xi / 2**N).
-    sign = 1.0 - 2.0 * (xi & 1)
-    phase = sign * np.exp(-1j * np.pi * xi / size)
-    spectrum = np.fft.rfft(values, axis=-1)
-    spectrum *= phase
-    spectrum /= size
-    return _mirror(spectrum)
+    return _mirror(_half_spectrum(values))
 
 
 def dft(f: Signal) -> FourierSpectrum:
@@ -248,39 +275,39 @@ def _linear_envelope(xi: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _noise_envelopes(n_exponent: int) -> tuple[np.ndarray, np.ndarray]:
-    """(exact, linear) envelope per frequency, DC slot set to 2**(-N-1).
-
-    Both are even in xi: computed on xi > 0 and mirrored.
-    """
+    """(exact, linear) envelope at xi = 0..2**(N-1), DC slot set to 2**(-N-1)."""
     n = n_exponent
     positive = np.arange(1, (1 << n) // 2 + 1, dtype=np.float64)
     dc_bound = np.array([2.0 ** (-n - 1)])
-    exact = _mirror(np.concatenate([dc_bound, _exact_envelope(positive, n)]))
-    linear = _mirror(np.concatenate([dc_bound, _linear_envelope(positive, n)]))
+    exact = np.concatenate([dc_bound, _exact_envelope(positive, n)])
+    linear = np.concatenate([dc_bound, _linear_envelope(positive, n)])
     return _readonly(exact), _readonly(linear)
 
 
-def _noise_tables(f: np.ndarray, g: np.ndarray) -> list[NoiseBoundTable]:
-    """One NoiseBoundTable per row pair of (rows, 2**N) signal and code arrays."""
-    n = f.shape[-1].bit_length() - 1
-    frequencies = FrequencyGrid(n).frequencies
-    measured = _readonly(np.abs(_dft_rows(_residual(f, g))))
+def _residual_tables(r: np.ndarray) -> list[NoiseBoundTable]:
+    """One NoiseBoundTable per row of a (rows, 2**N) residual f - g."""
+    n = r.shape[-1].bit_length() - 1
+    measured = _readonly(np.abs(_half_spectrum(r)))
     exact, linear = _noise_envelopes(n)
-    baseline = np.broadcast_to(0.5, measured.shape[-1:])
+    baseline = np.broadcast_to(0.5, exact.shape)
     passes = _readonly(measured <= exact + SPECTRUM_SLACK)
     return [
         NoiseBoundTable(
             n_exponent=n,
-            frequencies=frequencies,
-            measured=row,
-            bound_exact=exact,
-            bound_linear=linear,
-            baseline_bound=baseline,
-            passes=row_passes,
+            measured_half=row,
+            bound_exact_half=exact,
+            bound_linear_half=linear,
+            baseline_bound_half=baseline,
+            passes_half=row_passes,
             slack=SPECTRUM_SLACK,
         )
         for row, row_passes in zip(measured, passes)
     ]
+
+
+def _noise_tables(f: np.ndarray, g: np.ndarray) -> list[NoiseBoundTable]:
+    """One NoiseBoundTable per row pair of (rows, 2**N) signal and code arrays."""
+    return _residual_tables(_residual(f, g))
 
 
 def spectrum_error(f: Signal, g: QuantizedSignal) -> NoiseBoundTable:

@@ -66,6 +66,22 @@ def parity_choice_oracle(target: float, parity: str, tie_break: str) -> int:
     return min(tied) if tie_break == "toward_negative" else max(tied)
 
 
+def spectrum_csv_reference(table) -> str:
+    """A noise table's CSV text with every row formatted on its own, in
+    ascending frequency, from the columns mirrored onto the full grid."""
+    def full(half):
+        return np.concatenate([half[-2:0:-1], half]).tolist()
+
+    columns = [full(np.asarray(c)) for c in (
+        table.measured_half, table.bound_exact_half, table.bound_linear_half,
+        table.baseline_bound_half,
+    )]
+    lines = ["xi,measured,bound_exact,bound_linear,baseline_bound\n"]
+    for xi, *values in zip(FrequencyGrid(table.n_exponent).frequencies.tolist(), *columns):
+        lines.append(",".join([str(xi)] + [repr(v) for v in values]) + "\n")
+    return "".join(lines)
+
+
 def dft_by_sum(f: Signal, xi: int) -> complex:
     """Single-frequency transform by direct summation."""
     t = f.grid.samples

@@ -520,6 +520,32 @@ class TestStreaming:
         assert f"index {len(values) - 7}" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["in.raw"]
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_raw_non_finite_in_a_middle_chunk_names_its_index(self, tmp_path, capsys, bad):
+        values = self.signal(5 * CHUNK_SAMPLES)
+        index = 2 * CHUNK_SAMPLES + 11  # the third chunk of five
+        values[index] = bad
+        src = tmp_path / "in.raw"
+        write_raw(src, values)
+        assert self.quantize(src, "--output", str(tmp_path / "out.raw")) == 3
+        assert f"non-finite sample at index {index}\n" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["in.raw"]
+
+    @pytest.mark.parametrize("fmt", ["raw", "csv"])
+    def test_unit_delta_leaves_the_codes_unchanged(self, tmp_path, fmt):
+        values = self.signal(2 * CHUNK_SAMPLES + 300)
+        src = tmp_path / f"in.{fmt}"
+        (write_raw if fmt == "raw" else write_csv)(src, values)
+        outputs = []
+        for flags in ([], ["--delta", "1"], ["--delta", "1.0"]):
+            out = tmp_path / f"out{len(outputs)}.{fmt}"
+            assert main(["quantize", "--format", fmt, "--block-exp", str(self.N),
+                         "--input", str(src), "--output", str(out), *flags]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert read_codes(tmp_path / f"out0.{fmt}", fmt).tolist() == (
+            quantize_per_block(values, self.N).tolist())
+
     def test_bad_csv_line_after_the_first_chunk_leaves_no_file(self, tmp_path, capsys):
         lines = [f"{v}\n" for v in self.signal(CHUNK_SAMPLES + 50).tolist()]
         lines[CHUNK_SAMPLES + 20] = "oops\n"
@@ -759,19 +785,22 @@ class TestBoundedMemory:
     """Peak memory does not grow with the input: tracemalloc follows NumPy's
     buffers, and 16 chunks must peak within one chunk's bytes of 4 chunks."""
 
-    def peak(self, tmp_path, chunks, n, flags):
+    def peak(self, tmp_path, chunks, n, argv):
+        """Traced peak of main(argv) on a raw input of `chunks` chunks."""
         src = tmp_path / f"in{chunks}.raw"
         write_raw(src, np.random.default_rng(1800).normal(0.0, 300.0, chunks * CHUNK_SAMPLES))
         tracemalloc.start()
         try:
-            code = main(["quantize", "--format", "raw", "--block-exp", str(n),
-                         "--input", str(src), "--output", str(tmp_path / "out.raw"),
-                         *flags])
+            code = main([*argv, "--format", "raw", "--block-exp", str(n),
+                         "--input", str(src)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 0
         return peak
+
+    def quantize(self, tmp_path, *flags):
+        return ["quantize", "--output", str(tmp_path / "out.raw"), *flags]
 
     # --report keeps a summary per block, so it runs with one block per
     # chunk (N = 16): the summaries of 12 more blocks are far below a chunk.
@@ -781,9 +810,10 @@ class TestBoundedMemory:
     def test_sixteen_chunks_peak_like_four(self, tmp_path, monkeypatch, n, report):
         use_cpus(monkeypatch, 1)
         flags = ["--report", str(tmp_path / "rep.json")] if report else []
-        self.peak(tmp_path, 1, n, flags)  # imports and caches
-        small = self.peak(tmp_path, 4, n, flags)
-        large = self.peak(tmp_path, 16, n, flags)
+        argv = self.quantize(tmp_path, *flags)
+        self.peak(tmp_path, 1, n, argv)  # imports and caches
+        small = self.peak(tmp_path, 4, n, argv)
+        large = self.peak(tmp_path, 16, n, argv)
         assert large - small <= CHUNK_SAMPLES * 8
 
     def test_two_workers_peak_below_three_lone_chunks(self, tmp_path, monkeypatch):
@@ -792,13 +822,23 @@ class TestBoundedMemory:
         # three times a lone chunk's run, which reads, computes and writes
         # one chunk.  Reading all 32 chunks ahead would exceed it.
         use_cpus(monkeypatch, 2)
-        self.peak(tmp_path, 1, 10, [])  # imports and caches
-        lone = self.peak(tmp_path, 1, 10, [])
-        assert self.peak(tmp_path, 32, 10, []) <= 3 * lone
+        argv = self.quantize(tmp_path)
+        self.peak(tmp_path, 1, 10, argv)  # imports and caches
+        lone = self.peak(tmp_path, 1, 10, argv)
+        assert self.peak(tmp_path, 32, 10, argv) <= 3 * lone
 
     def test_a_large_block_is_quantized_by_subtrees(self, tmp_path):
         # Holding the whole block's float and int64 pyramids took 6.4 times
         # the block's bytes.
         n = 18
-        self.peak(tmp_path, 1, n, [])  # imports and caches
-        assert self.peak(tmp_path, (1 << n) // CHUNK_SAMPLES, n, []) <= 4 * (8 << n)
+        argv = self.quantize(tmp_path)
+        self.peak(tmp_path, 1, n, argv)  # imports and caches
+        assert self.peak(tmp_path, (1 << n) // CHUNK_SAMPLES, n, argv) <= 4 * (8 << n)
+
+    def test_a_large_spectrum_holds_no_table_text_or_full_grid(self, tmp_path):
+        # Full-grid columns and the text of the rows xi >= 0, held until the
+        # rows xi < 0 were written, took 10.5 times the block's bytes.
+        n = 18
+        argv = ["spectrum", "--output", str(tmp_path / "spec.csv")]
+        self.peak(tmp_path, 1, n, argv)  # imports and caches
+        assert self.peak(tmp_path, (1 << n) // CHUNK_SAMPLES, n, argv) <= 8 * (8 << n)

@@ -1,4 +1,7 @@
+import functools
 import json
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +23,10 @@ from haarq import (
     write_spectrum_csv,
     write_values,
 )
+from haarq.cli import main
 from haarq.report_io import CHUNK_SAMPLES, BlockResult
 
-from oracles import codes_sha256
+from oracles import codes_sha256, spectrum_csv_reference
 
 
 def write_csv(path, values):
@@ -362,21 +366,21 @@ class TestSpectrumCsv:
 
     @pytest.mark.parametrize(
         "field, index",
-        [("measured", 0), ("bound_exact", 2), ("bound_linear", 4),
-         ("baseline_bound", 1), ("frequencies", 0)],
+        [("measured_half", 0), ("bound_exact_half", 2), ("bound_linear_half", 4),
+         ("baseline_bound_half", 1)],
     )
-    def test_non_even_table_rejected_before_writing(self, tmp_path, field, index):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_half_column_rejected_before_writing(self, tmp_path, field,
+                                                            index, bad):
         f = Signal(make_grid(3), np.random.default_rng(47).uniform(-0.5, 0.5, 8))
         g, _ = quantize_haar_optimal(f)
         table = spectrum_error(f, g)
-        column = getattr(table, field).copy()
-        column[index] = -column[index] if field == "frequencies" else np.nextafter(
-            column[index], np.inf
-        )
+        column = np.array(getattr(table, field))
+        column[index] = bad
         p = tmp_path / "spec.csv"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             write_spectrum_csv(replace(table, **{field: column}), str(p))
-        assert not p.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_integer_signal_measures_zero(self, tmp_path):
         vals = np.array([1.0, 2.0, -1.0, 0.0])
@@ -410,3 +414,88 @@ class TestSpectrumCsv:
         merged = blocks.reshape(-1) * 0.25
         assert merged[:length] == pytest.approx(values, abs=0)
         assert np.all(merged[length:] == 0.0)
+
+
+@functools.lru_cache(maxsize=8)
+def spectrum_case(n):
+    """A quantized benchmark-like block of 2**n samples: its raw input
+    bytes, its noise table and the table's reference CSV text."""
+    values = np.random.default_rng(4400 + n).normal(0.0, 300.0, 1 << n)
+    f = Signal(make_grid(n), values)
+    table = spectrum_error(f, quantize_haar_optimal(f)[0])
+    return values.astype("<f8").tobytes(), table, spectrum_csv_reference(table)
+
+
+class TestSpectrumCsvAgainstReference:
+    """write_spectrum_csv formats each |xi| once and, where it can, reads its
+    rows -xi back to make the rows xi; the reference formats every row.  At
+    N = 17 the 2**16 + 1 values of |xi| leave a last chunk that holds only
+    xi = 0, and at N = 18 the top row xi = 2**17 is alone in its chunk."""
+
+    NS = [0, 1, 2, 3, 16, 17, 18]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_path(self, tmp_path, n):
+        _, table, expected = spectrum_case(n)
+        p = tmp_path / "spec.csv"
+        write_spectrum_csv(table, str(p))
+        assert p.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("n", NS)
+    def test_stdout_through_main(self, tmp_path, capsys, n):
+        data, _, expected = spectrum_case(n)
+        src = tmp_path / "in.raw"
+        src.write_bytes(data)
+        code = main(["spectrum", "--format", "raw", "--block-exp", str(n),
+                     "--input", str(src), "--output", "-"])
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("n", NS)
+    def test_fifo(self, tmp_path, n):
+        _, table, expected = spectrum_case(n)
+        fifo = tmp_path / "spec.fifo"
+        os.mkfifo(fifo)
+        drained = []
+        reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_spectrum_csv(table, str(fifo))
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert drained == [expected.encode()]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_readable_stream_holding_text(self, tmp_path, n):
+        _, table, expected = spectrum_case(n)
+        p = tmp_path / "spec.csv"
+        with open(p, "w+", encoding="utf-8") as fh:
+            fh.write("# before\n")
+            write_spectrum_csv(table, fh)
+            fh.write("# after\n")
+            assert fh.tell() == len(expected) + 17
+        assert p.read_text() == "# before\n" + expected + "# after\n"
+
+    @pytest.mark.parametrize("n", NS)
+    def test_write_only_stream(self, tmp_path, n):
+        _, table, expected = spectrum_case(n)
+        p = tmp_path / "spec.csv"
+        with open(p, "w", encoding="utf-8") as fh:
+            write_spectrum_csv(table, fh)
+        assert p.read_text() == expected
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_translated_line_endings_read_back(self, tmp_path, newline):
+        _, table, expected = spectrum_case(16)
+        p = tmp_path / "spec.csv"
+        with open(p, "w+", encoding="utf-8", newline=newline) as fh:
+            write_spectrum_csv(table, fh)
+        assert p.read_bytes() == expected.replace("\n", newline).encode()
+
+    def test_readable_stream_in_a_wide_encoding(self, tmp_path):
+        # Its bytes are not the ASCII text, so it is not read back.
+        _, table, expected = spectrum_case(16)
+        p = tmp_path / "spec.csv"
+        with open(p, "w+", encoding="utf-16") as fh:
+            write_spectrum_csv(table, fh)
+        assert p.read_text(encoding="utf-16") == expected

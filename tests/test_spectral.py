@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,13 +210,13 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("n", [1, 8, 12])
     def test_scalar_matches_table_bit_for_bit(self, n):
+        # The tables hold xi = 0..2**(N-1); the row -xi is the row xi.
         exact, linear = _noise_envelopes(n)
-        for xi, exact_value, linear_value in zip(
-            FrequencyGrid(n).frequencies, exact, linear
-        ):
+        assert exact.shape == linear.shape == ((1 << n) // 2 + 1,)
+        for xi in FrequencyGrid(n).frequencies.tolist():
             if xi != 0:
-                assert fourier_error_bound_exact(int(xi), n) == exact_value
-                assert fourier_error_bound_linear(int(xi), n) == linear_value
+                assert fourier_error_bound_exact(xi, n) == exact[abs(xi)]
+                assert fourier_error_bound_linear(xi, n) == linear[abs(xi)]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_scalars_are_even_bit_for_bit(self, n):
@@ -304,6 +305,16 @@ class TestSpectrumError:
             one = spectrum_error(Signal(grid, fr), QuantizedSignal(grid, gr))
             assert np.array_equal(table.measured, one.measured)
             assert np.array_equal(table.passes, one.passes)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_half_columns_of_the_wrong_length_rejected(self, n):
+        f = Signal(make_grid(n), np.random.default_rng(1450 + n).uniform(-2, 2, 1 << n))
+        table = spectrum_error(f, quantize_haar_optimal(f)[0])
+        assert table.measured_half.shape == ((1 << n) // 2 + 1,)
+        with pytest.raises(ValueError, match="measured_half"):
+            replace(table, measured_half=np.append(table.measured_half, 0.0))
+        with pytest.raises(ValueError, match="passes_half"):
+            replace(table, passes_half=table.passes_half[:-1])
 
     def test_grid_mismatch(self):
         f = Signal(make_grid(1), [0.0, 0.0])
