@@ -7,7 +7,9 @@ read, scaled, quantized, measured and written, then dropped.  Chunks
 are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
 flight; an input of one chunk is computed on the calling thread.  The
-output does not depend on the number of CPUs.  Memory depends on the
+rows of a spectrum table longer than one formatting chunk are formatted
+the same way, on one worker process per usable CPU.  The output does
+not depend on the number of CPUs.  Memory depends on the
 block size and the number of CPUs, not on the input length; `--report`
 adds a small summary per block.  verify --quantized reads its two
 inputs in step.  Each output file is written to a temporary file beside
@@ -22,12 +24,9 @@ any measured bound failed.  quantize without --report measures nothing.
 """
 
 import argparse
-import collections
 import contextlib
 import itertools
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +48,13 @@ from .report_io import (
     RunReport,
     _Outputs,
     _SPECTRUM_HEADER,
+    _in_order,
+    _usable_cpus,
     _write_lines,
+    _write_spectrum_csv,
     format_float,
     read_signal,
     write_report,
-    write_spectrum_csv,
     write_values,
 )
 from .spectral import FrequencyGrid, _residual_tables, haar_fourier_coefficient
@@ -151,68 +152,6 @@ def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
     if args.baseline:
         return _round_rows(f, tie_break)
     return _quantize_rows(f, tie_break)
-
-
-def _in_order(compute, chunks):
-    """Yield compute(*chunk) for every chunk, in input order.
-
-    Chunks are read on the calling thread and computed on one thread per
-    usable CPU: `workers` chunks are submitted and one more is read ahead,
-    so at most workers + 1 are in flight.  When the oldest is done, the
-    next chunk is read and the one before it submitted before the result
-    is handed out, so no worker waits for a result to be written, and
-    with one worker no read runs beside a computation: peak memory does
-    not depend on thread timing.  A lone chunk is computed on the calling
-    thread; on a worker, the memory it frees would stay in that thread's
-    malloc arena.  A chunk's error is raised after the results of every
-    earlier chunk, and a read error after the results of every chunk read
-    before it.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
-    else:
-        workers = os.cpu_count() or 1
-    chunks = iter(chunks)
-    failure = None
-
-    def read():
-        """The next chunk; None at the end of the input or once reading failed."""
-        nonlocal failure
-        if failure is None:
-            try:
-                return next(chunks)
-            except StopIteration:
-                pass
-            except Exception as exc:
-                failure = exc
-        return None
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending = collections.deque()  # futures of the submitted chunks, oldest first
-
-        def submit(chunk):
-            """Read the chunk after chunk, then submit chunk; return the one read."""
-            following = read()
-            pending.append(pool.submit(compute, *chunk))
-            return following
-
-        first, ahead = read(), read()
-        if ahead is None:
-            if first is not None:
-                # As on a worker, the chunk is dropped once it is computed.
-                result, first = compute(*first), None
-                yield result
-        else:
-            pending.append(pool.submit(compute, *first))
-        while pending:
-            while ahead is not None and len(pending) < workers:
-                ahead = submit(ahead)
-            result = pending.popleft().result()
-            if ahead is not None:
-                ahead = submit(ahead)
-            yield result
-    if failure is not None:
-        raise failure
 
 
 def _block_results(start: int, g: np.ndarray, haar, spectrum=None) -> list:
@@ -324,35 +263,60 @@ def _block_path(base: str, index: int, single: bool) -> str:
     return str(p.with_name(f"{p.stem}.block{index:04d}{p.suffix}"))
 
 
+def _format_pool(n: int):
+    """Worker processes, one per usable CPU, to format the spectrum tables
+    of blocks of 2**n samples on, started at once; a null context when a
+    table has at most CHUNK_SAMPLES rows, one formatting chunk's worth, or
+    one CPU is usable."""
+    workers = _usable_cpus()
+    if 1 << n <= CHUNK_SAMPLES or workers < 2:
+        return contextlib.nullcontext()
+    # Imported here: the commands that open no pool do not pay for it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Not "fork": this process may already run threads of its own and of the BLAS.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    # The pool starts a worker when a task finds none idle, so one trivial
+    # task per worker starts them all now.  int() cannot fail, and a worker
+    # that dies breaks the pool, which the next submit raises.
+    for _ in range(workers):
+        pool.submit(int)
+    return pool
+
+
 def cmd_spectrum(args) -> int:
-    chunks = read_signal(_input_spec(args))
-    # One chunk ahead: a lone block is named by the base path alone.
-    ahead = list(itertools.islice(chunks, 2))
-    single = len(ahead) == 1 and ahead[0][1].shape[0] == 1
-    empty = not ahead
-    # Only the iterator holds the chunks read ahead, so each is dropped once computed.
-    chunks = itertools.chain(iter(ahead), chunks)
-    del ahead
+    # The workers start before the first block is read, so their start-up
+    # overlaps the read, the quantize and the FFT.
+    with _format_pool(args.block_exp) as pool:
+        chunks = read_signal(_input_spec(args))
+        # One chunk ahead: a lone block is named by the base path alone.
+        ahead = list(itertools.islice(chunks, 2))
+        single = len(ahead) == 1 and ahead[0][1].shape[0] == 1
+        empty = not ahead
+        # Only the iterator holds the chunks read ahead, so each is dropped once computed.
+        chunks = itertools.chain(iter(ahead), chunks)
+        del ahead
 
-    def compute(a, f, valid):
-        # The codes are dropped once the residual is formed, before the FFT.
-        return a, _residual_tables(_residual(f, _quantize_chunk(f, args)))
+        def compute(a, f, valid):
+            # The codes are dropped once the residual is formed, before the FFT.
+            return a, _residual_tables(_residual(f, _quantize_chunk(f, args)))
 
-    passed = True
-    with (
-        _Outputs() as outputs,
-        contextlib.closing(_in_order(compute, chunks)) as measured,
-    ):
-        if empty:
-            # No block: the table is its header alone, as quantize writes empty codes.
-            with outputs.open(args.output, binary=False) as out:
-                out.write(_SPECTRUM_HEADER)
-        for a, tables in measured:
-            for i, table in enumerate(tables, start=a):
-                path = _block_path(args.output, i, single)
-                with outputs.open(path, binary=False) as out:
-                    write_spectrum_csv(table, out)
-                passed &= table.all_pass
+        passed = True
+        with (
+            _Outputs() as outputs,
+            contextlib.closing(_in_order(compute, chunks)) as measured,
+        ):
+            if empty:
+                # No block: the table is its header alone, as quantize writes empty codes.
+                with outputs.open(args.output, binary=False) as out:
+                    out.write(_SPECTRUM_HEADER)
+            for a, tables in measured:
+                for i, table in enumerate(tables, start=a):
+                    path = _block_path(args.output, i, single)
+                    with outputs.open(path, binary=False) as out:
+                        _write_spectrum_csv(table, out, pool)
+                    passed &= table.all_pass
     return 0 if passed else 1
 
 

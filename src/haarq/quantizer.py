@@ -110,21 +110,27 @@ class HaarErrorReport:
 
 
 def _parity_round(target, parity, tie_break: str):
-    """Nearest int64 to target whose parity (0 even, 1 odd) is parity.
+    """Nearest int64 to target whose parity (0 even, 1 odd) is that of the
+    integer or int64 array parity.
 
-    With i = floor(target): i itself when it has the parity; otherwise
-    i + 1 when target > i, and i - 1 or i + 1 per tie_break when
-    target == i, both at distance 1.  No float arithmetic rounds, so the
+    The candidate base is floor(target) toward_positive and
+    ceil(target) - 1 toward_negative: the two differ only when target is
+    an integer, where the candidates at distance 1 tie.  Then base itself
+    when it has the parity, else base + 1.  Both roundings are exact and
+    the - 1 is taken in int64, so no float operation rounds, and the
     choice is exact for every finite target in the int64 range.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    floor = np.floor(target)
-    i = floor.astype(np.int64)
-    step = (i - parity) & 1
-    if tie_break == "toward_negative":
-        step *= 2 * (target > floor) - 1
-    return i + step
+    if tie_break == "toward_positive":
+        base = np.floor(target).astype(np.int64)
+    else:
+        base = np.ceil(target).astype(np.int64)
+        base -= 1
+    step = np.bitwise_xor(base, parity)
+    step &= 1
+    step += base
+    return step
 
 
 def _round_nearest(x, tie_break: str):
@@ -150,7 +156,7 @@ def choose_parity_constrained(
 
 def _check_budget(levels, what: str) -> None:
     for level in levels:
-        if float(np.abs(level).max(initial=0.0)) > _INT_BUDGET:
+        if max(level.max(initial=0.0), -level.min(initial=0.0)) > _INT_BUDGET:
             raise OverflowError(f"{what} exceed the 64-bit integer budget")
 
 
@@ -165,11 +171,13 @@ def _descend(parent: np.ndarray, totals, tie_break: str) -> np.ndarray:
     """Split the integer totals parent down through the float totals levels
     below it, one level at a time; returns the bottom level."""
     for v in totals:
-        diff = _parity_round(v[:, 1::2] - v[:, 0::2], parent & 1, tie_break)
+        diff = _parity_round(v[:, 1::2] - v[:, 0::2], parent, tie_break)
         child = np.empty(v.shape, dtype=np.int64)
         # parent - diff is even by construction, so the shift halves it exactly.
-        child[:, 0::2] = (parent - diff) >> 1
-        child[:, 1::2] = parent - child[:, 0::2]
+        np.subtract(parent, diff, out=diff)
+        diff >>= 1
+        child[:, 0::2] = diff
+        np.subtract(parent, diff, out=child[:, 1::2])
         parent = child
     return parent
 

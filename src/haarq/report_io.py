@@ -10,6 +10,7 @@ They take a path, whose file is replaced only once it is written whole,
 or an open stream to append one chunk to.
 """
 
+import collections
 import contextlib
 import itertools
 import json
@@ -17,6 +18,7 @@ import math
 import operator
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field, fields
 from hashlib import sha256
 from pathlib import Path
@@ -25,7 +27,7 @@ import numpy as np
 
 from .haar import MAX_EXPONENT, _readonly
 from .quantizer import CHUNK_SAMPLES, HaarErrorReport
-from .spectral import FrequencyGrid, NoiseBoundTable
+from .spectral import _BASELINE_BOUND, FrequencyGrid, NoiseBoundTable
 
 __all__ = [
     "FORMATS",
@@ -194,6 +196,74 @@ def read_signal(spec: InputSpec):
             rows = _readonly(values.reshape(-1, size))
             yield first_block, rows, valid
             first_block += rows.shape[0]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(compute, chunks, pool=None):
+    """Yield compute(*chunk) for every chunk, in input order.
+
+    Chunks are read on the calling thread and computed on the executor
+    pool, or on a pool of threads when none is given, with one worker per
+    usable CPU: `workers` chunks are submitted and one more is read ahead,
+    so at most workers + 1 are in flight.  When the oldest is done, the
+    next chunk is read and the one before it submitted before the result
+    is handed out, so no worker waits for a result to be written, and
+    with one worker no read runs beside a computation: peak memory does
+    not depend on thread timing.  A lone chunk is computed on the calling
+    thread; on a worker thread, the memory it frees would stay in that
+    thread's malloc arena.  A chunk's error is raised after the results
+    of every earlier chunk, and a read error after the results of every
+    chunk read before it.
+    """
+    workers = _usable_cpus()
+    chunks = iter(chunks)
+    failure = None
+
+    def read():
+        """The next chunk; None at the end of the input or once reading failed."""
+        nonlocal failure
+        if failure is None:
+            try:
+                return next(chunks)
+            except StopIteration:
+                pass
+            except Exception as exc:
+                failure = exc
+        return None
+
+    executor = ThreadPoolExecutor(workers) if pool is None else contextlib.nullcontext(pool)
+    with executor as pool:
+        pending = collections.deque()  # futures of the submitted chunks, oldest first
+
+        def submit(chunk):
+            """Read the chunk after chunk, then submit chunk; return the one read."""
+            following = read()
+            pending.append(pool.submit(compute, *chunk))
+            return following
+
+        first, ahead = read(), read()
+        if ahead is None:
+            if first is not None:
+                # As on a worker, the chunk is dropped once it is computed.
+                result, first = compute(*first), None
+                yield result
+        else:
+            pending.append(pool.submit(compute, *first))
+        while pending:
+            while ahead is not None and len(pending) < workers:
+                ahead = submit(ahead)
+            result = pending.popleft().result()
+            if ahead is not None:
+                ahead = submit(ahead)
+            yield result
+    if failure is not None:
+        raise failure
 
 
 def format_float(x: float) -> str:
@@ -407,6 +477,34 @@ def _append_unmirrored(buffer, ends) -> None:
         buffer.write(newline)
 
 
+def _format_spectrum_rows(lo, last_negative, keep, measured, exact, linear):
+    """The text of the table rows |xi| = lo, lo + 1, ... for the values of
+    the three half columns from lo on.
+
+    Returns (zero, negative, positive, top): the row xi = 0 if lo is 0;
+    the rows -xi of every xi here with a twin, highest |xi| first; the
+    rows xi themselves, ascending, only when keep is true; and the row
+    xi = 2**(N-1) if it is here.  Rows xi = 0 and 2**(N-1) have no twin.
+    The baseline column is the same at every frequency, so its text is
+    made once.
+    """
+    suffix = f",{_BASELINE_BOUND!r}\n"
+    rows = [
+        f"{xi},{m!r},{e!r},{lin!r}{suffix}"
+        for xi, m, e, lin in zip(
+            range(lo, lo + len(measured)), measured.tolist(), exact.tolist(),
+            linear.tolist(),
+        )
+    ]
+    # rows[a:b] have a twin -xi.
+    a, b = max(lo, 1) - lo, last_negative + 1 - lo
+    twinned = rows[a:b]
+    # Rows end in a newline, so joining with '-' prefixes each one.
+    negative = "-" + "-".join(reversed(twinned)) if twinned else ""
+    positive = "".join(twinned) if keep else ""
+    return "".join(rows[:a]), negative, positive, "".join(rows[b:])
+
+
 def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     """One row per frequency, ascending, with measured error and envelopes.
 
@@ -414,19 +512,23 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     written whole, or an open text stream to append to.  Every column of
     a spectrum table is even in xi, so each |xi| is formatted once: its
     row xi, prefixed with '-', is the row -xi.  The table is formatted
-    in chunks of CHUNK_SAMPLES rows, from the highest |xi| down, and a
-    chunk's rows -xi are written at once.  The rows xi follow.  A stream
-    that can be read back (a file output, or a seekable and readable
-    stream) is its own spill: they are made by reading its rows -xi back.
-    Any other stream (stdout, a pipe, a device, a write-only stream) has
-    their text kept in memory until the negative half is written.  A
+    in chunks of CHUNK_SAMPLES // 2 values of |xi|, from the highest |xi|
+    down, and a chunk's rows -xi are written at once.  The rows xi
+    follow.  A stream that can be read back (a file output, or a seekable
+    and readable stream) is its own spill: they are made by reading its
+    rows -xi back.  Any other stream (stdout, a pipe, a device, a
+    write-only stream) has their text kept in memory until the negative
+    half is written.  The chunks are formatted on the calling thread.  A
     table with a non-finite value raises ValueError before the file is
     opened.
     """
-    columns = [
-        table.measured_half, table.bound_exact_half, table.bound_linear_half,
-        table.baseline_bound_half,
-    ]
+    _write_spectrum_csv(table, out, None)
+
+
+def _write_spectrum_csv(table: NoiseBoundTable, out, pool) -> None:
+    """write_spectrum_csv, with its chunks formatted on the executor pool
+    when one is given, and written in order (see _in_order)."""
+    columns = [table.measured_half, table.bound_exact_half, table.bound_linear_half]
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError("cannot render non-finite value")
     # The grid's negative frequencies are -1 .. -last_negative.
@@ -439,30 +541,28 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
         if buffer is not None:
             fh.flush()
             ends = [buffer.tell()]  # where each chunk's rows -xi end
+        chunks = (
+            (lo, last_negative, buffer is None, *(c[lo:hi] for c in columns))
+            for hi in range(size, 0, -step)
+            for lo in [max(0, hi - step)]
+        )
+        if pool is None:
+            formatted = (_format_spectrum_rows(*chunk) for chunk in chunks)
+        else:
+            formatted = _in_order(_format_spectrum_rows, chunks, pool)
+        head = tail = ""
         kept = []  # unless spilled, each chunk's text of its rows xi with a twin
-        for hi in range(size, 0, -step):
-            lo = max(0, hi - step)
-            rows = [
-                f"{xi},{m!r},{e!r},{lin!r},{b!r}\n"
-                for xi, m, e, lin, b in zip(
-                    range(lo, hi), *(c[lo:hi].tolist() for c in columns)
-                )
-            ]
-            # rows[a:b] have a twin -xi; xi = 0 and 2**(N-1) have none.
-            a, b = max(lo, 1) - lo, last_negative + 1 - lo
-            if hi == size:
-                tail = "".join(rows[b:])
-            if lo == 0:
-                head = "".join(rows[:a])
-            if rows[a:b]:
-                # Rows end in a newline, so joining with '-' prefixes each one.
-                fh.write("-")
-                fh.write("-".join(reversed(rows[a:b])))
-                if buffer is None:
-                    kept.append("".join(rows[a:b]))
-                else:
-                    fh.flush()
-                    ends.append(buffer.tell())
+        with contextlib.closing(formatted):
+            for zero, negative, positive, top in formatted:
+                head += zero
+                tail += top
+                if negative:
+                    fh.write(negative)
+                    if buffer is None:
+                        kept.append(positive)
+                    else:
+                        fh.flush()
+                        ends.append(buffer.tell())
         fh.write(head)
         if buffer is None:
             fh.writelines(reversed(kept))

@@ -46,6 +46,10 @@ __all__ = [
 # Additive slack for all envelope comparisons (absorbs transcendental rounding).
 SPECTRUM_SLACK = 1e-10
 
+# The flat spectral bound of per-sample rounding, whose error is at most
+# 1/2 at every sample and so at every frequency.
+_BASELINE_BOUND = 0.5
+
 
 @lru_cache(maxsize=32)
 def _frequencies(n: int) -> np.ndarray:
@@ -122,18 +126,19 @@ class NoiseBoundTable:
 
     Every column is even in xi, so the table stores only the rows
     xi = 0..2**(N-1): the *_half fields.  The full-grid columns
-    (frequencies, measured, bound_exact, bound_linear, baseline_bound and
-    passes, ascending in xi) are mirrored from them on each access, and
-    are bitwise even by construction.  Both bound columns hold 2**(-N-1)
-    in the DC row.  baseline_bound is the flat 1/2 guaranteed by
-    per-sample rounding.  A row passes when measured <= bound_exact + slack.
+    (frequencies, measured, bound_exact, bound_linear and passes,
+    ascending in xi) are mirrored from them on each access, and are
+    bitwise even by construction.  Both bound columns hold 2**(-N-1) in
+    the DC row.  baseline_bound is the flat 1/2 guaranteed by per-sample
+    rounding, the same at every frequency, so it is not stored: it reads
+    as a full-grid array of 0.5.  A row passes when
+    measured <= bound_exact + slack.
     """
 
     n_exponent: int
     measured_half: np.ndarray
     bound_exact_half: np.ndarray
     bound_linear_half: np.ndarray
-    baseline_bound_half: np.ndarray
     passes_half: np.ndarray
     slack: float
 
@@ -147,7 +152,9 @@ class NoiseBoundTable:
     measured = property(lambda self: _readonly(_mirror(self.measured_half)))
     bound_exact = property(lambda self: _readonly(_mirror(self.bound_exact_half)))
     bound_linear = property(lambda self: _readonly(_mirror(self.bound_linear_half)))
-    baseline_bound = property(lambda self: _readonly(_mirror(self.baseline_bound_half)))
+    baseline_bound = property(
+        lambda self: _readonly(np.full(self.frequencies.shape, _BASELINE_BOUND))
+    )
     passes = property(lambda self: _readonly(_mirror(self.passes_half)))
 
     @property
@@ -289,7 +296,6 @@ def _residual_tables(r: np.ndarray) -> list[NoiseBoundTable]:
     n = r.shape[-1].bit_length() - 1
     measured = _readonly(np.abs(_half_spectrum(r)))
     exact, linear = _noise_envelopes(n)
-    baseline = np.broadcast_to(0.5, exact.shape)
     passes = _readonly(measured <= exact + SPECTRUM_SLACK)
     return [
         NoiseBoundTable(
@@ -297,7 +303,6 @@ def _residual_tables(r: np.ndarray) -> list[NoiseBoundTable]:
             measured_half=row,
             bound_exact_half=exact,
             bound_linear_half=linear,
-            baseline_bound_half=baseline,
             passes_half=row_passes,
             slack=SPECTRUM_SLACK,
         )

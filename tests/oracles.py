@@ -74,8 +74,7 @@ def spectrum_csv_reference(table) -> str:
 
     columns = [full(np.asarray(c)) for c in (
         table.measured_half, table.bound_exact_half, table.bound_linear_half,
-        table.baseline_bound_half,
-    )]
+    )] + [np.asarray(table.baseline_bound).tolist()]
     lines = ["xi,measured,bound_exact,bound_linear,baseline_bound\n"]
     for xi, *values in zip(FrequencyGrid(table.n_exponent).frequencies.tolist(), *columns):
         lines.append(",".join([str(xi)] + [repr(v) for v in values]) + "\n")

@@ -1,4 +1,7 @@
+import concurrent.futures
+import functools
 import json
+import multiprocessing
 import os
 import stat
 import sys
@@ -8,10 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from haarq import spectral
+from haarq import Signal, make_grid, quantize_haar_optimal, spectral, spectrum_error
 from haarq.cli import CHUNK_SAMPLES, main
 
-from oracles import codes_sha256, dc_error_fraction, quantize_per_block
+from oracles import (
+    codes_sha256, dc_error_fraction, quantize_per_block, spectrum_csv_reference,
+)
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
 UNIFORM = np.random.default_rng(1).uniform(-0.5, 0.5, 1 << 10)
@@ -24,8 +29,14 @@ def no_thread_outlives_the_test():
     assert threading.active_count() <= before, "a thread outlived the test"
 
 
+@pytest.fixture(autouse=True)
+def no_process_outlives_the_test():
+    yield
+    assert not multiprocessing.active_children(), "a child process outlived the test"
+
+
 def use_cpus(monkeypatch, count):
-    """Make the CLI see `count` CPUs it may run on."""
+    """Make the CLI see `count` CPUs it may run on, for both of its pools."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
 
@@ -842,3 +853,76 @@ class TestBoundedMemory:
         argv = ["spectrum", "--output", str(tmp_path / "spec.csv")]
         self.peak(tmp_path, 1, n, argv)  # imports and caches
         assert self.peak(tmp_path, (1 << n) // CHUNK_SAMPLES, n, argv) <= 8 * (8 << n)
+
+
+@functools.lru_cache(maxsize=4)
+def spectrum_case(n):
+    """Raw input bytes of a one-block signal of 2**n samples, and the
+    reference CSV of its noise table."""
+    values = np.random.default_rng(4500 + n).normal(0.0, 300.0, 1 << n)
+    f = Signal(make_grid(n), values)
+    table = spectrum_error(f, quantize_haar_optimal(f)[0])
+    return values.astype("<f8").tobytes(), spectrum_csv_reference(table)
+
+
+class TestSpectrumFormattingPool:
+    """A table longer than one formatting chunk is formatted on one worker
+    process per usable CPU, and its rows are written in order: the bytes do
+    not depend on the number of CPUs.  N = 16 opens no pool; at N = 16, 17
+    and 18 the last chunk holds only xi = 0."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the process pools the command opens."""
+        opened = []
+
+        class Counted(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                opened.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+        return opened
+
+    def run(self, tmp_path, data, n, output):
+        src = tmp_path / "in.raw"
+        src.write_bytes(data)
+        return main(["spectrum", "--format", "raw", "--block-exp", str(n),
+                     "--input", str(src), "--output", output])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    @pytest.mark.parametrize("target", ["file", "stdout", "fifo"])
+    def test_bytes_match_the_reference(self, tmp_path, monkeypatch, capsysbinary, pools,
+                                       target, n, cpus):
+        use_cpus(monkeypatch, cpus)
+        data, expected = spectrum_case(n)
+        out = tmp_path / "spec.csv"
+        if target == "fifo":
+            # A pipe cannot be read back, so the rows xi are kept as text.
+            os.mkfifo(out)
+            drained = []
+            reader = threading.Thread(target=lambda: drained.append(out.read_bytes()),
+                                      daemon=True)
+            reader.start()
+        code = self.run(tmp_path, data, n, "-" if target == "stdout" else str(out))
+        if target == "fifo":
+            reader.join(timeout=60)
+            assert not reader.is_alive()
+            written = drained[0]
+        elif target == "stdout":
+            written = capsysbinary.readouterr().out
+        else:
+            written = out.read_bytes()
+        assert code == 0
+        assert written == expected.encode()
+        assert pools == ([cpus] if n > 16 and cpus > 1 else [])
+
+    def test_one_pool_per_run_not_per_block(self, tmp_path, monkeypatch, pools):
+        use_cpus(monkeypatch, 2)
+        data, expected = spectrum_case(17)
+        code = self.run(tmp_path, 3 * data, 17, str(tmp_path / "spec.csv"))
+        assert code == 0
+        assert pools == [2]
+        for i in range(3):
+            assert (tmp_path / f"spec.block{i:04d}.csv").read_text() == expected

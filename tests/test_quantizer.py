@@ -16,7 +16,7 @@ from haarq import (
     verify_haar_bounds,
 )
 
-from haarq.quantizer import CHUNK_SAMPLES, _haar_error_rows, _quantize_rows
+from haarq.quantizer import CHUNK_SAMPLES, _haar_error_rows, _parity_round, _quantize_rows
 
 from oracles import (
     all_indices,
@@ -81,6 +81,33 @@ class TestParityChoice:
                 for tie in ("toward_negative", "toward_positive"):
                     got = choose_parity_constrained(float(t), parity, tie)
                     assert got == parity_choice_oracle(float(t), parity, tie)
+
+
+    @pytest.mark.parametrize("tie", ["toward_negative", "toward_positive"])
+    def test_int64_parity_array_near_large_targets(self, tie):
+        # The descent passes each parent total itself as the parity of its
+        # children's difference, negative parents included.  Below 2**52
+        # the neighbours step by 1/2, above 2**60 by 256, so the targets
+        # hold integers, half-integers and ties of both parities.
+        targets = []
+        for base in (2.0**52, 2.0**60):
+            for direction in (-np.inf, np.inf):
+                t = base
+                for _ in range(5):
+                    targets.append(t)
+                    t = float(np.nextafter(t, direction))
+        targets = sorted(set(targets + [-t for t in targets]))
+        parents = [-(2**61) - 1, -(2**61), -3, -2, 2, 3, 2**61, 2**61 + 1]
+        t = np.repeat(np.array(targets), len(parents)).reshape(len(targets), -1)
+        p = np.tile(np.array(parents, dtype=np.int64), (len(targets), 1))
+        got = _parity_round(t, p, tie)
+        assert got.dtype == np.int64 and got.shape == t.shape
+        expected = [
+            [parity_choice_oracle(target, "odd" if parent & 1 else "even", tie)
+             for parent in parents]
+            for target in targets
+        ]
+        assert got.tolist() == expected
 
 
 class TestQuantizeOptimal:

@@ -366,8 +366,7 @@ class TestSpectrumCsv:
 
     @pytest.mark.parametrize(
         "field, index",
-        [("measured_half", 0), ("bound_exact_half", 2), ("bound_linear_half", 4),
-         ("baseline_bound_half", 1)],
+        [("measured_half", 0), ("bound_exact_half", 2), ("bound_linear_half", 4)],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_half_column_rejected_before_writing(self, tmp_path, field,
@@ -428,9 +427,9 @@ def spectrum_case(n):
 
 class TestSpectrumCsvAgainstReference:
     """write_spectrum_csv formats each |xi| once and, where it can, reads its
-    rows -xi back to make the rows xi; the reference formats every row.  At
-    N = 17 the 2**16 + 1 values of |xi| leave a last chunk that holds only
-    xi = 0, and at N = 18 the top row xi = 2**17 is alone in its chunk."""
+    rows -xi back to make the rows xi; the reference formats every row.
+    From N = 16 on, the 2**(N-1) + 1 values of |xi| leave a last chunk
+    that holds only xi = 0."""
 
     NS = [0, 1, 2, 3, 16, 17, 18]
 
