@@ -7,26 +7,28 @@ read, scaled, quantized, measured and written, then dropped.  Chunks
 are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
 flight; an input of one chunk is computed on the calling thread.  The
-rows of a spectrum table longer than one formatting chunk are formatted
-the same way, on one worker process per usable CPU.  The output does
-not depend on the number of CPUs.  Memory depends on the
-block size and the number of CPUs, not on the input length; `--report`
-adds a small summary per block.  verify --quantized reads its two
-inputs in step.  Each output file is written to a temporary file beside
-it and renamed into place once the run succeeds, so a run that fails
-leaves no output file; output to '-' (stdout) is written as it is made,
-and an input error found after some of it was written still exits 3.
+rows of a spectrum table of 2**20 or more rows are formatted the same
+way, on one worker process per usable CPU.  The output does not depend
+on the number of CPUs.  Memory depends on the block size and the
+number of CPUs, not on the input length; `--report` adds a small
+summary per block.  verify --quantized reads its two inputs in step.
+Each output file is written to a temporary file beside it and renamed
+into place once the run succeeds, so a run that fails leaves no output
+file; output to '-' (stdout) is written as it is made, and an input
+error found after some of it was written still exits 3.
 
 Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
-input-format error.  Bounds are measured by verify, spectrum and
-quantize --report; each writes every output first and then exits 1 if
-any measured bound failed.  quantize without --report measures nothing.
+input-format error, or a formatting worker process that died.  Bounds
+are measured by verify, spectrum and quantize --report; each writes
+every output first and then exits 1 if any measured bound failed.
+quantize without --report measures nothing.
 """
 
 import argparse
 import contextlib
 import itertools
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +53,10 @@ from .report_io import (
     _in_order,
     _usable_cpus,
     _write_lines,
-    _write_spectrum_csv,
     format_float,
     read_signal,
     write_report,
+    write_spectrum_csv,
     write_values,
 )
 from .spectral import FrequencyGrid, _residual_tables, haar_fourier_coefficient
@@ -263,60 +265,70 @@ def _block_path(base: str, index: int, single: bool) -> str:
     return str(p.with_name(f"{p.stem}.block{index:04d}{p.suffix}"))
 
 
+# The smallest block exponent whose spectrum tables are formatted on worker
+# processes.  Each spawned worker imports NumPy and haarq before it formats
+# a row: on two CPUs a single-block `spectrum` ran slower with the pool at
+# N = 17 and 18, no faster at N = 19, and faster at N = 20.
+_POOL_MIN_EXPONENT = 20
+
+
 def _format_pool(n: int):
-    """Worker processes, one per usable CPU, to format the spectrum tables
-    of blocks of 2**n samples on, started at once; a null context when a
-    table has at most CHUNK_SAMPLES rows, one formatting chunk's worth, or
-    one CPU is usable."""
-    workers = _usable_cpus()
-    if 1 << n <= CHUNK_SAMPLES or workers < 2:
+    """Worker processes to format the spectrum tables of blocks of 2**n
+    samples on: one per usable CPU, and no more than a table has
+    formatting chunks.  A null context when n < _POOL_MIN_EXPONENT, when
+    one CPU is usable, or when this platform cannot make the pool; the
+    tables are then formatted on the calling thread.  The executor starts
+    a worker only when a task finds none idle, so a run that writes no
+    table starts none."""
+    if n < _POOL_MIN_EXPONENT:
+        return contextlib.nullcontext()
+    # A table has 2**(n-1) + 1 values of |xi|, formatted CHUNK_SAMPLES // 2 at a time.
+    chunks = -(-((1 << n - 1) + 1) // (CHUNK_SAMPLES // 2))
+    workers = min(_usable_cpus(), chunks)
+    if workers < 2:
         return contextlib.nullcontext()
     # Imported here: the commands that open no pool do not pay for it.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # Not "fork": this process may already run threads of its own and of the BLAS.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    # The pool starts a worker when a task finds none idle, so one trivial
-    # task per worker starts them all now.  int() cannot fail, and a worker
-    # that dies breaks the pool, which the next submit raises.
-    for _ in range(workers):
-        pool.submit(int)
-    return pool
+    try:
+        # Not "fork": this process may already run threads of its own and of the BLAS.
+        return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
+    except (ImportError, NotImplementedError, OSError):
+        # No working semaphores (multiprocessing.synchronize cannot be used).
+        return contextlib.nullcontext()
 
 
 def cmd_spectrum(args) -> int:
-    # The workers start before the first block is read, so their start-up
-    # overlaps the read, the quantize and the FFT.
-    with _format_pool(args.block_exp) as pool:
-        chunks = read_signal(_input_spec(args))
-        # One chunk ahead: a lone block is named by the base path alone.
-        ahead = list(itertools.islice(chunks, 2))
-        single = len(ahead) == 1 and ahead[0][1].shape[0] == 1
-        empty = not ahead
-        # Only the iterator holds the chunks read ahead, so each is dropped once computed.
-        chunks = itertools.chain(iter(ahead), chunks)
-        del ahead
+    chunks = read_signal(_input_spec(args))
+    # One chunk ahead: a lone block is named by the base path alone.
+    ahead = list(itertools.islice(chunks, 2))
+    single = len(ahead) == 1 and ahead[0][1].shape[0] == 1
+    empty = not ahead
+    # Only the iterator holds the chunks read ahead, so each is dropped once computed.
+    chunks = itertools.chain(iter(ahead), chunks)
+    del ahead
 
-        def compute(a, f, valid):
-            # The codes are dropped once the residual is formed, before the FFT.
-            return a, _residual_tables(_residual(f, _quantize_chunk(f, args)))
+    def compute(a, f, valid):
+        # The codes are dropped once the residual is formed, before the FFT.
+        return a, _residual_tables(_residual(f, _quantize_chunk(f, args)))
 
-        passed = True
-        with (
-            _Outputs() as outputs,
-            contextlib.closing(_in_order(compute, chunks)) as measured,
-        ):
-            if empty:
-                # No block: the table is its header alone, as quantize writes empty codes.
-                with outputs.open(args.output, binary=False) as out:
-                    out.write(_SPECTRUM_HEADER)
-            for a, tables in measured:
-                for i, table in enumerate(tables, start=a):
-                    path = _block_path(args.output, i, single)
-                    with outputs.open(path, binary=False) as out:
-                        _write_spectrum_csv(table, out, pool)
-                    passed &= table.all_pass
+    passed = True
+    with (
+        _format_pool(args.block_exp) as pool,
+        _Outputs() as outputs,
+        contextlib.closing(_in_order(compute, chunks)) as measured,
+    ):
+        if empty:
+            # No block: the table is its header alone, as quantize writes empty codes.
+            with outputs.open(args.output, binary=False) as out:
+                out.write(_SPECTRUM_HEADER)
+        for a, tables in measured:
+            for i, table in enumerate(tables, start=a):
+                path = _block_path(args.output, i, single)
+                with outputs.open(path, binary=False) as out:
+                    write_spectrum_csv(table, out, pool)
+                passed &= table.all_pass
     return 0 if passed else 1
 
 
@@ -345,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, OSError) as exc:
+    except (InputFormatError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:

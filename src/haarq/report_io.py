@@ -210,8 +210,8 @@ def _in_order(compute, chunks, pool=None):
 
     Chunks are read on the calling thread and computed on the executor
     pool, or on a pool of threads when none is given, with one worker per
-    usable CPU: `workers` chunks are submitted and one more is read ahead,
-    so at most workers + 1 are in flight.  When the oldest is done, the
+    usable CPU: `workers` chunks, one per usable CPU, are submitted and
+    one more is read ahead, so at most workers + 1 are in flight.  When the oldest is done, the
     next chunk is read and the one before it submitted before the result
     is handed out, so no worker waits for a result to be written, and
     with one worker no read runs beside a computation: peak memory does
@@ -505,7 +505,7 @@ def _format_spectrum_rows(lo, last_negative, keep, measured, exact, linear):
     return "".join(rows[:a]), negative, positive, "".join(rows[b:])
 
 
-def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
+def write_spectrum_csv(table: NoiseBoundTable, out, pool=None) -> None:
     """One row per frequency, ascending, with measured error and envelopes.
 
     out is a path ('-' for stdout), whose file is replaced only once
@@ -518,16 +518,11 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     and readable stream) is its own spill: they are made by reading its
     rows -xi back.  Any other stream (stdout, a pipe, a device, a
     write-only stream) has their text kept in memory until the negative
-    half is written.  The chunks are formatted on the calling thread.  A
-    table with a non-finite value raises ValueError before the file is
-    opened.
+    half is written.  The chunks are formatted on the calling thread, or
+    on pool, an executor, when one is given, and written in order (see
+    _in_order); the bytes are the same either way.  A table with a
+    non-finite value raises ValueError before the file is opened.
     """
-    _write_spectrum_csv(table, out, None)
-
-
-def _write_spectrum_csv(table: NoiseBoundTable, out, pool) -> None:
-    """write_spectrum_csv, with its chunks formatted on the executor pool
-    when one is given, and written in order (see _in_order)."""
     columns = [table.measured_half, table.bound_exact_half, table.bound_linear_half]
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError("cannot render non-finite value")

@@ -11,7 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from haarq import Signal, make_grid, quantize_haar_optimal, spectral, spectrum_error
+from haarq import (
+    Signal, cli, make_grid, quantize_haar_optimal, report_io, spectral, spectrum_error,
+)
 from haarq.cli import CHUNK_SAMPLES, main
 
 from oracles import (
@@ -865,11 +867,29 @@ def spectrum_case(n):
     return values.astype("<f8").tobytes(), spectrum_csv_reference(table)
 
 
+def exit_in_worker(*chunk):
+    """A stand-in for the chunk formatter whose worker process dies."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("formatted on the calling thread, not on a worker")
+    os._exit(1)
+
+
+def format_chunks(n):
+    """The formatting chunks of a table of 2**n samples: 2**(n-1) + 1
+    values of |xi|, CHUNK_SAMPLES // 2 at a time."""
+    return -(-((1 << n - 1) + 1) // (CHUNK_SAMPLES // 2))
+
+
 class TestSpectrumFormattingPool:
-    """A table longer than one formatting chunk is formatted on one worker
-    process per usable CPU, and its rows are written in order: the bytes do
-    not depend on the number of CPUs.  N = 16 opens no pool; at N = 16, 17
-    and 18 the last chunk holds only xi = 0."""
+    """A large table is formatted on one worker process per usable CPU, no
+    more than it has formatting chunks, and its rows are written in order:
+    the bytes do not depend on the number of CPUs.  The pool is opened
+    from N = 20 on; here from N = 17, so that small tables use it.  At
+    N = 16, 17 and 18 the last chunk holds only xi = 0."""
+
+    @pytest.fixture
+    def pool_from_n17(self, monkeypatch):
+        monkeypatch.setattr(cli, "_POOL_MIN_EXPONENT", 17)
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -893,8 +913,8 @@ class TestSpectrumFormattingPool:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("n", [16, 17, 18])
     @pytest.mark.parametrize("target", ["file", "stdout", "fifo"])
-    def test_bytes_match_the_reference(self, tmp_path, monkeypatch, capsysbinary, pools,
-                                       target, n, cpus):
+    def test_bytes_match_the_reference(self, tmp_path, monkeypatch, capsysbinary,
+                                       pool_from_n17, pools, target, n, cpus):
         use_cpus(monkeypatch, cpus)
         data, expected = spectrum_case(n)
         out = tmp_path / "spec.csv"
@@ -916,9 +936,11 @@ class TestSpectrumFormattingPool:
             written = out.read_bytes()
         assert code == 0
         assert written == expected.encode()
-        assert pools == ([cpus] if n > 16 and cpus > 1 else [])
+        # N = 17 has three chunks, so four CPUs get three workers.
+        assert pools == ([min(cpus, format_chunks(n))] if n > 16 and cpus > 1 else [])
 
-    def test_one_pool_per_run_not_per_block(self, tmp_path, monkeypatch, pools):
+    def test_one_pool_per_run_not_per_block(self, tmp_path, monkeypatch, pool_from_n17,
+                                            pools):
         use_cpus(monkeypatch, 2)
         data, expected = spectrum_case(17)
         code = self.run(tmp_path, 3 * data, 17, str(tmp_path / "spec.csv"))
@@ -926,3 +948,34 @@ class TestSpectrumFormattingPool:
         assert pools == [2]
         for i in range(3):
             assert (tmp_path / f"spec.block{i:04d}.csv").read_text() == expected
+
+    def test_opened_from_n20_with_at_most_one_worker_per_chunk(self, monkeypatch, pools):
+        use_cpus(monkeypatch, 64)
+        with cli._format_pool(19):
+            pass
+        # A worker starts only when a task finds none idle: these start none.
+        with cli._format_pool(20), cli._format_pool(21):
+            pass
+        assert pools == [format_chunks(20), format_chunks(21)] == [17, 33]
+
+    def test_pool_that_cannot_be_made_formats_inline(self, tmp_path, monkeypatch,
+                                                     pool_from_n17):
+        def unavailable(*args, **kwargs):
+            raise ImportError("This platform lacks a functioning sem_open implementation")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+        use_cpus(monkeypatch, 2)
+        data, expected = spectrum_case(17)
+        out = tmp_path / "spec.csv"
+        assert self.run(tmp_path, data, 17, str(out)) == 0
+        assert out.read_text() == expected
+
+    def test_worker_that_dies_exits_three_and_writes_no_file(self, tmp_path, monkeypatch,
+                                                             capsys, pool_from_n17):
+        monkeypatch.setattr(report_io, "_format_spectrum_rows", exit_in_worker)
+        use_cpus(monkeypatch, 2)
+        data, _ = spectrum_case(17)
+        out = tmp_path / "spec.csv"
+        assert self.run(tmp_path, data, 17, str(out)) == 3
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.raw"]
