@@ -10,12 +10,13 @@ flight; an input of one chunk is computed on the calling thread.  The
 rows of a spectrum table of 2**20 or more rows are formatted the same
 way, on one worker process per usable CPU.  The output does not depend
 on the number of CPUs.  Memory depends on the block size and the
-number of CPUs, not on the input length; `--report` adds a small
-summary per block.  verify --quantized reads its two inputs in step.
-Each output file is written to a temporary file beside it and renamed
-into place once the run succeeds, so a run that fails leaves no output
-file; output to '-' (stdout) is written as it is made, and an input
-error found after some of it was written still exits 3.
+number of CPUs, not on the input length; `--report` adds the text of
+each block's report entry, kept until the report is written at the
+end.  verify --quantized reads its two inputs in step.  Each output
+file, the report too, is written to a temporary file beside it, and
+all are renamed into place once the run succeeds, so a run that fails
+leaves no output file; output to '-' (stdout) is written as it is made,
+and an input error found after some of it was written still exits 3.
 
 Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
 input-format error, or a formatting worker process that died.  Bounds
@@ -35,7 +36,9 @@ import numpy as np
 
 from .haar import check_index, haar_basis, make_grid
 from .quantizer import (
+    BOUND_SLACK,
     _check_pair_budget,
+    _haar_bounds,
     _haar_error_rows,
     _quantize_rows,
     _residual,
@@ -44,18 +47,17 @@ from .quantizer import (
 from .report_io import (
     CHUNK_SAMPLES,
     PAD_POLICIES,
-    BlockResult,
     InputFormatError,
     InputSpec,
-    RunReport,
     _Outputs,
+    _ReportLayout,
     _SPECTRUM_HEADER,
+    _codes_sha256,
     _in_order,
     _usable_cpus,
     _write_lines,
     format_float,
     read_signal,
-    write_report,
     write_spectrum_csv,
     write_values,
 )
@@ -156,55 +158,71 @@ def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
     return _quantize_rows(f, tie_break)
 
 
-def _block_results(start: int, g: np.ndarray, haar, spectrum=None) -> list:
-    if spectrum is None:
-        passes = [None] * len(haar)
-    else:
-        passes = [table.all_pass for table in spectrum]
-    return [
-        BlockResult(
-            index=start + i,
-            quantized=row,
-            dc_total=total,
-            haar=report,
-            spectrum_pass=spectrum_pass,
-        )
-        for i, (row, total, report, spectrum_pass) in enumerate(
-            zip(g, g.sum(axis=1).tolist(), haar, passes)
-        )
-    ]
+def _report_layout(args):
+    """The layout of the run's report; None without --report."""
+    if not args.report:
+        return None
+    n = args.block_exp
+    return _ReportLayout(_config_echo(args), n, *_haar_bounds(n), BOUND_SLACK)
 
 
-def _run_report(args, blocks: list, length: int) -> RunReport:
-    """The report of a run over length input samples, padded to whole blocks."""
-    return RunReport(_config_echo(args), length, -length % (1 << args.block_exp), blocks)
+def _report_entries(layout, a: int, g: np.ndarray, haar, spectrum_pass, passed) -> str:
+    """The report text of the blocks a, a + 1, ... with codes g, Haar
+    measurements haar, and per-block spectrum and overall pass flags."""
+    return layout.entries(
+        {
+            **haar._asdict(),
+            "index": range(a, a + g.shape[0]),
+            "quantized_sha256": [_codes_sha256(row) for row in g],
+            "dc_total": g.sum(axis=1).tolist(),
+            "haar_pass": haar.passed,
+            "spectrum_pass": spectrum_pass,
+            "pass": passed,
+        },
+        first=a == 0,
+    )
+
+
+def _write_report(outputs, args, layout, entries: list, length: int, passed: bool) -> None:
+    """Write the report of a run over length input samples, padded to
+    whole blocks, whose blocks' entries are the texts in entries."""
+    size = 1 << args.block_exp
+    with outputs.open(args.report, binary=False) as fh:
+        layout.write(fh, entries, length, -length % size, -(-length // size), passed)
 
 
 def cmd_quantize(args) -> int:
     fmt = _FORMAT_BY_FLAG[args.format]
     binary = fmt == "raw_f64_le"
+    layout = _report_layout(args)
 
     def compute(a, f, valid):
         g = _quantize_chunk(f, args)
-        results = _block_results(a, g, _haar_error_rows(f, g)) if args.report else []
+        entries, passed = "", True
+        if layout is not None:
+            haar = _haar_error_rows(f, g)
+            spectrum_pass = [None] * g.shape[0]
+            entries = _report_entries(layout, a, g, haar, spectrum_pass, haar.passed)
+            passed = bool(haar.passed.all())
         codes = g.reshape(-1)[:valid]
         # Raw codes are written as float64, converted here, off the writing thread.
-        return (codes.astype("<f8") if binary else codes), results
+        return (codes.astype("<f8") if binary else codes), entries, passed
 
-    blocks, length = [], 0
+    entries, length, passed = [], 0, True
     with (
         _Outputs() as outputs,
         outputs.open(args.output, binary=binary) as out,
         contextlib.closing(_in_order(compute, read_signal(_input_spec(args)))) as chunks,
     ):
-        for codes, results in chunks:
+        for codes, chunk_entries, chunk_passed in chunks:
             write_values(out, codes, fmt)
-            blocks += results
+            entries.append(chunk_entries)
             length += codes.size
-        if args.report:
-            write_report(_run_report(args, blocks, length), args.report)
+            passed &= chunk_passed
+        if layout is not None:
+            _write_report(outputs, args, layout, entries, length, passed)
     # Without --report no block was measured, and no block fails.
-    return 0 if all(block.passed for block in blocks) else 1
+    return 0 if passed else 1
 
 
 def _with_codes(chunks, args):
@@ -234,26 +252,30 @@ def cmd_verify(args) -> int:
     chunks = read_signal(_input_spec(args))
     if args.quantized:
         chunks = _with_codes(chunks, args)
+    layout = _report_layout(args)
 
     def compute(a, f, valid, g=None):
         if g is None:
             g = _quantize_chunk(f, args)
         residual = _residual(f, g)
-        haar, spectrum = _haar_error_rows(f, g, residual), _residual_tables(residual)
-        passed = all(r.passed for r in haar) and all(t.all_pass for t in spectrum)
-        # Per-block results are kept only for the report.
-        results = _block_results(a, g, haar, spectrum) if args.report else []
-        return valid, f.shape[0], passed, results
+        haar = _haar_error_rows(f, g, residual)
+        spectrum_pass = np.array([table.all_pass for table in _residual_tables(residual)])
+        passed = haar.passed & spectrum_pass
+        entries = ""
+        if layout is not None:
+            entries = _report_entries(layout, a, g, haar, spectrum_pass, passed)
+        return valid, f.shape[0], bool(passed.all()), entries
 
-    blocks, length, count, passed = [], 0, 0, True
+    entries, length, count, passed = [], 0, 0, True
     with contextlib.closing(_in_order(compute, chunks)) as measured:
-        for valid, rows, chunk_passed, results in measured:
-            blocks += results
+        for valid, rows, chunk_passed, chunk_entries in measured:
+            entries.append(chunk_entries)
             length += valid
             count += rows
             passed &= chunk_passed
-    if args.report:
-        write_report(_run_report(args, blocks, length), args.report)
+    if layout is not None:
+        with _Outputs() as outputs:
+            _write_report(outputs, args, layout, entries, length, passed)
     print(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)")
     return 0 if passed else 1
 

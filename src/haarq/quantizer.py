@@ -19,6 +19,7 @@ bound families for any (signal, quantized) pair.
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,54 +260,59 @@ def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return r
 
 
-def _haar_error_rows(
-    f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None
-) -> list[HaarErrorReport]:
-    """One HaarErrorReport per row pair of (rows, 2**N) signal and code arrays,
-    each error measured on the residual r = f - g (formed here when not
-    given), not on two large transforms."""
+class _HaarRows(NamedTuple):
+    """The Haar measurements of a chunk's blocks, one entry per row: (rows,)
+    columns, the (rows, N) maxima of every level's errors, and those errors
+    themselves, one (rows, 2**(k-1)) array per level k."""
+
+    dc_input: np.ndarray
+    dc_quantized: np.ndarray
+    dc_error: np.ndarray
+    sup_error: np.ndarray
+    dc_ok: np.ndarray
+    details_ok: np.ndarray
+    sup_ok: np.ndarray
+    detail_max: np.ndarray
+    detail_errors: tuple[np.ndarray, ...]
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.dc_ok & self.details_ok & self.sup_ok
+
+
+def _haar_bounds(n: int) -> tuple[float, np.ndarray, float]:
+    """The DC bound, the bounds of levels 1..N and the uniform bound at 2**N."""
+    dc_bound = 2.0 ** (-n - 1)
+    detail_bounds = _readonly(np.exp2(-n + 0.5 * np.arange(n, dtype=np.float64)))
+    return dc_bound, detail_bounds, 1.0 - dc_bound
+
+
+def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) -> _HaarRows:
+    """The Haar errors of every row pair of (rows, 2**N) signal and code
+    arrays against the proved bounds, each measured on the residual
+    r = f - g (formed here when not given), not on two large transforms."""
     n = f.shape[-1].bit_length() - 1
     if r is None:
         r = _residual(f, g)
     dc_r, details_r = _haar_rows(r)
-
-    dc_bound = 2.0 ** (-n - 1)
-    dc_f = _pairwise_levels(f)[0][:, 0] * np.exp2(-n)
-    dc_g = g.sum(axis=1) * np.exp2(-n)
+    dc_bound, detail_bounds, sup_bound = _haar_bounds(n)
+    detail_errors = tuple(_readonly(np.abs(d)) for d in details_r)
+    detail_max = np.empty((f.shape[0], n))
+    for k, err in enumerate(detail_errors):
+        detail_max[:, k] = err.max(axis=1)
     dc_error = np.abs(dc_r)
-    detail_errors = [_readonly(np.abs(d)) for d in details_r]
-    detail_bounds = _readonly(np.exp2(-n + 0.5 * np.arange(n, dtype=np.float64)))
     sup_error = np.abs(r).max(axis=1)
-    sup_bound = 1.0 - dc_bound
-
-    details_ok = np.ones(f.shape[0], dtype=bool)
-    for err, bound in zip(detail_errors, detail_bounds):
-        details_ok &= err.max(axis=1) <= bound + BOUND_SLACK
-    dc_ok = dc_error <= dc_bound + BOUND_SLACK
-    sup_ok = sup_error <= sup_bound + BOUND_SLACK
-    rows = zip(
-        dc_f.tolist(), dc_g.tolist(), dc_error.tolist(), sup_error.tolist(),
-        dc_ok.tolist(), details_ok.tolist(), sup_ok.tolist(),
+    return _HaarRows(
+        dc_input=_pairwise_levels(f)[0][:, 0] * np.exp2(-n),
+        dc_quantized=g.sum(axis=1) * np.exp2(-n),
+        dc_error=dc_error,
+        sup_error=sup_error,
+        dc_ok=dc_error <= dc_bound + BOUND_SLACK,
+        details_ok=np.all(detail_max <= detail_bounds + BOUND_SLACK, axis=1),
+        sup_ok=sup_error <= sup_bound + BOUND_SLACK,
+        detail_max=detail_max,
+        detail_errors=detail_errors,
     )
-    return [
-        HaarErrorReport(
-            n_exponent=n,
-            dc_input=dc_in,
-            dc_quantized=dc_q,
-            dc_error=dc_err,
-            dc_bound=dc_bound,
-            detail_errors=tuple(err[i] for err in detail_errors),
-            detail_bounds=detail_bounds,
-            sup_error=sup_err,
-            sup_bound=sup_bound,
-            slack=BOUND_SLACK,
-            dc_ok=dc_pass,
-            details_ok=details_pass,
-            sup_ok=sup_pass,
-        )
-        for i, (dc_in, dc_q, dc_err, sup_err, dc_pass, details_pass, sup_pass)
-        in enumerate(rows)
-    ]
 
 
 def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
@@ -320,7 +326,18 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
     _check_pair_budget(f.values[None, :], g.values[None, :])
-    return _haar_error_rows(f.values[None, :], g.values[None, :])[0]
+    rows = _haar_error_rows(f.values[None, :], g.values[None, :])
+    dc_bound, detail_bounds, sup_bound = _haar_bounds(f.n_exponent)
+    columns = ("dc_input", "dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok", "sup_ok")
+    return HaarErrorReport(
+        n_exponent=f.n_exponent,
+        dc_bound=dc_bound,
+        detail_errors=tuple(err[0] for err in rows.detail_errors),
+        detail_bounds=detail_bounds,
+        sup_bound=sup_bound,
+        slack=BOUND_SLACK,
+        **{name: getattr(rows, name)[0].item() for name in columns},
+    )
 
 
 def check_range(f: Signal, lower: int, upper: int, g: QuantizedSignal) -> bool:

@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field, fields
@@ -292,6 +293,11 @@ def _haar_summary(r: HaarErrorReport) -> dict:
     return summary
 
 
+def _codes_sha256(codes) -> str:
+    """The SHA-256 of a block's codes as little-endian int64."""
+    return sha256(np.ascontiguousarray(codes, dtype="<i8")).hexdigest()
+
+
 @dataclass
 class BlockResult:
     """Verification outcome for one block.
@@ -310,8 +316,7 @@ class BlockResult:
     haar_summary: dict = field(init=False)
 
     def __post_init__(self, quantized, haar):
-        codes = np.ascontiguousarray(quantized, dtype="<i8")
-        self.quantized_sha256 = sha256(codes).hexdigest()
+        self.quantized_sha256 = _codes_sha256(quantized)
         self.haar_summary = _haar_summary(haar)
 
     @property
@@ -351,6 +356,133 @@ class RunReport:
             "blocks": [block.to_dict() for block in self.blocks],
             "pass": self.passed,
         }
+
+
+# How the text of a slot's value is made, by the slot's kind.
+_CONVERSIONS = {"float": "%r", "int": "%d", "flag": "%s", "str": '"%s"'}
+_FLAG_TEXT = {True: "true", False: "false", None: "null"}
+_FLOAT_COLUMNS = ("dc_input", "dc_quantized", "dc_error", "sup_error")
+_FLAG_COLUMNS = ("dc_ok", "details_ok", "sup_ok", "haar_pass", "spectrum_pass", "pass")
+# The run's own slots, in the order _ReportLayout._run takes them.
+_RUN_SLOTS = (("int", "original_length"), ("int", "pad_count"), ("int", "block_count"),
+              ("flag", "run_pass"))
+
+
+def _format(parts) -> tuple[str, list[str]]:
+    """A %-format string and the names of its slots, in order, from parts
+    of a layout split at its slots: text, kind, name, text, ..., text."""
+    texts = [text.replace("%", "%%") for text in parts[0::3]]
+    conversions = [_CONVERSIONS[kind] for kind in parts[1::3]]
+    return texts[0] + "".join(c + t for c, t in zip(conversions, texts[1:])), parts[2::3]
+
+
+class _ReportLayout:
+    """The text of a run report whose blocks share one set of Haar
+    constants, cut at the values that vary.
+
+    dumps_canonical renders the report once, with two blocks and a slot
+    for each varying value, so key order, indentation and every constant
+    are its own.  Each block's entry is then a %-format string that turns
+    the block's values into its text: floats by repr, as json does, ints,
+    flags as true, false or null, and the quoted SHA-256.
+    """
+
+    def __init__(self, config: dict, n_exponent: int, dc_bound: float,
+                 detail_bounds, sup_bound: float, slack: float):
+        self.config = dict(config)
+        self.levels = [f"max_error_{k}" for k in range(1, len(detail_bounds) + 1)]
+        # A slot is the JSON string "<tag>kind:name", with a tag that no
+        # text of the config holds, so nothing else in the report matches.
+        tag = "$"
+        while tag in json.dumps(self.config):
+            tag += "$"
+
+        def slot(kind, name):
+            return f"{tag}{kind}:{name}"
+
+        haar = {
+            "n_exponent": n_exponent,
+            "dc_bound": dc_bound,
+            "sup_bound": sup_bound,
+            "slack": slack,
+            "detail_levels": [
+                {"level": k, "max_error": slot("float", name), "bound": float(bound)}
+                for k, (name, bound) in enumerate(zip(self.levels, detail_bounds), start=1)
+            ],
+            **{name: slot("float", name) for name in _FLOAT_COLUMNS},
+            **{name: slot("flag", name) for name in ("dc_ok", "details_ok", "sup_ok")},
+            "pass": slot("flag", "haar_pass"),
+        }
+        block = {
+            "index": slot("int", "index"),
+            "quantized_sha256": slot("str", "quantized_sha256"),
+            "dc_total": slot("int", "dc_total"),
+            "haar": haar,
+            "spectrum_pass": slot("flag", "spectrum_pass"),
+            "pass": slot("flag", "pass"),
+        }
+        text = dumps_canonical(self._run(
+            [block, block], *(slot(kind, name) for kind, name in _RUN_SLOTS)
+        ))
+        parts = re.split(f'"{re.escape(tag)}(float|int|flag|str):(\\w+)"', text)
+        # parts[3 * j + 2] names slot j.  The first block's m slots follow
+        # one another from the first slot that is not the run's, and the
+        # second block's follow them.
+        names = parts[2::3]
+        run_names = {name for _, name in _RUN_SLOTS}
+        m = len(set(names) - run_names)
+        i = 3 * next(j for j, name in enumerate(names) if name not in run_names)
+        self.head, self.head_names = _format(parts[: i + 1])
+        self.entry, self.entry_names = _format(["", *parts[i + 1 : i + 3 * m], ""])
+        self.join = parts[i + 3 * m]
+        self.tail, self.tail_names = _format(parts[i + 6 * m :])
+
+    def _run(self, blocks, original_length, pad_count, block_count, passed) -> dict:
+        return {
+            "config": self.config,
+            "original_length": original_length,
+            "pad_count": pad_count,
+            "block_count": block_count,
+            "blocks": blocks,
+            "pass": passed,
+        }
+
+    def entries(self, columns: dict, first: bool) -> str:
+        """The text of consecutive blocks' entries, led by the separator
+        from the entry before unless first is true.
+
+        columns maps each of index, quantized_sha256, dc_total, the float
+        and flag columns to one value per block, and detail_max to a
+        (blocks, N) array; a non-finite float raises ValueError.
+        """
+        values = {
+            name: columns[name] for name in ("index", "quantized_sha256", "dc_total")
+        }
+        values.update((name, _floats(columns[name])) for name in _FLOAT_COLUMNS)
+        values.update(zip(self.levels, _floats(np.asarray(columns["detail_max"]).T)))
+        for name in _FLAG_COLUMNS:
+            flags = np.asarray(columns[name], dtype=object).tolist()
+            values[name] = [_FLAG_TEXT[flag] for flag in flags]
+        rows = zip(*(values[name] for name in self.entry_names))
+        text = self.join.join([self.entry % row for row in rows])
+        return text if first else self.join + text
+
+    def write(self, fh, entries, original_length: int, pad_count: int,
+              block_count: int, passed: bool) -> None:
+        """Write the report of a run to the text stream fh, its blocks'
+        entries being the texts in entries, in order."""
+        if not block_count:
+            fh.write(dumps_canonical(self._run([], original_length, pad_count, 0, passed)))
+            return
+        run = {
+            "original_length": original_length,
+            "pad_count": pad_count,
+            "block_count": block_count,
+            "run_pass": _FLAG_TEXT[passed],
+        }
+        fh.write(self.head % tuple(run[name] for name in self.head_names))
+        fh.writelines(entries)
+        fh.write(self.tail % tuple(run[name] for name in self.tail_names))
 
 
 def _floats(column):
@@ -445,9 +577,49 @@ def write_values(out, values: np.ndarray, format: str = "csv") -> None:
         fh.write(data)
 
 
+def _haar_constants(block: BlockResult) -> tuple:
+    """The values of a block's Haar summary that a _ReportLayout holds."""
+    s = block.haar_summary
+    bounds = tuple(level["bound"] for level in s["detail_levels"])
+    return s["n_exponent"], s["dc_bound"], bounds, s["sup_bound"], s["slack"]
+
+
+def _block_columns(blocks: list[BlockResult]) -> dict:
+    """The columns of _ReportLayout.entries for a list of blocks."""
+    summaries = [block.haar_summary for block in blocks]
+    haar = ("dc_ok", "details_ok", "sup_ok", *_FLOAT_COLUMNS)
+    return {
+        "index": [block.index for block in blocks],
+        "quantized_sha256": [block.quantized_sha256 for block in blocks],
+        "dc_total": [block.dc_total for block in blocks],
+        **{name: [s[name] for s in summaries] for name in haar},
+        "haar_pass": [s["pass"] for s in summaries],
+        "detail_max": [[level["max_error"] for level in s["detail_levels"]] for s in summaries],
+        "spectrum_pass": [block.spectrum_pass for block in blocks],
+        "pass": [block.passed for block in blocks],
+    }
+
+
 def write_report(report: RunReport, path: str) -> None:
-    """Emit the run report as canonical JSON."""
-    _write_lines(path, [dumps_canonical(report.to_dict())])
+    """Emit the run report as canonical JSON: the bytes of
+    dumps_canonical(report.to_dict()), each block rendered from the
+    layout of its Haar constants."""
+    if not report.blocks:
+        _write_lines(path, [dumps_canonical(report.to_dict())])
+        return
+    layouts = {}
+    runs = []  # (layout, blocks) for each run of blocks with one layout
+    for key, blocks in itertools.groupby(report.blocks, key=_haar_constants):
+        if key not in layouts:
+            layouts[key] = _ReportLayout(report.config, *key)
+        runs.append((layouts[key], list(blocks)))
+    entries = (
+        run_layout.entries(_block_columns(blocks), first=not i)
+        for i, (run_layout, blocks) in enumerate(runs)
+    )
+    with _opened(path, binary=False) as fh:
+        runs[0][0].write(fh, entries, report.original_length, report.pad_count,
+                         len(report.blocks), report.passed)
 
 
 _SPECTRUM_HEADER = "xi,measured,bound_exact,bound_linear,baseline_bound\n"

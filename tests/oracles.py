@@ -14,7 +14,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from haarq import FrequencyGrid, Signal, make_grid
+from haarq import (
+    BlockResult, FrequencyGrid, QuantizedSignal, RunReport, Signal, dumps_canonical, make_grid,
+    quantize_haar_optimal, quantize_simple, spectrum_error, verify_haar_bounds,
+)
 
 
 def mother_step(u: float) -> float:
@@ -183,3 +186,38 @@ def satisfies_all_haar_bounds(f: Signal, g_values, slack: float = 1e-12) -> bool
                 return False
     sup = float(np.abs(f.values - g.values).max())
     return sup <= 1.0 - 2.0 ** (-n - 1) + slack
+
+
+def report_reference(values, n: int, config: dict, codes=None, spectrum: bool = False) -> str:
+    """The canonical JSON report of a CLI run, built one block at a time:
+    each zero-padded block's HaarErrorReport, its BlockResult.to_dict(),
+    and dumps_canonical over the whole RunReport.to_dict().
+
+    values are the scaled input samples and config the run's echoed
+    configuration; codes are the run's codes, or None to quantize each
+    block here with config's quantizer and tie rule.  spectrum adds each
+    block's spectrum pass flag, as verify does.
+    """
+    size = 1 << n
+    pad = -len(values) % size
+    grid = make_grid(n)
+    rows = np.concatenate([np.asarray(values, dtype=np.float64), np.zeros(pad)])
+    if codes is not None:
+        codes = np.concatenate([np.asarray(codes, dtype=np.int64), np.zeros(pad, dtype=np.int64)])
+    blocks = []
+    for i, row in enumerate(rows.reshape(-1, size)):
+        f = Signal(grid, row)
+        if codes is not None:
+            g = QuantizedSignal(grid, codes[i * size : (i + 1) * size])
+        elif config["baseline"]:
+            g = quantize_simple(f, config["tie_break"])
+        else:
+            g, _ = quantize_haar_optimal(f, config["tie_break"])
+        blocks.append(BlockResult(
+            index=i,
+            quantized=g.values,
+            dc_total=int(g.values.sum()),
+            haar=verify_haar_bounds(f, g),
+            spectrum_pass=spectrum_error(f, g).all_pass if spectrum else None,
+        ))
+    return dumps_canonical(RunReport(config, len(values), pad, blocks).to_dict())

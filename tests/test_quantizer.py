@@ -368,15 +368,17 @@ class TestVerify:
         grid = make_grid(n)
         g = np.array([quantize_haar_optimal(Signal(grid, row))[0].values for row in f])
         g[4, -1] += 2  # one failing row among passing ones
-        reports = _haar_error_rows(f, g)
-        assert [r.passed for r in reports] == [True] * 4 + [False, True]
-        for fr, gr, r in zip(f, g, reports):
+        rows = _haar_error_rows(f, g)
+        assert rows.passed.tolist() == [True] * 4 + [False, True]
+        assert rows.detail_max.shape == (6, n)
+        for i, (fr, gr) in enumerate(zip(f, g)):
             one = verify_haar_bounds(Signal(grid, fr), QuantizedSignal(grid, gr))
             for name in ("dc_input", "dc_quantized", "dc_error", "sup_error",
                          "dc_ok", "details_ok", "sup_ok"):
-                assert getattr(r, name) == getattr(one, name)
-            for a, b in zip(r.detail_errors, one.detail_errors):
-                assert np.array_equal(a, b)
+                assert getattr(rows, name)[i] == getattr(one, name)
+            for k, (a, b) in enumerate(zip(rows.detail_errors, one.detail_errors)):
+                assert np.array_equal(a[i], b)
+                assert rows.detail_max[i, k] == b.max()
 
 
 class TestCheckRange:

@@ -309,6 +309,33 @@ class TestRunReport:
             block["haar"]
         )
 
+    def test_bytes_are_those_of_the_whole_dict(self, tmp_path):
+        # Blocks of three sizes, spectrum flags of every kind, a failing
+        # block, and a config with a '%' and text like the layout's slots.
+        config = {"note": "100% {x}", "slot": "$int:index", "slots": "$$float:dc_error"}
+        report = RunReport(config=config, original_length=11, pad_count=3)
+        rng = np.random.default_rng(77)
+        for i, n in enumerate([2, 2, 0, 3, 2]):
+            f = Signal(make_grid(n), rng.uniform(-9.0, 9.0, 1 << n))
+            g, _ = quantize_haar_optimal(f)
+            if i == 1:
+                g = replace(g, values=g.values + 1)
+            report.blocks.append(BlockResult(
+                index=i, quantized=g.values, dc_total=int(g.values.sum()),
+                haar=verify_haar_bounds(f, g), spectrum_pass=[None, True, False][i % 3],
+            ))
+        p = tmp_path / "r.json"
+        write_report(report, str(p))
+        assert p.read_text(encoding="utf-8") == dumps_canonical(report.to_dict())
+        assert not report.passed
+
+    def test_a_non_finite_value_raises(self, tmp_path):
+        report = make_report(tmp_path, [0.3, -0.2, 0.4, 0.1], 2)
+        report.blocks[0].haar_summary["dc_error"] = float("nan")
+        with pytest.raises(ValueError):
+            write_report(report, str(tmp_path / "r.json"))
+        assert not (tmp_path / "r.json").exists()
+
     def test_canonical_json_golden_bytes(self):
         obj = {
             "z": [0.1, 1.0, 1e-12],
