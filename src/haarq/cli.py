@@ -6,30 +6,30 @@ chunk of blocks (CHUNK_SAMPLES samples, or one block when N >= 16) is
 read, scaled, quantized, measured and written, then dropped.  Chunks
 are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
-flight; an input of one chunk is computed on the calling thread.  The
-rows of a spectrum table of 2**20 or more rows are formatted the same
-way, on one worker process per usable CPU.  The output does not depend
-on the number of CPUs.  Memory depends on the block size and the
-number of CPUs, not on the input length; `--report` adds the text of
-each block's report entry, kept until the report is written at the
-end.  verify --quantized reads its two inputs in step.  Each output
-file, the report too, is written to a temporary file beside it, and
-all are renamed into place once the run succeeds, so a run that fails
-leaves no output file; output to '-' (stdout) is written as it is made,
-and an input error found after some of it was written still exits 3.
+flight; an input of one chunk is computed on the calling thread.  A
+spectrum table is formatted on the calling thread.  The output does
+not depend on the number of CPUs.  Memory depends on the block size
+and the number of CPUs, not on the input length: `--report` entries
+wait in an unnamed temporary file until the input has ended and the
+report's head, which gives the block count, can be written.
+verify --quantized reads its two inputs in step.  Each output file,
+the report too, is written to a temporary file beside it, and all are
+renamed into place once the run succeeds, so a run that fails leaves
+no output file; output to '-' (stdout) is written as it is made, and
+an input error found after some of it was written still exits 3.
 
 Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
-input-format error, or a formatting worker process that died.  Bounds
-are measured by verify, spectrum and quantize --report; each writes
-every output first and then exits 1 if any measured bound failed.
-quantize without --report measures nothing.
+input-format error.  Bounds are measured by verify, spectrum and
+quantize --report; each writes every output first and then exits 1 if
+any measured bound failed.  quantize without --report measures nothing.
 """
 
 import argparse
 import contextlib
+import functools
 import itertools
 import sys
-from concurrent.futures import BrokenExecutor
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ from .report_io import (
     _SPECTRUM_HEADER,
     _codes_sha256,
     _in_order,
-    _usable_cpus,
     _write_lines,
     format_float,
     read_signal,
@@ -183,12 +182,23 @@ def _report_entries(layout, a: int, g: np.ndarray, haar, spectrum_pass, passed) 
     )
 
 
-def _write_report(outputs, args, layout, entries: list, length: int, passed: bool) -> None:
+def _entry_spill(layout):
+    """Where a run's report entries wait, as they are made, for the input
+    to end: the report's head gives the block count.  An unnamed
+    temporary file, or a null context without --report."""
+    if layout is None:
+        return contextlib.nullcontext()
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+
+
+def _write_report(outputs, args, layout, entries, length: int, passed: bool) -> None:
     """Write the report of a run over length input samples, padded to
-    whole blocks, whose blocks' entries are the texts in entries."""
+    whole blocks, whose blocks' entries are the text of the file entries."""
     size = 1 << args.block_exp
+    entries.seek(0)
     with outputs.open(args.report, binary=False) as fh:
-        layout.write(fh, entries, length, -length % size, -(-length // size), passed)
+        layout.write(fh, iter(functools.partial(entries.read, 1 << 16), ""),
+                     length, -length % size, -(-length // size), passed)
 
 
 def cmd_quantize(args) -> int:
@@ -208,15 +218,17 @@ def cmd_quantize(args) -> int:
         # Raw codes are written as float64, converted here, off the writing thread.
         return (codes.astype("<f8") if binary else codes), entries, passed
 
-    entries, length, passed = [], 0, True
+    length, passed = 0, True
     with (
+        _entry_spill(layout) as entries,
         _Outputs() as outputs,
         outputs.open(args.output, binary=binary) as out,
         contextlib.closing(_in_order(compute, read_signal(_input_spec(args)))) as chunks,
     ):
         for codes, chunk_entries, chunk_passed in chunks:
             write_values(out, codes, fmt)
-            entries.append(chunk_entries)
+            if layout is not None:
+                entries.write(chunk_entries)
             length += codes.size
             passed &= chunk_passed
         if layout is not None:
@@ -266,16 +278,20 @@ def cmd_verify(args) -> int:
             entries = _report_entries(layout, a, g, haar, spectrum_pass, passed)
         return valid, f.shape[0], bool(passed.all()), entries
 
-    entries, length, count, passed = [], 0, 0, True
-    with contextlib.closing(_in_order(compute, chunks)) as measured:
+    length, count, passed = 0, 0, True
+    with (
+        _entry_spill(layout) as entries,
+        contextlib.closing(_in_order(compute, chunks)) as measured,
+    ):
         for valid, rows, chunk_passed, chunk_entries in measured:
-            entries.append(chunk_entries)
+            if layout is not None:
+                entries.write(chunk_entries)
             length += valid
             count += rows
             passed &= chunk_passed
-    if layout is not None:
-        with _Outputs() as outputs:
-            _write_report(outputs, args, layout, entries, length, passed)
+        if layout is not None:
+            with _Outputs() as outputs:
+                _write_report(outputs, args, layout, entries, length, passed)
     print(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)")
     return 0 if passed else 1
 
@@ -285,40 +301,6 @@ def _block_path(base: str, index: int, single: bool) -> str:
         return base
     p = Path(base)
     return str(p.with_name(f"{p.stem}.block{index:04d}{p.suffix}"))
-
-
-# The smallest block exponent whose spectrum tables are formatted on worker
-# processes.  Each spawned worker imports NumPy and haarq before it formats
-# a row: on two CPUs a single-block `spectrum` ran slower with the pool at
-# N = 17 and 18, no faster at N = 19, and faster at N = 20.
-_POOL_MIN_EXPONENT = 20
-
-
-def _format_pool(n: int):
-    """Worker processes to format the spectrum tables of blocks of 2**n
-    samples on: one per usable CPU, and no more than a table has
-    formatting chunks.  A null context when n < _POOL_MIN_EXPONENT, when
-    one CPU is usable, or when this platform cannot make the pool; the
-    tables are then formatted on the calling thread.  The executor starts
-    a worker only when a task finds none idle, so a run that writes no
-    table starts none."""
-    if n < _POOL_MIN_EXPONENT:
-        return contextlib.nullcontext()
-    # A table has 2**(n-1) + 1 values of |xi|, formatted CHUNK_SAMPLES // 2 at a time.
-    chunks = -(-((1 << n - 1) + 1) // (CHUNK_SAMPLES // 2))
-    workers = min(_usable_cpus(), chunks)
-    if workers < 2:
-        return contextlib.nullcontext()
-    # Imported here: the commands that open no pool do not pay for it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        # Not "fork": this process may already run threads of its own and of the BLAS.
-        return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn"))
-    except (ImportError, NotImplementedError, OSError):
-        # No working semaphores (multiprocessing.synchronize cannot be used).
-        return contextlib.nullcontext()
 
 
 def cmd_spectrum(args) -> int:
@@ -337,7 +319,6 @@ def cmd_spectrum(args) -> int:
 
     passed = True
     with (
-        _format_pool(args.block_exp) as pool,
         _Outputs() as outputs,
         contextlib.closing(_in_order(compute, chunks)) as measured,
     ):
@@ -349,7 +330,7 @@ def cmd_spectrum(args) -> int:
             for i, table in enumerate(tables, start=a):
                 path = _block_path(args.output, i, single)
                 with outputs.open(path, binary=False) as out:
-                    write_spectrum_csv(table, out, pool)
+                    write_spectrum_csv(table, out)
                 passed &= table.all_pass
     return 0 if passed else 1
 
@@ -379,7 +360,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, OSError, BrokenExecutor) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:

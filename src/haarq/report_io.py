@@ -12,6 +12,7 @@ or an open stream to append one chunk to.
 
 import collections
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -206,21 +207,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(compute, chunks, pool=None):
+def _in_order(compute, chunks):
     """Yield compute(*chunk) for every chunk, in input order.
 
-    Chunks are read on the calling thread and computed on the executor
-    pool, or on a pool of threads when none is given, with one worker per
-    usable CPU: `workers` chunks, one per usable CPU, are submitted and
-    one more is read ahead, so at most workers + 1 are in flight.  When the oldest is done, the
-    next chunk is read and the one before it submitted before the result
-    is handed out, so no worker waits for a result to be written, and
-    with one worker no read runs beside a computation: peak memory does
-    not depend on thread timing.  A lone chunk is computed on the calling
-    thread; on a worker thread, the memory it frees would stay in that
-    thread's malloc arena.  A chunk's error is raised after the results
-    of every earlier chunk, and a read error after the results of every
-    chunk read before it.
+    Chunks are read on the calling thread and computed on a pool of
+    threads, one per usable CPU: `workers` chunks are submitted and one
+    more is read ahead, so at most workers + 1 are in flight.  When the
+    oldest is done, the next chunk is read and the one before it
+    submitted before the result is handed out, so no worker waits for a
+    result to be written, and with one worker no read runs beside a
+    computation: peak memory does not depend on thread timing.  A lone
+    chunk is computed on the calling thread; on a worker thread, the
+    memory it frees would stay in that thread's malloc arena.  A chunk's
+    error is raised after the results of every earlier chunk, and a read
+    error after the results of every chunk read before it.
     """
     workers = _usable_cpus()
     chunks = iter(chunks)
@@ -238,8 +238,7 @@ def _in_order(compute, chunks, pool=None):
                 failure = exc
         return None
 
-    executor = ThreadPoolExecutor(workers) if pool is None else contextlib.nullcontext(pool)
-    with executor as pool:
+    with ThreadPoolExecutor(workers) as pool:
         pending = collections.deque()  # futures of the submitted chunks, oldest first
 
         def submit(chunk):
@@ -493,6 +492,212 @@ def _floats(column):
     return arr.tolist()
 
 
+# Bulk float text: the digits of Ryū's d2s (Adams, "Ryū: fast float-to-string
+# conversion", PLDI 2018), which are repr's, computed for a whole array in
+# uint64 NumPy, and laid out as repr lays them out.
+
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+_TEXT_WIDTH = 24  # len(repr(-2.2250738585072014e-308))
+_TEXT_PIECE = 1 << 12  # values rendered at once, so that temporaries stay in cache
+# A source row of _float_texts: these symbols, then a 20-digit field, bytes
+# 8 to 27, holding the digits right aligned, then |exponent| in 4 digits.
+_SYMBOLS = np.frombuffer(b"\0-.0e+\0\0", np.uint64)[0]
+_DIGITS = 8
+_MINUS, _DOT, _ZERO, _E, _PLUS = range(1, 6)  # their bytes in a source row
+
+
+@functools.cache
+def _quads():
+    """The text of 0000 to 9999, four ASCII digits in each uint32."""
+    return np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+
+
+@functools.cache
+def _ryu_tables():
+    """Ryū's constants by biased exponent: the 128-bit multiplier in four
+    rows of 32-bit limbs, its shift less 96, the power of ten e10 of vr's
+    last digit, a mask of mv's bits that must be zero for vr to be exact
+    (0: always exact, all ones: never), 5**q where vr, vp or vm may be a
+    multiple of 10**q for e2 >= 0 (else 0), and where e2 < 0 and q <= 1."""
+    be = np.arange(2047)
+    e2 = np.maximum(be, 1) - 1077  # the value is m2 * 2**e2 / 4
+    pos = e2 >= 0
+    # Ryū's log10Pow2, log10Pow5 and pow5bits, exact over this range.
+    q = np.where(pos, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
+    k = np.where(pos, q, -e2 - q)
+    bits = (k * 1217359 >> 19) + 1  # of 5**k
+    shift = np.where(pos, q - e2 + 124 + bits, q - bits + 125)
+    muls = [(1 << b + 124) // 5**j + 1 if p else 5**j << 125 >> b
+            for p, j, b in zip(pos.tolist(), k.tolist(), bits.tolist())]
+    limbs = np.array([[m >> 32 * t & 0xFFFFFFFF for m in muls] for t in range(4)],
+                     dtype=np.uint64)
+    near = ~pos & (q <= 1)
+    exact = np.where(~pos & (q < 63), (1 << np.minimum(q, 63).astype(np.uint64)) - 1,
+                     2**64 - 1)
+    exact[near] = 0
+    five = np.where(pos & (q <= 21), 5 ** np.minimum(q, 21).astype(np.uint64), 0)
+    e10 = q + np.where(pos, 0, e2)
+    return limbs, (shift - 96).astype(np.uint64), e10, exact, five, near
+
+
+def _floor_shift(cols, r):
+    """floor(P / 2**(96 + r)) as uint64, for P the sum of cols[k] * 2**(32k)."""
+    c = cols[0] >> 32
+    c = cols[1] + c >> 32
+    c = cols[2] + c >> 32
+    c = cols[3] + c
+    top = (cols[4] + (c >> 32)).view(np.uint64)
+    return (c & 0xFFFFFFFF).view(np.uint64) >> r | top << 32 - r
+
+
+def _shortest(v):
+    """The shortest digits that read back as v, for finite nonzero
+    float64s, as an integer, and the power of ten of its last digit: Ryū's
+    d2s, with the digit count of its common case found directly."""
+    limbs, shifts, e10, exact, five, near = _ryu_tables()
+    bits = v.view(np.uint64)
+    be = (bits >> 52 & 0x7FF).astype(np.intp)
+    mant = bits & (1 << 52) - 1
+    m2 = mant | (be > 0).astype(np.uint64) << 52
+    mv = m2 << 2
+    mm = ((mant != 0) | (be <= 1)).astype(np.int64)  # Ryū's mmShift
+    even = (m2 & 1) == 0  # the interval's bounds read back as v
+    mul, r = np.take(limbs, be, axis=1).view(np.int64), np.take(shifts, be)
+    # mv * mul in 32-bit columns; each column holds its own carries.
+    x0, x1 = mv & 0xFFFFFFFF, (mv >> 32).view(np.int64)
+    cols = [np.zeros(v.shape, np.int64) for _ in range(5)]
+    for k in range(4):
+        p = x0 * mul[k].view(np.uint64)
+        cols[k] += (p & 0xFFFFFFFF).view(np.int64)
+        cols[k + 1] += (p >> 32).view(np.int64) + x1 * mul[k]
+    # (mv + 2) * mul and (mv - 1 - mmShift) * mul from the same columns.
+    vr = _floor_shift(cols, r)
+    vp = _floor_shift([c + 2 * m for c, m in zip(cols, mul)] + cols[4:], r)
+    vm = _floor_shift([c - (1 + mm) * m for c, m in zip(cols, mul)] + cols[4:], r)
+    vr_exact = (mv & np.take(exact, be)) == 0
+    vm_exact = np.zeros(v.shape, bool)
+    s = np.flatnonzero(np.take(near, be))
+    if s.size:
+        vm_exact[s] = even[s] & (mm[s] == 1)
+        vp[s] -= ~even[s]
+    s = np.flatnonzero(np.take(five, be))
+    if s.size:
+        m, p = mv[s], five[be[s]]
+        by_five = m % 5 == 0
+        vr_exact[s] = by_five & (m % p == 0)
+        vm_exact[s] = ~by_five & even[s] & ((m - 1 - mm[s].view(np.uint64)) % p == 0)
+        vp[s] -= ~by_five & ~even[s] & ((m + 2) % p == 0)
+    # Common case: remove the most digits k that leave vp above vm.  Any k
+    # with 10**k <= vp - vm (which is at least 3) does; larger k are tried
+    # on fewer and fewer.
+    k = np.searchsorted(_POW10, vp - vm, side="right") - 1
+    p10 = np.take(_POW10, k + 1)
+    s = np.flatnonzero(vp // p10 > vm // p10)
+    while s.size:
+        k[s] += 1
+        p10 = np.take(_POW10, k[s] + 1)
+        s = s[vp[s] // p10 > vm[s] // p10]
+    # The last removed digit rounds half up (vr is not exact), and vm may
+    # not be the result.
+    head = vr // np.take(_POW10, np.maximum(k - 1, 0))
+    out = np.where(k > 0, head // 10, vr)
+    digits = out + ((k > 0) & (head - out * 10 >= 5) | (out == vm // np.take(_POW10, k)))
+    g = np.flatnonzero(vr_exact | vm_exact)
+    if g.size:
+        digits[g], k[g] = _shortest_exact(vr[g], vp[g], vm[g], vr_exact[g], vm_exact[g])
+    return digits, np.take(e10, be) + k
+
+
+def _shortest_exact(vr, vp, vm, vr_exact, vm_exact):
+    """Ryū's digit loop for the elements whose vr or vm may be exact,
+    with round half to even: (digits, digits removed).  vm may be exact
+    only where the bounds read back as the value, so where it is, it may
+    be the result."""
+    last = np.zeros_like(vr)
+    removed = np.zeros(vr.shape, np.int64)
+
+    def remove(cut):
+        """Drop the last digit of vr, vp and vm where cut is true."""
+        nonlocal vr, vp, vm, vr_exact, last
+        vr_exact &= ~cut | (last == 0)
+        last = np.where(cut, vr % 10, last)
+        vr, vp, vm = (np.where(cut, x // 10, x) for x in (vr, vp, vm))
+        removed[cut] += 1
+
+    while (cut := vp // 10 > vm // 10).any():
+        vm_exact &= ~cut | (vm % 10 == 0)
+        remove(cut)
+    while (cut := vm_exact & (vm % 10 == 0)).any():
+        remove(cut)
+    last[vr_exact & (last == 5) & (vr % 2 == 0)] = 4
+    return vr + (((vr == vm) & ~vm_exact) | (last >= 5)), removed
+
+
+@functools.cache
+def _templates():
+    """For each (sign, digit count, layout), the byte of a source row that
+    makes each byte of repr's text.  Layout e + 4 is fixed notation with
+    a first digit worth 10**e, -4 <= e < 16; 20 to 23 are scientific with
+    exponent -99..-5, <= -100, 16..99 and >= 100.  No digits is zero."""
+    table = np.zeros((2, 18, 24, _TEXT_WIDTH), np.intp)
+    exponent = _DIGITS + 20
+    for sign, nd, layout in itertools.product(range(2), range(18), range(24)):
+        digits = [_DIGITS + 20 - nd + t for t in range(nd)]
+        e = layout - 4
+        text = [_MINUS] * sign
+        if not nd:
+            text += [_ZERO, _DOT, _ZERO]
+        elif e < 0:
+            text += [_ZERO, _DOT] + [_ZERO] * (-e - 1) + digits
+        elif e < 16 and nd > e + 1:
+            text += digits[: e + 1] + [_DOT] + digits[e + 1 :]
+        elif e < 16:
+            text += digits + [_ZERO] * (e + 1 - nd) + [_DOT, _ZERO]
+        else:
+            text += digits[:1] + [_DOT] * (nd > 1) + digits[1:]
+            text += [_E, _MINUS if layout < 22 else _PLUS]
+            text += range(exponent + 2 - layout % 2, exponent + 4)
+        table[sign, nd, layout, : len(text)] = text
+    return table.reshape(-1, _TEXT_WIDTH)
+
+
+def _float_texts(values) -> np.ndarray:
+    """repr's text of each finite float64, as the rows of an (n, 24) uint8
+    array padded with NULs.  A non-finite value raises ValueError."""
+    v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValueError("cannot render non-finite value")
+    texts = np.empty((v.size, _TEXT_WIDTH), np.uint8)
+    for a in range(0, v.size, _TEXT_PIECE):
+        part = v[a : a + _TEXT_PIECE]
+        zero = part == 0
+        digits, last = _shortest(np.where(zero, 1.0, part))
+        nd = np.where(zero, 0, np.searchsorted(_POW10, digits, side="right"))
+        e = last + nd - 1  # the power of ten of the first digit
+        layout = np.where((e >= -4) & (e < 16), e + 4,
+                          np.where(e < 0, 20, 22) + (np.abs(e) >= 100))
+        sign = (part.view(np.uint64) >> 63).astype(np.intp)
+        src = np.empty((part.size, 8), np.uint32)
+        src.view(np.uint64)[:, 0] = _SYMBOLS
+        # The digits as five groups of four: d // 10**16, ..., d % 10**4.
+        groups = [digits.astype(np.int64)]
+        for _ in range(4):
+            high = groups[0] // 10**4
+            groups[:1] = [high, groups[0] - high * 10**4]
+        for col, quad in enumerate([*groups, np.abs(e)], start=2):
+            src[:, col] = np.take(_quads(), quad)
+        index = np.take(_templates(), (sign * 18 + nd) * 24 + layout, axis=0)
+        index += np.arange(0, 32 * part.size, 32)[:, None]
+        np.take(src.view(np.uint8).reshape(-1), index, out=texts[a : a + _TEXT_PIECE],
+                mode="clip")
+    return texts
+
+
+def _text(rows) -> str:
+    """The text of a NUL-padded byte matrix, row after row, without its NULs."""
+    return str(rows[rows != 0], "ascii")
+
+
 class _Outputs:
     """The files one command writes, put in place together.
 
@@ -572,7 +777,10 @@ def write_values(out, values: np.ndarray, format: str = "csv") -> None:
     elif np.issubdtype(arr.dtype, np.integer):
         data = ("%d\n" * arr.size) % tuple(arr.tolist())
     else:
-        data = "".join([f"{v!r}\n" for v in _floats(arr)])
+        lines = np.empty((arr.size, _TEXT_WIDTH + 1), np.uint8)
+        lines[:, :-1] = _float_texts(arr)
+        lines[:, -1] = ord("\n")
+        data = _text(lines)
     with _opened(out, binary) as fh:
         fh.write(data)
 
@@ -657,27 +865,35 @@ def _format_spectrum_rows(lo, last_negative, keep, measured, exact, linear):
     the rows -xi of every xi here with a twin, highest |xi| first; the
     rows xi themselves, ascending, only when keep is true; and the row
     xi = 2**(N-1) if it is here.  Rows xi = 0 and 2**(N-1) have no twin.
-    The baseline column is the same at every frequency, so its text is
-    made once.
+    All rows are made as one NUL-padded byte matrix, a row per |xi|: a
+    sign column, xi's digits, the three float texts and the baseline's
+    text, which is the same at every frequency.  The rows -xi are the
+    same rows, reversed, with '-' in the sign column.
     """
-    suffix = f",{_BASELINE_BOUND!r}\n"
-    rows = [
-        f"{xi},{m!r},{e!r},{lin!r}{suffix}"
-        for xi, m, e, lin in zip(
-            range(lo, lo + len(measured)), measured.tolist(), exact.tolist(),
-            linear.tolist(),
-        )
-    ]
+    size = len(measured)
+    baseline = f",{_BASELINE_BOUND!r}\n".encode()
+    rows = np.zeros((size, 9 + 3 * (1 + _TEXT_WIDTH) + len(baseline)), np.uint8)
+    # xi in 8 digits; the rows with xi < 10**d have their first 8 - d made NULs.
+    xi = np.arange(lo, lo + size)
+    quads = np.stack([xi // 10**4, xi % 10**4], axis=1)
+    rows[:, 1:9] = np.take(_quads(), quads).view(np.uint8)
+    for d in range(1, 8):
+        rows[: max(0, 10**d - lo), 1 : 9 - d] = 0
+    at = 9
+    for column in (measured, exact, linear):
+        rows[:, at] = ord(",")
+        rows[:, at + 1 : at + 1 + _TEXT_WIDTH] = _float_texts(column)
+        at += 1 + _TEXT_WIDTH
+    rows[:, at:] = np.frombuffer(baseline, np.uint8)
     # rows[a:b] have a twin -xi.
     a, b = max(lo, 1) - lo, last_negative + 1 - lo
     twinned = rows[a:b]
-    # Rows end in a newline, so joining with '-' prefixes each one.
-    negative = "-" + "-".join(reversed(twinned)) if twinned else ""
-    positive = "".join(twinned) if keep else ""
-    return "".join(rows[:a]), negative, positive, "".join(rows[b:])
+    positive = _text(twinned) if keep else ""
+    twinned[:, 0] = ord("-")
+    return _text(rows[:a]), _text(twinned[::-1]), positive, _text(rows[b:])
 
 
-def write_spectrum_csv(table: NoiseBoundTable, out, pool=None) -> None:
+def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     """One row per frequency, ascending, with measured error and envelopes.
 
     out is a path ('-' for stdout), whose file is replaced only once
@@ -690,10 +906,8 @@ def write_spectrum_csv(table: NoiseBoundTable, out, pool=None) -> None:
     and readable stream) is its own spill: they are made by reading its
     rows -xi back.  Any other stream (stdout, a pipe, a device, a
     write-only stream) has their text kept in memory until the negative
-    half is written.  The chunks are formatted on the calling thread, or
-    on pool, an executor, when one is given, and written in order (see
-    _in_order); the bytes are the same either way.  A table with a
-    non-finite value raises ValueError before the file is opened.
+    half is written.  A table with a non-finite value raises ValueError
+    before the file is opened.
     """
     columns = [table.measured_half, table.bound_exact_half, table.bound_linear_half]
     if not all(np.isfinite(c).all() for c in columns):
@@ -708,28 +922,22 @@ def write_spectrum_csv(table: NoiseBoundTable, out, pool=None) -> None:
         if buffer is not None:
             fh.flush()
             ends = [buffer.tell()]  # where each chunk's rows -xi end
-        chunks = (
-            (lo, last_negative, buffer is None, *(c[lo:hi] for c in columns))
-            for hi in range(size, 0, -step)
-            for lo in [max(0, hi - step)]
-        )
-        if pool is None:
-            formatted = (_format_spectrum_rows(*chunk) for chunk in chunks)
-        else:
-            formatted = _in_order(_format_spectrum_rows, chunks, pool)
         head = tail = ""
         kept = []  # unless spilled, each chunk's text of its rows xi with a twin
-        with contextlib.closing(formatted):
-            for zero, negative, positive, top in formatted:
-                head += zero
-                tail += top
-                if negative:
-                    fh.write(negative)
-                    if buffer is None:
-                        kept.append(positive)
-                    else:
-                        fh.flush()
-                        ends.append(buffer.tell())
+        for hi in range(size, 0, -step):
+            lo = max(0, hi - step)
+            zero, negative, positive, top = _format_spectrum_rows(
+                lo, last_negative, buffer is None, *(c[lo:hi] for c in columns)
+            )
+            head += zero
+            tail += top
+            if negative:
+                fh.write(negative)
+                if buffer is None:
+                    kept.append(positive)
+                else:
+                    fh.flush()
+                    ends.append(buffer.tell())
         fh.write(head)
         if buffer is None:
             fh.writelines(reversed(kept))

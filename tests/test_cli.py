@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import json
 import math
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 
 from haarq import (
-    Signal, cli, make_grid, quantize_haar_optimal, report_io, spectral, spectrum_error,
+    Signal, make_grid, quantize_haar_optimal, report_io, spectral, spectrum_error,
 )
 from haarq.cli import CHUNK_SAMPLES, main
 
@@ -40,7 +39,7 @@ def no_process_outlives_the_test():
 
 
 def use_cpus(monkeypatch, count):
-    """Make the CLI see `count` CPUs it may run on, for both of its pools."""
+    """Make the CLI see `count` CPUs it may run on, for its thread pool."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                         raising=False)
 
@@ -975,10 +974,8 @@ class TestBoundedMemory:
     def quantize(self, tmp_path, *flags):
         return ["quantize", "--output", str(tmp_path / "out.raw"), *flags]
 
-    # --report keeps the text of each block's entry until the report is
-    # written, so at N = 10 the 768 more blocks may add what they add to
-    # the report file; at N = 16, one block per chunk, the entries of 12
-    # more blocks are far below a chunk.
+    # --report entries wait in a temporary file, not in memory, so the
+    # 768 more blocks at N = 10 add nothing.
     # One worker: with two, whether their temporaries (about four chunks'
     # bytes each) coincide varies by several chunks from run to run.
     @pytest.mark.parametrize("n, report", [(10, False), (16, True), (10, True)])
@@ -989,10 +986,8 @@ class TestBoundedMemory:
         argv = self.quantize(tmp_path, *flags)
         self.peak(tmp_path, 1, n, argv)  # imports and caches
         small = self.peak(tmp_path, 4, n, argv)
-        small_report = rep.stat().st_size if report else 0
         large = self.peak(tmp_path, 16, n, argv)
-        growth = rep.stat().st_size - small_report if report and n < 16 else 0
-        assert large - small <= CHUNK_SAMPLES * 8 + growth
+        assert large - small <= CHUNK_SAMPLES * 8
 
     def test_two_workers_peak_below_three_lone_chunks(self, tmp_path, monkeypatch):
         # Each worker holds at most one chunk's compute, and the calling
@@ -1032,42 +1027,11 @@ def spectrum_case(n):
     return values.astype("<f8").tobytes(), spectrum_csv_reference(table)
 
 
-def exit_in_worker(*chunk):
-    """A stand-in for the chunk formatter whose worker process dies."""
-    if multiprocessing.parent_process() is None:
-        raise AssertionError("formatted on the calling thread, not on a worker")
-    os._exit(1)
-
-
-def format_chunks(n):
-    """The formatting chunks of a table of 2**n samples: 2**(n-1) + 1
-    values of |xi|, CHUNK_SAMPLES // 2 at a time."""
-    return -(-((1 << n - 1) + 1) // (CHUNK_SAMPLES // 2))
-
-
-class TestSpectrumFormattingPool:
-    """A large table is formatted on one worker process per usable CPU, no
-    more than it has formatting chunks, and its rows are written in order:
-    the bytes do not depend on the number of CPUs.  The pool is opened
-    from N = 20 on; here from N = 17, so that small tables use it.  At
-    N = 16, 17 and 18 the last chunk holds only xi = 0."""
-
-    @pytest.fixture
-    def pool_from_n17(self, monkeypatch):
-        monkeypatch.setattr(cli, "_POOL_MIN_EXPONENT", 17)
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker counts of the process pools the command opens."""
-        opened = []
-
-        class Counted(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                opened.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-        return opened
+class TestLargeSpectrum:
+    """Large tables, formatted by the bulk float-text kernel on the calling
+    thread, match a reference that formats every row with repr, whatever
+    the number of compute threads.  At N = 16, 17 and 18 the last
+    formatting chunk holds only xi = 0."""
 
     def run(self, tmp_path, data, n, output):
         src = tmp_path / "in.raw"
@@ -1075,11 +1039,11 @@ class TestSpectrumFormattingPool:
         return main(["spectrum", "--format", "raw", "--block-exp", str(n),
                      "--input", str(src), "--output", output])
 
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("n", [16, 17, 18])
     @pytest.mark.parametrize("target", ["file", "stdout", "fifo"])
     def test_bytes_match_the_reference(self, tmp_path, monkeypatch, capsysbinary,
-                                       pool_from_n17, pools, target, n, cpus):
+                                       target, n, cpus):
         use_cpus(monkeypatch, cpus)
         data, expected = spectrum_case(n)
         out = tmp_path / "spec.csv"
@@ -1101,46 +1065,11 @@ class TestSpectrumFormattingPool:
             written = out.read_bytes()
         assert code == 0
         assert written == expected.encode()
-        # N = 17 has three chunks, so four CPUs get three workers.
-        assert pools == ([min(cpus, format_chunks(n))] if n > 16 and cpus > 1 else [])
 
-    def test_one_pool_per_run_not_per_block(self, tmp_path, monkeypatch, pool_from_n17,
-                                            pools):
+    def test_every_block_of_a_run_matches_the_reference(self, tmp_path, monkeypatch):
         use_cpus(monkeypatch, 2)
         data, expected = spectrum_case(17)
         code = self.run(tmp_path, 3 * data, 17, str(tmp_path / "spec.csv"))
         assert code == 0
-        assert pools == [2]
         for i in range(3):
             assert (tmp_path / f"spec.block{i:04d}.csv").read_text() == expected
-
-    def test_opened_from_n20_with_at_most_one_worker_per_chunk(self, monkeypatch, pools):
-        use_cpus(monkeypatch, 64)
-        with cli._format_pool(19):
-            pass
-        # A worker starts only when a task finds none idle: these start none.
-        with cli._format_pool(20), cli._format_pool(21):
-            pass
-        assert pools == [format_chunks(20), format_chunks(21)] == [17, 33]
-
-    def test_pool_that_cannot_be_made_formats_inline(self, tmp_path, monkeypatch,
-                                                     pool_from_n17):
-        def unavailable(*args, **kwargs):
-            raise ImportError("This platform lacks a functioning sem_open implementation")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
-        use_cpus(monkeypatch, 2)
-        data, expected = spectrum_case(17)
-        out = tmp_path / "spec.csv"
-        assert self.run(tmp_path, data, 17, str(out)) == 0
-        assert out.read_text() == expected
-
-    def test_worker_that_dies_exits_three_and_writes_no_file(self, tmp_path, monkeypatch,
-                                                             capsys, pool_from_n17):
-        monkeypatch.setattr(report_io, "_format_spectrum_rows", exit_in_worker)
-        use_cpus(monkeypatch, 2)
-        data, _ = spectrum_case(17)
-        out = tmp_path / "spec.csv"
-        assert self.run(tmp_path, data, 17, str(out)) == 3
-        assert "error:" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.raw"]

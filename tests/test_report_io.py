@@ -1,11 +1,14 @@
 import functools
 import json
+import math
 import os
 import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haarq import (
     InputFormatError,
@@ -24,7 +27,7 @@ from haarq import (
     write_values,
 )
 from haarq.cli import main
-from haarq.report_io import CHUNK_SAMPLES, BlockResult
+from haarq.report_io import CHUNK_SAMPLES, BlockResult, _float_texts
 
 from oracles import codes_sha256, spectrum_csv_reference
 
@@ -180,6 +183,24 @@ class TestInputSpecValidation:
             InputSpec("x.csv", 3, format="wav")
 
 
+# Floats whose text is at an edge of repr's rules or of the digit search:
+# the zeros, the smallest subnormal and normal, the largest, both sides of
+# the fixed/scientific switches, 1e23 (whose nearest double is below it),
+# and 2**-21, the DC bound of an N=20 spectrum.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e22, 1e23,
+               0.1, 0.3, 2.0**-21]
+
+
+def repr_texts(values):
+    """repr of each value, NUL padded to the kernel's row width."""
+    return [repr(v).encode().ljust(24, b"\0") for v in values]
+
+
+def finite_from_bits(bits):
+    return float(np.uint64(bits).view(np.float64))
+
+
 class TestFloatRendering:
     @pytest.mark.parametrize(
         "value",
@@ -204,6 +225,17 @@ class TestFloatRendering:
             write_values(str(p), np.array([0.5, bad]), "csv")
         assert not p.exists()
 
+    def test_csv_floats_are_the_repr_join(self, tmp_path):
+        rng = np.random.default_rng(53)
+        bits = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([
+            rng.normal(0.0, 1e3, 4000), rng.uniform(-1.0, 1.0, 4000),
+            bits[np.isfinite(bits)], EDGE_FLOATS, [-x for x in EDGE_FLOATS],
+        ])
+        p = tmp_path / "floats.csv"
+        write_values(str(p), values, "csv")
+        assert p.read_text() == "".join(f"{v!r}\n" for v in values.tolist())
+
     def test_csv_write_read_cycle_is_exact(self, tmp_path):
         rng = np.random.default_rng(37)
         values = rng.uniform(-1, 1, 64)
@@ -211,6 +243,54 @@ class TestFloatRendering:
         write_values(str(p), values, "csv")
         blocks, _ = read_blocks(InputSpec(str(p), 6))
         assert np.array_equal(blocks[0], values)
+
+
+class TestFloatTexts:
+    """The bulk float-text kernel gives repr's bytes, whatever mix of
+    floats shares an array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    @example([0.0])
+    @example([-0.0])
+    @example([5e-324])
+    @example([2.2250738585072014e-308])
+    @example([1.7976931348623157e308])
+    @example([1e16])
+    @example([9999999999999998.0])
+    @example([1e-4])
+    @example([9.999999999999999e-05])
+    @example([1e22])
+    @example([1e23])
+    @example([0.1])
+    @example([0.3])
+    @example([2.0**-21])
+    @example(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
+    def test_floats_match_repr(self, values):
+        rows = _float_texts(np.array(values, dtype=np.float64))
+        assert [row.tobytes() for row in rows] == repr_texts(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1).map(finite_from_bits).filter(math.isfinite),
+                    min_size=1, max_size=40))
+    def test_raw_bit_patterns_match_repr(self, values):
+        rows = _float_texts(np.array(values))
+        assert [row.tobytes() for row in rows] == repr_texts(values)
+
+    def test_every_power_of_two_and_ten_and_their_neighbours(self):
+        powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                                 [float(f"1e{k}") for k in range(-323, 309)]])
+        values = np.concatenate([powers, np.nextafter(powers, 0),
+                                 np.nextafter(powers, np.inf)])
+        values = np.concatenate([values, -values])
+        values = values[np.isfinite(values)]
+        expected = np.array(repr_texts(values.tolist()), dtype="S24")
+        assert np.array_equal(_float_texts(values).view("S24").ravel(), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            _float_texts([1.0, bad])
 
 
 class TestIntegerCsv:
