@@ -1039,7 +1039,7 @@ class TestLargeSpectrum:
         return main(["spectrum", "--format", "raw", "--block-exp", str(n),
                      "--input", str(src), "--output", output])
 
-    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
     @pytest.mark.parametrize("n", [16, 17, 18])
     @pytest.mark.parametrize("target", ["file", "stdout", "fifo"])
     def test_bytes_match_the_reference(self, tmp_path, monkeypatch, capsysbinary,
