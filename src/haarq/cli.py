@@ -29,7 +29,6 @@ import contextlib
 import functools
 import itertools
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +53,7 @@ from .report_io import (
     _SPECTRUM_HEADER,
     _codes_sha256,
     _in_order,
+    _temporary_text,
     _write_lines,
     format_float,
     read_signal,
@@ -188,7 +188,7 @@ def _entry_spill(layout):
     temporary file, or a null context without --report."""
     if layout is None:
         return contextlib.nullcontext()
-    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+    return _temporary_text()
 
 
 def _write_report(outputs, args, layout, entries, length: int, passed: bool) -> None:

@@ -20,6 +20,7 @@ import operator
 import os
 import re
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field, fields
 from hashlib import sha256
@@ -702,13 +703,12 @@ class _Outputs:
     """The files one command writes, put in place together.
 
     open() gives the stream for one output.  A file output is written to a
-    new temporary file beside its target, opened for reading too, so that
-    a writer may read back what it wrote, as write_spectrum_csv does.
-    When the `with` block ends without error, every temporary file is
-    renamed onto its target; when it raises, they are all removed, so a
-    failed run leaves no output file, and an output may replace the input
-    it was made from.  Path '-' is standard output, written as the data is
-    made.  A device or a pipe is written in place, and cannot be read.
+    new temporary file beside its target.  When the `with` block ends
+    without error, every temporary file is renamed onto its target; when
+    it raises, they are all removed, so a failed run leaves no output
+    file, and an output may replace the input it was made from.  Path '-'
+    is standard output, written as the data is made.  A device or a pipe
+    is written in place.
     """
 
     def __init__(self):
@@ -736,7 +736,7 @@ class _Outputs:
         in_place = os.path.exists(target) and not os.path.isfile(target)
         head, name = os.path.split(target)
         tmp = target if in_place else os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-        mode = ("w" if in_place else "x+") + ("b" if binary else "")
+        mode = ("w" if in_place else "x") + ("b" if binary else "")
         text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
         with open(tmp, mode, **text) as fh:
             if not in_place:
@@ -833,42 +833,19 @@ def write_report(report: RunReport, path: str) -> None:
 _SPECTRUM_HEADER = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
 
 
-def _spill(fh):
-    """The binary buffer under a text stream that can read back what is
-    written to it, with ASCII text as its own bytes; else None."""
-    buffer = getattr(fh, "buffer", None)
-    if buffer is None or not (fh.seekable() and fh.readable()):
-        return None
-    return buffer if "-".encode(fh.encoding) == b"-" else None
+def _temporary_text():
+    """An unnamed temporary file in the temp directory, for text that waits
+    there while a stream is written: a report's entries, or a spectrum's
+    rows xi.  It is removed when closed."""
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
 
 
-def _append_unmirrored(buffer, ends) -> None:
-    """Append the rows xi made from the rows -xi between successive ends,
-    the last range first: each row's '-' stripped and the rows reversed."""
-    for start, end in reversed(list(itertools.pairwise(ends))):
-        pos = buffer.tell()
-        buffer.seek(end - 1)
-        newline = buffer.read(1)  # the last byte of the stream's line ending
-        buffer.seek(start + 1)  # past the first row's '-'
-        rows = buffer.read(end - start - 2).split(newline + b"-")
-        rows.reverse()
-        buffer.seek(pos)
-        buffer.write(newline.join(rows))
-        buffer.write(newline)
-
-
-def _format_spectrum_rows(lo, last_negative, keep, measured, exact, linear):
-    """The text of the table rows |xi| = lo, lo + 1, ... for the values of
-    the three half columns from lo on.
-
-    Returns (zero, negative, positive, top): the row xi = 0 if lo is 0;
-    the rows -xi of every xi here with a twin, highest |xi| first; the
-    rows xi themselves, ascending, only when keep is true; and the row
-    xi = 2**(N-1) if it is here.  Rows xi = 0 and 2**(N-1) have no twin.
-    All rows are made as one NUL-padded byte matrix, a row per |xi|: a
-    sign column, xi's digits, the three float texts and the baseline's
-    text, which is the same at every frequency.  The rows -xi are the
-    same rows, reversed, with '-' in the sign column.
+def _format_spectrum_rows(lo, measured, exact, linear):
+    """The rows xi = lo, lo + 1, ... of a spectrum table, for the values of
+    the three half columns from lo on, as one NUL-padded byte matrix, a
+    row per xi: a sign column (NUL), xi's digits, the three float texts
+    and the baseline's text, which is the same at every frequency.  A row
+    xi with '-' in its sign column is the row -xi.
     """
     size = len(measured)
     baseline = f",{_BASELINE_BOUND!r}\n".encode()
@@ -885,12 +862,7 @@ def _format_spectrum_rows(lo, last_negative, keep, measured, exact, linear):
         rows[:, at + 1 : at + 1 + _TEXT_WIDTH] = _float_texts(column)
         at += 1 + _TEXT_WIDTH
     rows[:, at:] = np.frombuffer(baseline, np.uint8)
-    # rows[a:b] have a twin -xi.
-    a, b = max(lo, 1) - lo, last_negative + 1 - lo
-    twinned = rows[a:b]
-    positive = _text(twinned) if keep else ""
-    twinned[:, 0] = ord("-")
-    return _text(rows[:a]), _text(twinned[::-1]), positive, _text(rows[b:])
+    return rows
 
 
 def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
@@ -901,12 +873,12 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     a spectrum table is even in xi, so each |xi| is formatted once: its
     row xi, prefixed with '-', is the row -xi.  The table is formatted
     in chunks of CHUNK_SAMPLES // 2 values of |xi|, from the highest |xi|
-    down, and a chunk's rows -xi are written at once.  The rows xi
-    follow.  A stream that can be read back (a file output, or a seekable
-    and readable stream) is its own spill: they are made by reading its
-    rows -xi back.  Any other stream (stdout, a pipe, a device, a
-    write-only stream) has their text kept in memory until the negative
-    half is written.  A table with a non-finite value raises ValueError
+    down.  A chunk's rows xi >= 1 are appended to an unnamed temporary
+    file, and then its rows -xi are written, highest |xi| first; the row
+    xi = 0 follows the last chunk's.  Then the rows xi are copied out of
+    the temporary file a chunk at a time, the last chunk first.  Every
+    kind of output, a file, stdout, a pipe, a device or a stream, takes
+    this one path.  A table with a non-finite value raises ValueError
     before the file is opened.
     """
     columns = [table.measured_half, table.bound_exact_half, table.bound_linear_half]
@@ -916,32 +888,20 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     last_negative = FrequencyGrid(table.n_exponent).index_of(0)
     size = columns[0].size
     step = CHUNK_SAMPLES // 2  # values of |xi| per chunk, two rows each
-    with _opened(out, binary=False) as fh:
+    with _opened(out, binary=False) as fh, _temporary_text() as spill:
         fh.write(_SPECTRUM_HEADER)
-        buffer = _spill(fh)
-        if buffer is not None:
-            fh.flush()
-            ends = [buffer.tell()]  # where each chunk's rows -xi end
-        head = tail = ""
-        kept = []  # unless spilled, each chunk's text of its rows xi with a twin
+        ends = [0]  # where each chunk's rows xi end in the spill, which is ASCII
         for hi in range(size, 0, -step):
             lo = max(0, hi - step)
-            zero, negative, positive, top = _format_spectrum_rows(
-                lo, last_negative, buffer is None, *(c[lo:hi] for c in columns)
-            )
-            head += zero
-            tail += top
-            if negative:
-                fh.write(negative)
-                if buffer is None:
-                    kept.append(positive)
-                else:
-                    fh.flush()
-                    ends.append(buffer.tell())
-        fh.write(head)
-        if buffer is None:
-            fh.writelines(reversed(kept))
-        else:
-            fh.flush()
-            _append_unmirrored(buffer, ends)
-        fh.write(tail)
+            rows = _format_spectrum_rows(lo, *(c[lo:hi] for c in columns))
+            # rows[a:b] have a twin -xi.  The spill's text is made and
+            # written before the rows -xi are, so the two are never held
+            # at once.
+            a, b = int(lo == 0), last_negative + 1 - lo
+            spill.write(_text(rows[a:]))
+            ends.append(spill.tell())
+            rows[a:b, 0] = ord("-")
+            fh.write(_text(rows[:b][::-1]))
+        for start, end in reversed(list(itertools.pairwise(ends))):
+            spill.seek(start)
+            fh.write(spill.read(end - start))

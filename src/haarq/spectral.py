@@ -310,11 +310,6 @@ def _residual_tables(r: np.ndarray) -> list[NoiseBoundTable]:
     ]
 
 
-def _noise_tables(f: np.ndarray, g: np.ndarray) -> list[NoiseBoundTable]:
-    """One NoiseBoundTable per row pair of (rows, 2**N) signal and code arrays."""
-    return _residual_tables(_residual(f, g))
-
-
 def spectrum_error(f: Signal, g: QuantizedSignal) -> NoiseBoundTable:
     """Per-frequency |F(f - g)| next to the envelopes, with pass flags.
 
@@ -323,4 +318,4 @@ def spectrum_error(f: Signal, g: QuantizedSignal) -> NoiseBoundTable:
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
     _check_pair_budget(f.values[None, :], g.values[None, :])
-    return _noise_tables(f.values[None, :], g.values[None, :])[0]
+    return _residual_tables(_residual(f.values[None, :], g.values[None, :]))[0]

@@ -599,7 +599,7 @@ class TestSpectrumCsvAgainstReference:
         assert p.read_bytes() == expected.replace("\n", newline).encode()
 
     def test_readable_stream_in_a_wide_encoding(self, tmp_path):
-        # Its bytes are not the ASCII text, so it is not read back.
+        # Its bytes are not the ASCII text of the rows.
         _, table, expected = spectrum_case(16)
         p = tmp_path / "spec.csv"
         with open(p, "w+", encoding="utf-16") as fh:

@@ -20,8 +20,8 @@ from haarq import (
     quantize_simple,
     spectrum_error,
 )
-from haarq.quantizer import QuantizedSignal
-from haarq.spectral import _dft_rows, _exact_envelope, _noise_envelopes, _noise_tables
+from haarq.quantizer import QuantizedSignal, _residual
+from haarq.spectral import _dft_rows, _exact_envelope, _noise_envelopes, _residual_tables
 
 from oracles import (
     all_indices,
@@ -301,7 +301,7 @@ class TestSpectrumError:
         f = rng.uniform(-3.0, 3.0, (5, 1 << n))
         g = np.rint(f).astype(np.int64)
         grid = make_grid(n)
-        for fr, gr, table in zip(f, g, _noise_tables(f, g)):
+        for fr, gr, table in zip(f, g, _residual_tables(_residual(f, g))):
             one = spectrum_error(Signal(grid, fr), QuantizedSignal(grid, gr))
             assert np.array_equal(table.measured, one.measured)
             assert np.array_equal(table.passes, one.passes)
