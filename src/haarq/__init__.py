@@ -4,8 +4,11 @@ Quantizes real signals of length 2**N to the integer lattice by rounding a
 totals pyramid level by level under a parity constraint, which keeps every
 orthonormal-step-basis coefficient error below 2**(-N+(k-1)/2) (2**(-N-1)
 at DC) and therefore keeps the low-frequency spectral noise floor at
-O(N * 2**-N * |xi|).  Includes exact verification of all bounds, file
-ingestion and deterministic reporting, and a CLI.
+O(N * 2**-N * |xi|).  Every bound is re-measured at runtime on the
+residual f - g, in float64 with fixed additive slacks (BOUND_SLACK,
+SPECTRUM_SLACK), so verification is not exact: an output that breaks a
+bound by less than its slack still passes.  Also file ingestion,
+deterministic reporting and a CLI.
 """
 
 from .haar import (
@@ -33,14 +36,11 @@ from .quantizer import (
     verify_haar_bounds,
 )
 from .report_io import (
-    BlockResult,
     InputFormatError,
     InputSpec,
-    RunReport,
     dumps_canonical,
     format_float,
     read_signal,
-    write_report,
     write_spectrum_csv,
     write_values,
 )
@@ -70,8 +70,6 @@ __all__ = [
     "FourierSpectrum",
     "NoiseBoundTable",
     "InputSpec",
-    "BlockResult",
-    "RunReport",
     "InputFormatError",
     "make_grid",
     "check_index",
@@ -92,7 +90,6 @@ __all__ = [
     "spectrum_error",
     "read_signal",
     "write_values",
-    "write_report",
     "write_spectrum_csv",
     "format_float",
     "dumps_canonical",

@@ -12,11 +12,13 @@ not depend on the number of CPUs.  Memory depends on the block size
 and the number of CPUs, not on the input length: `--report` entries
 wait in an unnamed temporary file until the input has ended and the
 report's head, which gives the block count, can be written.
-verify --quantized reads its two inputs in step.  Each output file,
-the report too, is written to a temporary file beside it, and all are
-renamed into place once the run succeeds, so a run that fails leaves
-no output file; output to '-' (stdout) is written as it is made, and
-an input error found after some of it was written still exits 3.
+verify --quantized reads its two inputs in step, and refuses --baseline
+and --tie-break, which could not act on the codes it is given.  Each
+output file, the report too, is written to a temporary file beside it,
+and all are renamed into place once the run succeeds, so a run that
+fails leaves no output file; output to '-' (stdout) is written as it is
+made, and an input error found after some of it was written still
+exits 3.
 
 Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
 input-format error.  Bounds are measured by verify, spectrum and
@@ -35,9 +37,7 @@ import numpy as np
 
 from .haar import check_index, haar_basis, make_grid
 from .quantizer import (
-    BOUND_SLACK,
     _check_pair_budget,
-    _haar_bounds,
     _haar_error_rows,
     _quantize_rows,
     _residual,
@@ -51,7 +51,6 @@ from .report_io import (
     _Outputs,
     _ReportLayout,
     _SPECTRUM_HEADER,
-    _codes_sha256,
     _in_order,
     _temporary_text,
     _write_lines,
@@ -80,7 +79,8 @@ def _add_input_args(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_quantizer_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--tie-break", choices=sorted(_TIE_BY_FLAG), default="down",
+    # None when not given, so that verify --quantized can refuse the flag.
+    sp.add_argument("--tie-break", choices=sorted(_TIE_BY_FLAG),
                     help="direction for exact rounding ties (default down)")
     sp.add_argument("--baseline", action="store_true",
                     help="use plain per-sample rounding instead of the pyramid")
@@ -139,6 +139,10 @@ def _input_spec(args, path=None, delta=None) -> InputSpec:
     )
 
 
+def _tie_break(args) -> str:
+    return _TIE_BY_FLAG[args.tie_break or "down"]
+
+
 def _config_echo(args) -> dict:
     return {
         "baseline": bool(args.baseline),
@@ -146,12 +150,12 @@ def _config_echo(args) -> dict:
         "format": _FORMAT_BY_FLAG[args.format],
         "pad_policy": args.pad_policy,
         "scale_delta": float(args.delta),
-        "tie_break": _TIE_BY_FLAG[args.tie_break],
+        "tie_break": _tie_break(args),
     }
 
 
 def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
-    tie_break = _TIE_BY_FLAG[args.tie_break]
+    tie_break = _tie_break(args)
     if args.baseline:
         return _round_rows(f, tie_break)
     return _quantize_rows(f, tie_break)
@@ -159,27 +163,7 @@ def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
 
 def _report_layout(args):
     """The layout of the run's report; None without --report."""
-    if not args.report:
-        return None
-    n = args.block_exp
-    return _ReportLayout(_config_echo(args), n, *_haar_bounds(n), BOUND_SLACK)
-
-
-def _report_entries(layout, a: int, g: np.ndarray, haar, spectrum_pass, passed) -> str:
-    """The report text of the blocks a, a + 1, ... with codes g, Haar
-    measurements haar, and per-block spectrum and overall pass flags."""
-    return layout.entries(
-        {
-            **haar._asdict(),
-            "index": range(a, a + g.shape[0]),
-            "quantized_sha256": [_codes_sha256(row) for row in g],
-            "dc_total": g.sum(axis=1).tolist(),
-            "haar_pass": haar.passed,
-            "spectrum_pass": spectrum_pass,
-            "pass": passed,
-        },
-        first=a == 0,
-    )
+    return _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
 
 
 def _entry_spill(layout):
@@ -204,6 +188,8 @@ def _write_report(outputs, args, layout, entries, length: int, passed: bool) -> 
 def cmd_quantize(args) -> int:
     fmt = _FORMAT_BY_FLAG[args.format]
     binary = fmt == "raw_f64_le"
+    # The spec checks N before the layout, whose size grows as 2**N, is made.
+    spec = _input_spec(args)
     layout = _report_layout(args)
 
     def compute(a, f, valid):
@@ -211,8 +197,7 @@ def cmd_quantize(args) -> int:
         entries, passed = "", True
         if layout is not None:
             haar = _haar_error_rows(f, g)
-            spectrum_pass = [None] * g.shape[0]
-            entries = _report_entries(layout, a, g, haar, spectrum_pass, haar.passed)
+            entries = layout.entries(a, g, haar)
             passed = bool(haar.passed.all())
         codes = g.reshape(-1)[:valid]
         # Raw codes are written as float64, converted here, off the writing thread.
@@ -223,7 +208,7 @@ def cmd_quantize(args) -> int:
         _entry_spill(layout) as entries,
         _Outputs() as outputs,
         outputs.open(args.output, binary=binary) as out,
-        contextlib.closing(_in_order(compute, read_signal(_input_spec(args)))) as chunks,
+        contextlib.closing(_in_order(compute, read_signal(spec))) as chunks,
     ):
         for codes, chunk_entries, chunk_passed in chunks:
             write_values(out, codes, fmt)
@@ -261,6 +246,8 @@ def _with_codes(chunks, args):
 
 
 def cmd_verify(args) -> int:
+    if args.quantized and (args.baseline or args.tie_break):
+        raise ValueError("--baseline and --tie-break do not apply to --quantized codes")
     chunks = read_signal(_input_spec(args))
     if args.quantized:
         chunks = _with_codes(chunks, args)
@@ -275,7 +262,7 @@ def cmd_verify(args) -> int:
         passed = haar.passed & spectrum_pass
         entries = ""
         if layout is not None:
-            entries = _report_entries(layout, a, g, haar, spectrum_pass, passed)
+            entries = layout.entries(a, g, haar, spectrum_pass)
         return valid, f.shape[0], bool(passed.all()), entries
 
     length, count, passed = 0, 0, True

@@ -26,8 +26,6 @@ import numpy as np
 from .haar import Signal, TimeGrid, _haar_rows, _pairwise_levels, _readonly
 
 __all__ = [
-    "TIE_BREAKS",
-    "PARITIES",
     "BOUND_SLACK",
     "QuantizedSignal",
     "HaarErrorReport",

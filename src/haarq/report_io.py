@@ -22,26 +22,21 @@ import re
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
 from .haar import MAX_EXPONENT, _readonly
-from .quantizer import CHUNK_SAMPLES, HaarErrorReport
+from .quantizer import BOUND_SLACK, CHUNK_SAMPLES, _haar_bounds
 from .spectral import _BASELINE_BOUND, FrequencyGrid, NoiseBoundTable
 
 __all__ = [
-    "FORMATS",
-    "PAD_POLICIES",
     "InputFormatError",
     "InputSpec",
-    "BlockResult",
-    "RunReport",
     "read_signal",
     "write_values",
-    "write_report",
     "write_spectrum_csv",
     "format_float",
     "dumps_canonical",
@@ -277,92 +272,16 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _haar_summary(r: HaarErrorReport) -> dict:
-    """A block's Haar report with each level's errors reduced to their maximum."""
-    summary = {
-        f.name: getattr(r, f.name)
-        for f in fields(r)
-        if f.name not in ("detail_errors", "detail_bounds")
-    }
-    levels = zip(r.detail_errors, r.detail_bounds)
-    summary["detail_levels"] = [
-        {"level": k, "max_error": float(err.max()), "bound": float(bound)}
-        for k, (err, bound) in enumerate(levels, start=1)
-    ]
-    summary["pass"] = r.passed
-    return summary
-
-
 def _codes_sha256(codes) -> str:
     """The SHA-256 of a block's codes as little-endian int64."""
     return sha256(np.ascontiguousarray(codes, dtype="<i8")).hexdigest()
-
-
-@dataclass
-class BlockResult:
-    """Verification outcome for one block.
-
-    It keeps the SHA-256 of the block's codes (as little-endian int64) and
-    a per-level summary of its Haar report, not the codes or the errors, so
-    a run's results grow with its blocks and levels, not with its samples.
-    """
-
-    index: int
-    quantized: InitVar[np.ndarray]
-    dc_total: int
-    haar: InitVar[HaarErrorReport]
-    spectrum_pass: bool | None = None
-    quantized_sha256: str = field(init=False)
-    haar_summary: dict = field(init=False)
-
-    def __post_init__(self, quantized, haar):
-        self.quantized_sha256 = _codes_sha256(quantized)
-        self.haar_summary = _haar_summary(haar)
-
-    @property
-    def passed(self) -> bool:
-        return self.haar_summary["pass"] and self.spectrum_pass is not False
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "quantized_sha256": self.quantized_sha256,
-            "dc_total": self.dc_total,
-            "haar": self.haar_summary,
-            "spectrum_pass": self.spectrum_pass,
-            "pass": self.passed,
-        }
-
-
-@dataclass
-class RunReport:
-    """Whole-run verification summary; global pass is the AND over blocks."""
-
-    config: dict
-    original_length: int
-    pad_count: int
-    blocks: list[BlockResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(block.passed for block in self.blocks)
-
-    def to_dict(self) -> dict:
-        return {
-            "config": dict(self.config),
-            "original_length": self.original_length,
-            "pad_count": self.pad_count,
-            "block_count": len(self.blocks),
-            "blocks": [block.to_dict() for block in self.blocks],
-            "pass": self.passed,
-        }
 
 
 # How the text of a slot's value is made, by the slot's kind.
 _CONVERSIONS = {"float": "%r", "int": "%d", "flag": "%s", "str": '"%s"'}
 _FLAG_TEXT = {True: "true", False: "false", None: "null"}
 _FLOAT_COLUMNS = ("dc_input", "dc_quantized", "dc_error", "sup_error")
-_FLAG_COLUMNS = ("dc_ok", "details_ok", "sup_ok", "haar_pass", "spectrum_pass", "pass")
+_HAAR_FLAGS = ("dc_ok", "details_ok", "sup_ok")
 # The run's own slots, in the order _ReportLayout._run takes them.
 _RUN_SLOTS = (("int", "original_length"), ("int", "pad_count"), ("int", "block_count"),
               ("flag", "run_pass"))
@@ -377,8 +296,8 @@ def _format(parts) -> tuple[str, list[str]]:
 
 
 class _ReportLayout:
-    """The text of a run report whose blocks share one set of Haar
-    constants, cut at the values that vary.
+    """The text of a run report over blocks of 2**n samples, cut at the
+    values that vary.
 
     dumps_canonical renders the report once, with two blocks and a slot
     for each varying value, so key order, indentation and every constant
@@ -387,10 +306,10 @@ class _ReportLayout:
     flags as true, false or null, and the quoted SHA-256.
     """
 
-    def __init__(self, config: dict, n_exponent: int, dc_bound: float,
-                 detail_bounds, sup_bound: float, slack: float):
+    def __init__(self, config: dict, n: int):
         self.config = dict(config)
-        self.levels = [f"max_error_{k}" for k in range(1, len(detail_bounds) + 1)]
+        self.levels = [f"max_error_{k}" for k in range(1, n + 1)]
+        dc_bound, detail_bounds, sup_bound = _haar_bounds(n)
         # A slot is the JSON string "<tag>kind:name", with a tag that no
         # text of the config holds, so nothing else in the report matches.
         tag = "$"
@@ -401,16 +320,16 @@ class _ReportLayout:
             return f"{tag}{kind}:{name}"
 
         haar = {
-            "n_exponent": n_exponent,
+            "n_exponent": n,
             "dc_bound": dc_bound,
             "sup_bound": sup_bound,
-            "slack": slack,
+            "slack": BOUND_SLACK,
             "detail_levels": [
                 {"level": k, "max_error": slot("float", name), "bound": float(bound)}
                 for k, (name, bound) in enumerate(zip(self.levels, detail_bounds), start=1)
             ],
             **{name: slot("float", name) for name in _FLOAT_COLUMNS},
-            **{name: slot("flag", name) for name in ("dc_ok", "details_ok", "sup_ok")},
+            **{name: slot("flag", name) for name in _HAAR_FLAGS},
             "pass": slot("flag", "haar_pass"),
         }
         block = {
@@ -447,25 +366,35 @@ class _ReportLayout:
             "pass": passed,
         }
 
-    def entries(self, columns: dict, first: bool) -> str:
-        """The text of consecutive blocks' entries, led by the separator
-        from the entry before unless first is true.
+    def entries(self, a: int, g: np.ndarray, haar, spectrum_pass=None) -> str:
+        """The text of the entries of the blocks a, a + 1, ..., led by the
+        separator from the entry before unless a is 0.
 
-        columns maps each of index, quantized_sha256, dc_total, the float
-        and flag columns to one value per block, and detail_max to a
-        (blocks, N) array; a non-finite float raises ValueError.
+        g holds the blocks' codes, a row each, and haar is their _HaarRows.
+        spectrum_pass holds each block's spectrum flag, or is None where
+        the spectrum was not measured.  A block passes when its Haar bounds
+        hold and its spectrum, if measured, does.  A non-finite float
+        raises ValueError.
         """
+        rows = g.shape[0]
+        if spectrum_pass is None:
+            spectrum_pass, passed = [None] * rows, haar.passed
+        else:
+            passed = haar.passed & spectrum_pass
+        flags = {name: getattr(haar, name) for name in _HAAR_FLAGS}
+        flags.update({"haar_pass": haar.passed, "spectrum_pass": spectrum_pass, "pass": passed})
         values = {
-            name: columns[name] for name in ("index", "quantized_sha256", "dc_total")
+            "index": range(a, a + rows),
+            "quantized_sha256": [_codes_sha256(row) for row in g],
+            "dc_total": g.sum(axis=1).tolist(),
+            **{name: _floats(getattr(haar, name)) for name in _FLOAT_COLUMNS},
+            **dict(zip(self.levels, _floats(haar.detail_max.T))),
+            **{name: [_FLAG_TEXT[flag] for flag in np.asarray(column, dtype=object).tolist()]
+               for name, column in flags.items()},
         }
-        values.update((name, _floats(columns[name])) for name in _FLOAT_COLUMNS)
-        values.update(zip(self.levels, _floats(np.asarray(columns["detail_max"]).T)))
-        for name in _FLAG_COLUMNS:
-            flags = np.asarray(columns[name], dtype=object).tolist()
-            values[name] = [_FLAG_TEXT[flag] for flag in flags]
-        rows = zip(*(values[name] for name in self.entry_names))
-        text = self.join.join([self.entry % row for row in rows])
-        return text if first else self.join + text
+        text = self.join.join([self.entry % row for row in zip(
+            *(values[name] for name in self.entry_names))])
+        return self.join + text if a else text
 
     def write(self, fh, entries, original_length: int, pad_count: int,
               block_count: int, passed: bool) -> None:
@@ -783,51 +712,6 @@ def write_values(out, values: np.ndarray, format: str = "csv") -> None:
         data = _text(lines)
     with _opened(out, binary) as fh:
         fh.write(data)
-
-
-def _haar_constants(block: BlockResult) -> tuple:
-    """The values of a block's Haar summary that a _ReportLayout holds."""
-    s = block.haar_summary
-    bounds = tuple(level["bound"] for level in s["detail_levels"])
-    return s["n_exponent"], s["dc_bound"], bounds, s["sup_bound"], s["slack"]
-
-
-def _block_columns(blocks: list[BlockResult]) -> dict:
-    """The columns of _ReportLayout.entries for a list of blocks."""
-    summaries = [block.haar_summary for block in blocks]
-    haar = ("dc_ok", "details_ok", "sup_ok", *_FLOAT_COLUMNS)
-    return {
-        "index": [block.index for block in blocks],
-        "quantized_sha256": [block.quantized_sha256 for block in blocks],
-        "dc_total": [block.dc_total for block in blocks],
-        **{name: [s[name] for s in summaries] for name in haar},
-        "haar_pass": [s["pass"] for s in summaries],
-        "detail_max": [[level["max_error"] for level in s["detail_levels"]] for s in summaries],
-        "spectrum_pass": [block.spectrum_pass for block in blocks],
-        "pass": [block.passed for block in blocks],
-    }
-
-
-def write_report(report: RunReport, path: str) -> None:
-    """Emit the run report as canonical JSON: the bytes of
-    dumps_canonical(report.to_dict()), each block rendered from the
-    layout of its Haar constants."""
-    if not report.blocks:
-        _write_lines(path, [dumps_canonical(report.to_dict())])
-        return
-    layouts = {}
-    runs = []  # (layout, blocks) for each run of blocks with one layout
-    for key, blocks in itertools.groupby(report.blocks, key=_haar_constants):
-        if key not in layouts:
-            layouts[key] = _ReportLayout(report.config, *key)
-        runs.append((layouts[key], list(blocks)))
-    entries = (
-        run_layout.entries(_block_columns(blocks), first=not i)
-        for i, (run_layout, blocks) in enumerate(runs)
-    )
-    with _opened(path, binary=False) as fh:
-        runs[0][0].write(fh, entries, report.original_length, report.pad_count,
-                         len(report.blocks), report.passed)
 
 
 _SPECTRUM_HEADER = "xi,measured,bound_exact,bound_linear,baseline_bound\n"

@@ -15,8 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from haarq import (
-    BlockResult, FrequencyGrid, QuantizedSignal, RunReport, Signal, dumps_canonical, make_grid,
-    quantize_haar_optimal, quantize_simple, spectrum_error, verify_haar_bounds,
+    FrequencyGrid, QuantizedSignal, Signal, dumps_canonical, make_grid, quantize_haar_optimal,
+    quantize_simple, spectrum_error, verify_haar_bounds,
 )
 
 
@@ -188,15 +188,50 @@ def satisfies_all_haar_bounds(f: Signal, g_values, slack: float = 1e-12) -> bool
     return sup <= 1.0 - 2.0 ** (-n - 1) + slack
 
 
-def report_reference(values, n: int, config: dict, codes=None, spectrum: bool = False) -> str:
+def report_block(index: int, f: Signal, g: QuantizedSignal, spectrum_pass=None) -> dict:
+    """A block's report entry as a dict: its codes' digest and total, its
+    HaarErrorReport with each level's errors reduced to their maximum, and
+    its spectrum flag (None where the spectrum was not measured)."""
+    r = verify_haar_bounds(f, g)
+    haar = {
+        "n_exponent": r.n_exponent,
+        "dc_input": r.dc_input,
+        "dc_quantized": r.dc_quantized,
+        "dc_error": r.dc_error,
+        "dc_bound": r.dc_bound,
+        "detail_levels": [
+            {"level": k, "max_error": float(err.max()), "bound": float(bound)}
+            for k, (err, bound) in enumerate(zip(r.detail_errors, r.detail_bounds), start=1)
+        ],
+        "sup_error": r.sup_error,
+        "sup_bound": r.sup_bound,
+        "slack": r.slack,
+        "dc_ok": r.dc_ok,
+        "details_ok": r.details_ok,
+        "sup_ok": r.sup_ok,
+        "pass": r.passed,
+    }
+    return {
+        "index": index,
+        "quantized_sha256": codes_sha256(g.values),
+        "dc_total": int(g.values.sum()),
+        "haar": haar,
+        "spectrum_pass": spectrum_pass,
+        "pass": r.passed and spectrum_pass is not False,
+    }
+
+
+def report_reference(values, n: int, config: dict, codes=None, spectrum=False) -> str:
     """The canonical JSON report of a CLI run, built one block at a time:
-    each zero-padded block's HaarErrorReport, its BlockResult.to_dict(),
-    and dumps_canonical over the whole RunReport.to_dict().
+    each zero-padded block's report_block dict, then dumps_canonical over
+    the whole run's dict.
 
     values are the scaled input samples and config the run's echoed
     configuration; codes are the run's codes, or None to quantize each
-    block here with config's quantizer and tie rule.  spectrum adds each
-    block's spectrum pass flag, as verify does.
+    block here with config's quantizer and tie rule.  spectrum is False
+    for no spectrum flags, as quantize writes; True for each block's
+    spectrum pass flag, as verify measures it; or a list of one flag per
+    block, taken as given.
     """
     size = 1 << n
     pad = -len(values) % size
@@ -213,11 +248,16 @@ def report_reference(values, n: int, config: dict, codes=None, spectrum: bool = 
             g = quantize_simple(f, config["tie_break"])
         else:
             g, _ = quantize_haar_optimal(f, config["tie_break"])
-        blocks.append(BlockResult(
-            index=i,
-            quantized=g.values,
-            dc_total=int(g.values.sum()),
-            haar=verify_haar_bounds(f, g),
-            spectrum_pass=spectrum_error(f, g).all_pass if spectrum else None,
-        ))
-    return dumps_canonical(RunReport(config, len(values), pad, blocks).to_dict())
+        if spectrum is True:
+            spectrum_pass = spectrum_error(f, g).all_pass
+        else:
+            spectrum_pass = spectrum[i] if spectrum else None
+        blocks.append(report_block(i, f, g, spectrum_pass))
+    return dumps_canonical({
+        "config": config,
+        "original_length": len(values),
+        "pad_count": pad,
+        "block_count": len(blocks),
+        "blocks": blocks,
+        "pass": all(block["pass"] for block in blocks),
+    })

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from haarq import (
-    Signal, make_grid, quantize_haar_optimal, report_io, spectral, spectrum_error,
+    Signal, cli, make_grid, quantize_haar_optimal, report_io, spectral, spectrum_error,
 )
 from haarq.cli import CHUNK_SAMPLES, main
 
@@ -487,6 +487,19 @@ class TestExitCodes:
         write_csv(src, WORKED)
         assert main(["quantize", "--input", str(src), "--block-exp", "99"]) == 2
 
+    @pytest.mark.parametrize("command", ["quantize", "verify"])
+    def test_block_exp_is_checked_before_the_report_layout_is_made(
+            self, tmp_path, monkeypatch, capsys, command):
+        # The layout grows as 2**N; a bad N must be refused without one.
+        def no_layout(*args):
+            raise AssertionError("report layout made before N was checked")
+
+        monkeypatch.setattr(cli, "_ReportLayout", no_layout)
+        src = tmp_path / "in.csv"
+        write_csv(src, WORKED)
+        assert main([command, "--input", str(src), "--block-exp", "25",
+                     "--report", str(tmp_path / "r.json")]) == 2
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["quantize", "--input", str(tmp_path / "none.csv")]) == 3
 
@@ -524,6 +537,22 @@ class TestEveryFlagActs:
         reference, flagged = self.CASES[case]
         assert self.run(tmp_path, flagged) != self.run(tmp_path, reference)
 
+    @pytest.mark.parametrize("flag", [("--baseline",), ("--tie-break", "up"),
+                                      ("--tie-break", "down")])
+    def test_quantizer_flags_are_refused_with_quantized_codes(self, tmp_path, capsys, flag):
+        # Given codes, the quantizer's flags could not act: verify refuses
+        # them with exit 2 before it reads any input (a missing one would
+        # exit 3), and runs as before without them.
+        src, q = tmp_path / "in.csv", tmp_path / "q.csv"
+        assert self.run(tmp_path, ())[0] == 0
+        (tmp_path / "out.csv").rename(q)
+        argv = ["verify", "--block-exp", "3", "--input", str(src), "--quantized", str(q)]
+        assert main(argv) == 0
+        q.unlink()
+        src.unlink()
+        assert main([*argv, *flag]) == 2
+        assert "--quantized" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
@@ -545,9 +574,46 @@ class TestDeterminism:
         assert reps[0] == reps[1]
 
 
+class TestReportContents:
+    def run(self, tmp_path, values, n):
+        src, rep = tmp_path / "in.csv", tmp_path / "rep.json"
+        write_csv(src, values)
+        assert main(["quantize", "--block-exp", str(n), "--input", str(src),
+                     "--output", str(tmp_path / "out.csv"), "--report", str(rep)]) == 0
+        return json.loads(rep.read_text(encoding="utf-8"))
+
+    def test_worked_example(self, tmp_path):
+        report = self.run(tmp_path, WORKED, 2)
+        block = report["blocks"][0]
+        assert block["quantized_sha256"] == codes_sha256([0, 0, 1, 0])
+        assert block["dc_total"] == 1
+        assert block["haar"]["dc_input"] == 0.15
+        assert block["spectrum_pass"] is None
+        assert block["pass"] is True
+        assert report["pass"] is True
+
+    def test_schema_stable_keys(self, tmp_path):
+        report = self.run(tmp_path, [0.1] * 8, 3)
+        assert set(report) == {
+            "config", "original_length", "pad_count", "block_count", "blocks", "pass",
+        }
+        block = report["blocks"][0]
+        assert set(block) == {
+            "index", "quantized_sha256", "dc_total", "haar", "spectrum_pass", "pass",
+        }
+        assert set(block["haar"]) == {
+            "n_exponent", "dc_input", "dc_quantized", "dc_error", "dc_bound",
+            "detail_levels", "sup_error", "sup_bound", "slack", "dc_ok", "details_ok",
+            "sup_ok", "pass",
+        }
+        assert [set(level) for level in block["haar"]["detail_levels"]] == [
+            {"level", "max_error", "bound"}] * 3
+
+
 class TestReportBytes:
-    """A CLI report is the bytes of the reference, which renders every block
-    through BlockResult.to_dict() and dumps_canonical."""
+    """A CLI report is the bytes of the reference, which builds every block's
+    entry as a dict from its HaarErrorReport and renders the whole run
+    through dumps_canonical."""
 
     TIES = {"down": "toward_negative", "up": "toward_positive"}
 
@@ -629,19 +695,23 @@ class TestReportBytes:
         assert text == report_reference([], 3, self.config(3), spectrum=command == "verify")
         assert json.loads(text)["blocks"] == []
 
-    def test_a_non_finite_value_is_not_rendered(self):
-        layout = report_io._ReportLayout(self.config(1), 1, 0.25, [0.5], 0.75, 1e-12)
-        columns = {
-            "index": [0], "quantized_sha256": ["0" * 64], "dc_total": [0],
-            "dc_input": [0.0], "dc_quantized": [0.0], "dc_error": [0.0], "sup_error": [0.0],
-            "dc_ok": [True], "details_ok": [True], "sup_ok": [True], "haar_pass": [True],
-            "detail_max": [[0.0]], "spectrum_pass": [None], "pass": [True],
-        }
-        assert '"max_error": 0.0' in layout.entries(columns, first=True)
-        for name in ("dc_error", "detail_max"):
-            bad = dict(columns, **{name: [[math.nan]] if name == "detail_max" else [math.inf]})
-            with pytest.raises(ValueError, match="non-finite"):
-                layout.entries(bad, first=True)
+    def test_a_non_finite_value_is_not_rendered(self, tmp_path, monkeypatch, capsys):
+        # A non-finite measurement raises ValueError, which exits 2, and the
+        # run leaves neither its codes nor its report.
+        real = cli._haar_error_rows
+        src = tmp_path / "in.csv"
+        write_csv(src, WORKED)
+        for column, bad in (("dc_error", math.inf), ("detail_max", math.nan)):
+            def spoiled(f, g, r=None):
+                rows = real(f, g, r)
+                return rows._replace(**{column: np.full_like(getattr(rows, column), bad)})
+
+            monkeypatch.setattr(cli, "_haar_error_rows", spoiled)
+            assert main(["quantize", "--block-exp", "2", "--input", str(src),
+                         "--output", str(tmp_path / "out.csv"),
+                         "--report", str(tmp_path / "rep.json")]) == 2
+            assert "non-finite" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
     @pytest.mark.parametrize("command", ["quantize", "verify"])
     def test_one_layout_per_run_whatever_its_blocks(self, tmp_path, monkeypatch, capsys,

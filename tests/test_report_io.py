@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import math
 import os
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from haarq import (
     InputFormatError,
     InputSpec,
-    RunReport,
     Signal,
     dumps_canonical,
     format_float,
@@ -21,15 +21,14 @@ from haarq import (
     quantize_haar_optimal,
     read_signal,
     spectrum_error,
-    verify_haar_bounds,
-    write_report,
     write_spectrum_csv,
     write_values,
 )
 from haarq.cli import main
-from haarq.report_io import CHUNK_SAMPLES, BlockResult, _float_texts
+from haarq.quantizer import _haar_error_rows
+from haarq.report_io import CHUNK_SAMPLES, _ReportLayout, _float_texts
 
-from oracles import codes_sha256, spectrum_csv_reference
+from oracles import quantize_per_block, report_reference, spectrum_csv_reference
 
 
 def write_csv(path, values):
@@ -317,105 +316,32 @@ class TestIntegerCsv:
         assert p.read_bytes() == b""
 
 
-def make_report(tmp_path, values, n):
-    f = Signal(make_grid(n), values)
-    g, _ = quantize_haar_optimal(f)
-    report = RunReport(
-        config={"tie_break": "toward_negative", "scale_delta": 1.0},
-        original_length=len(values),
-        pad_count=0,
-    )
-    report.blocks.append(
-        BlockResult(
-            index=0,
-            quantized=g.values,
-            dc_total=int(g.values.sum()),
-            haar=verify_haar_bounds(f, g),
-        )
-    )
-    return report
-
-
-class TestRunReport:
-    def test_deterministic_bytes(self, tmp_path):
-        report = make_report(tmp_path, [0.3, -0.2, 0.4, 0.1], 2)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(report, str(p1))
-        write_report(report, str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_empty_report_passes_vacuously(self, tmp_path):
-        report = RunReport(config={}, original_length=0, pad_count=0)
-        assert report.passed
-        p = tmp_path / "empty.json"
-        write_report(report, str(p))
-        parsed = json.loads(p.read_text())
-        assert parsed["pass"] is True
-        assert parsed["blocks"] == []
-
-    def test_worked_example_contents(self, tmp_path):
-        report = make_report(tmp_path, [0.3, -0.2, 0.4, 0.1], 2)
-        p = tmp_path / "r.json"
-        write_report(report, str(p))
-        parsed = json.loads(p.read_text())
-        block = parsed["blocks"][0]
-        assert block["quantized_sha256"] == codes_sha256([0, 0, 1, 0])
-        assert block["dc_total"] == 1
-        assert block["haar"]["dc_input"] == 0.15
-        assert block["pass"] is True
-        assert parsed["pass"] is True
-
-    def test_schema_stable_keys(self, tmp_path):
-        report = make_report(tmp_path, [0.1] * 8, 3)
-        parsed = json.loads(dumps_canonical(report.to_dict()))
-        assert set(parsed) == {
-            "config",
-            "original_length",
-            "pad_count",
-            "block_count",
-            "blocks",
-            "pass",
-        }
-        block = parsed["blocks"][0]
-        assert set(block) == {
-            "index",
-            "quantized_sha256",
-            "dc_total",
-            "haar",
-            "spectrum_pass",
-            "pass",
-        }
-        assert {"dc_input", "dc_error", "dc_bound", "detail_levels", "sup_error"} <= set(
-            block["haar"]
-        )
-
-    def test_bytes_are_those_of_the_whole_dict(self, tmp_path):
-        # Blocks of three sizes, spectrum flags of every kind, a failing
-        # block, and a config with a '%' and text like the layout's slots.
+class TestReportLayout:
+    def test_bytes_are_those_of_the_reference(self):
+        # A config with a '%' and text like the layout's slots, a failing
+        # block, and spectrum flags of every kind, in two chunks.
         config = {"note": "100% {x}", "slot": "$int:index", "slots": "$$float:dc_error"}
-        report = RunReport(config=config, original_length=11, pad_count=3)
-        rng = np.random.default_rng(77)
-        for i, n in enumerate([2, 2, 0, 3, 2]):
-            f = Signal(make_grid(n), rng.uniform(-9.0, 9.0, 1 << n))
-            g, _ = quantize_haar_optimal(f)
-            if i == 1:
-                g = replace(g, values=g.values + 1)
-            report.blocks.append(BlockResult(
-                index=i, quantized=g.values, dc_total=int(g.values.sum()),
-                haar=verify_haar_bounds(f, g), spectrum_pass=[None, True, False][i % 3],
-            ))
-        p = tmp_path / "r.json"
-        write_report(report, str(p))
-        assert p.read_text(encoding="utf-8") == dumps_canonical(report.to_dict())
-        assert not report.passed
+        n = 2
+        values = np.random.default_rng(77).uniform(-9.0, 9.0, 17)
+        codes = quantize_per_block(values, n)
+        codes[5] += 1  # block 1
+        f = np.concatenate([values, np.zeros(3)]).reshape(-1, 4)
+        g = np.concatenate([codes, np.zeros(3, dtype=np.int64)]).reshape(-1, 4)
+        layout = _ReportLayout(config, n)
+        entries = [
+            layout.entries(0, g[:2], _haar_error_rows(f[:2], g[:2])),
+            layout.entries(2, g[2:], _haar_error_rows(f[2:], g[2:]),
+                           np.array([True, False, True])),
+        ]
+        out = io.StringIO()
+        layout.write(out, entries, 17, 3, 5, False)
+        spectrum = [None, None, True, False, True]
+        assert out.getvalue() == report_reference(values, n, config, codes, spectrum)
+        assert [b["pass"] for b in json.loads(out.getvalue())["blocks"]] == [
+            True, False, True, False, True]
 
-    def test_a_non_finite_value_raises(self, tmp_path):
-        report = make_report(tmp_path, [0.3, -0.2, 0.4, 0.1], 2)
-        report.blocks[0].haar_summary["dc_error"] = float("nan")
-        with pytest.raises(ValueError):
-            write_report(report, str(tmp_path / "r.json"))
-        assert not (tmp_path / "r.json").exists()
 
+class TestDumpsCanonical:
     def test_canonical_json_golden_bytes(self):
         obj = {
             "z": [0.1, 1.0, 1e-12],
