@@ -7,8 +7,9 @@ read, scaled, quantized, measured and written, then dropped.  Chunks
 are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
 flight; an input of one chunk is computed on the calling thread.  A
-spectrum table is formatted on the calling thread.  The output does
-not depend on the number of CPUs.  Memory depends on the block size
+spectrum table is formatted in chunks on the same threads, and written
+on the calling thread.  The output does not depend on the number of
+CPUs.  Memory depends on the block size
 and the number of CPUs, not on the input length: `--report` entries
 wait in an unnamed temporary file until the input has ended and the
 report's head, which gives the block count, can be written.

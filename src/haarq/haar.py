@@ -152,12 +152,14 @@ def _pairwise_levels(values: np.ndarray) -> list[np.ndarray]:
     """Bottom-up pairwise sums along the last axis.
 
     Returns levels[0..N] with levels[k] of shape (..., 2**k); a (rows, 2**N)
-    array gives one pyramid per row.
+    array gives one pyramid per row.  A sum beyond the float range is inf
+    or nan, without a warning: the quantizer's budget check rejects it.
     """
     levels = [values]
-    while levels[-1].shape[-1] > 1:
-        v = levels[-1]
-        levels.append(v[..., 0::2] + v[..., 1::2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        while levels[-1].shape[-1] > 1:
+            v = levels[-1]
+            levels.append(v[..., 0::2] + v[..., 1::2])
     levels.reverse()
     return levels
 

@@ -182,9 +182,11 @@ def read_signal(spec: InputSpec):
             valid = values.size
             length += valid
             # Every piece is a new array or a part of one that no other
-            # chunk shares, so it is scaled in place; x / 1.0 is x.
+            # chunk shares, so it is scaled in place; x / 1.0 is x.  A
+            # quotient beyond the float range is inf, which the budget rejects.
             if spec.scale_delta != 1.0:
-                values /= spec.scale_delta
+                with np.errstate(over="ignore"):
+                    values /= spec.scale_delta
             if valid % size:
                 if spec.pad_policy == "reject_partial":
                     raise InputFormatError(
@@ -428,7 +430,9 @@ def _floats(column):
 
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _TEXT_WIDTH = 24  # len(repr(-2.2250738585072014e-308))
-_TEXT_PIECE = 1 << 12  # values rendered at once, so that temporaries stay in cache
+# Values rendered at once, a spectrum chunk's three columns: NumPy calls this
+# long leave the interpreter lock free while other threads render theirs.
+_TEXT_PIECE = 3 * CHUNK_SAMPLES // 8
 # A source row of _float_texts: these symbols, then a 20-digit field, bytes
 # 8 to 27, holding the digits right aligned, then |exponent| in 4 digits.
 _SYMBOLS = np.frombuffer(b"\0-.0e+\0\0", np.uint64)[0]
@@ -470,40 +474,42 @@ def _ryu_tables():
     return limbs, (shift - 96).astype(np.uint64), e10, exact, five, near
 
 
-def _floor_shift(cols, r):
-    """floor(P / 2**(96 + r)) as uint64, for P the sum of cols[k] * 2**(32k)."""
-    c = cols[0] >> 32
-    c = cols[1] + c >> 32
-    c = cols[2] + c >> 32
-    c = cols[3] + c
-    top = (cols[4] + (c >> 32)).view(np.uint64)
-    return (c & 0xFFFFFFFF).view(np.uint64) >> r | top << 32 - r
+def _products(mv, mm, be):
+    """Ryū's vr, vp and vm: floor(x * mul / 2**(96 + r)) for x = mv, mv + 2
+    and mv - 1 - mm, mul and r by biased exponent, summed in 32-bit columns
+    from the lowest up, one carry per x, so one column is held at a time."""
+    limbs, shifts = _ryu_tables()[:2]
+    x0, x1 = mv & 0xFFFFFFFF, (mv >> 32).view(np.int64)
+    steps = (0, 2, -1 - mm)  # x - mv
+    carries = [0, 0, 0]  # into column k, one per x; at the end, column 3 itself
+    high = 0  # the part of the last limb's products that falls in column k
+    for k in range(4):
+        m = np.take(limbs[k], be)
+        p = x0 * m
+        m = m.view(np.int64)
+        column = (p & 0xFFFFFFFF).view(np.int64) + high
+        high = (p >> 32).view(np.int64) + x1 * m
+        for j, step in enumerate(steps):
+            c = column + carries[j] + step * m
+            carries[j] = c >> 32 if k < 3 else c
+    r = np.take(shifts, be)
+    return [(c & 0xFFFFFFFF).view(np.uint64) >> r | (high + (c >> 32)).view(np.uint64) << 32 - r
+            for c in carries]
 
 
 def _shortest(v):
     """The shortest digits that read back as v, for finite nonzero
     float64s, as an integer, and the power of ten of its last digit: Ryū's
     d2s, with the digit count of its common case found directly."""
-    limbs, shifts, e10, exact, five, near = _ryu_tables()
+    e10, exact, five, near = _ryu_tables()[2:]
     bits = v.view(np.uint64)
     be = (bits >> 52 & 0x7FF).astype(np.intp)
-    mant = bits & (1 << 52) - 1
-    m2 = mant | (be > 0).astype(np.uint64) << 52
-    mv = m2 << 2
-    mm = ((mant != 0) | (be <= 1)).astype(np.int64)  # Ryū's mmShift
-    even = (m2 & 1) == 0  # the interval's bounds read back as v
-    mul, r = np.take(limbs, be, axis=1).view(np.int64), np.take(shifts, be)
-    # mv * mul in 32-bit columns; each column holds its own carries.
-    x0, x1 = mv & 0xFFFFFFFF, (mv >> 32).view(np.int64)
-    cols = [np.zeros(v.shape, np.int64) for _ in range(5)]
-    for k in range(4):
-        p = x0 * mul[k].view(np.uint64)
-        cols[k] += (p & 0xFFFFFFFF).view(np.int64)
-        cols[k + 1] += (p >> 32).view(np.int64) + x1 * mul[k]
-    # (mv + 2) * mul and (mv - 1 - mmShift) * mul from the same columns.
-    vr = _floor_shift(cols, r)
-    vp = _floor_shift([c + 2 * m for c, m in zip(cols, mul)] + cols[4:], r)
-    vm = _floor_shift([c - (1 + mm) * m for c, m in zip(cols, mul)] + cols[4:], r)
+    mv = bits & (1 << 52) - 1  # the mantissa field, made 4 * m2 in place
+    mm = ((mv != 0) | (be <= 1)).astype(np.int64)  # Ryū's mmShift
+    mv |= (be > 0).astype(np.uint64) << 52
+    mv <<= 2
+    even = (mv & 4) == 0  # the interval's bounds read back as v
+    vr, vp, vm = _products(mv, mm, be)
     vr_exact = (mv & np.take(exact, be)) == 0
     vm_exact = np.zeros(v.shape, bool)
     s = np.flatnonzero(np.take(near, be))
@@ -609,17 +615,23 @@ def _float_texts(values) -> np.ndarray:
         sign = (part.view(np.uint64) >> 63).astype(np.intp)
         src = np.empty((part.size, 8), np.uint32)
         src.view(np.uint64)[:, 0] = _SYMBOLS
-        # The digits as five groups of four: d // 10**16, ..., d % 10**4.
-        groups = [digits.astype(np.int64)]
-        for _ in range(4):
-            high = groups[0] // 10**4
-            groups[:1] = [high, groups[0] - high * 10**4]
-        for col, quad in enumerate([*groups, np.abs(e)], start=2):
-            src[:, col] = np.take(_quads(), quad)
-        index = np.take(_templates(), (sign * 18 + nd) * 24 + layout, axis=0)
-        index += np.arange(0, 32 * part.size, 32)[:, None]
-        np.take(src.view(np.uint8).reshape(-1), index, out=texts[a : a + _TEXT_PIECE],
-                mode="clip")
+        src[:, 7] = np.take(_quads(), np.abs(e))
+        # The digits in five groups of four, d % 10**4 in column 6 up to
+        # d // 10**16 in column 2.
+        d = digits.astype(np.int64)
+        for col in range(6, 2, -1):
+            high = d // 10**4
+            src[:, col] = np.take(_quads(), d - high * 10**4)
+            d = high
+        src[:, 2] = np.take(_quads(), d)
+        template = (sign * 18 + nd) * 24 + layout
+        # A third of each row's bytes at a time, so that the index is small.
+        index = np.empty((part.size, 8), np.intp)
+        for b in range(0, _TEXT_WIDTH, 8):
+            np.take(_templates()[:, b : b + 8], template, axis=0, out=index, mode="clip")
+            index += np.arange(0, 32 * part.size, 32)[:, None]
+            texts[a : a + _TEXT_PIECE, b : b + 8] = np.take(
+                src.view(np.uint8).reshape(-1), index, mode="clip")
     return texts
 
 
@@ -740,10 +752,11 @@ def _format_spectrum_rows(lo, measured, exact, linear):
     rows[:, 1:9] = np.take(_quads(), quads).view(np.uint8)
     for d in range(1, 8):
         rows[: max(0, 10**d - lo), 1 : 9 - d] = 0
+    texts = _float_texts(np.stack([measured, exact, linear], axis=1)).reshape(size, 3, -1)
     at = 9
-    for column in (measured, exact, linear):
+    for j in range(3):
         rows[:, at] = ord(",")
-        rows[:, at + 1 : at + 1 + _TEXT_WIDTH] = _float_texts(column)
+        rows[:, at + 1 : at + 1 + _TEXT_WIDTH] = texts[:, j]
         at += 1 + _TEXT_WIDTH
     rows[:, at:] = np.frombuffer(baseline, np.uint8)
     return rows
@@ -756,36 +769,44 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     written whole, or an open text stream to append to.  Every column of
     a spectrum table is even in xi, so each |xi| is formatted once: its
     row xi, prefixed with '-', is the row -xi.  The table is formatted
-    in chunks of CHUNK_SAMPLES // 2 values of |xi|, from the highest |xi|
-    down.  A chunk's rows xi >= 1 are appended to an unnamed temporary
-    file, and then its rows -xi are written, highest |xi| first; the row
-    xi = 0 follows the last chunk's.  Then the rows xi are copied out of
-    the temporary file a chunk at a time, the last chunk first.  Every
-    kind of output, a file, stdout, a pipe, a device or a stream, takes
-    this one path.  A table with a non-finite value raises ValueError
-    before the file is opened.
+    in chunks of CHUNK_SAMPLES // 8 values of |xi|, from the highest |xi|
+    down, on the compute threads of _in_order, each chunk into the text
+    of its rows xi >= 1 and of its rows -xi, highest |xi| first; the row
+    xi = 0 follows the last chunk's.  The calling thread appends each
+    chunk's rows xi to an unnamed temporary file and writes its rows -xi,
+    in order, and then copies the rows xi out of the temporary file a
+    chunk at a time, the last chunk first.  Every kind of output, a file,
+    stdout, a pipe, a device or a stream, takes this one path.  A table
+    with a non-finite value raises ValueError before the file is opened.
     """
     columns = [table.measured_half, table.bound_exact_half, table.bound_linear_half]
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError("cannot render non-finite value")
     # The grid's negative frequencies are -1 .. -last_negative.
     last_negative = FrequencyGrid(table.n_exponent).index_of(0)
-    size = columns[0].size
-    step = CHUNK_SAMPLES // 2  # values of |xi| per chunk, two rows each
-    with _opened(out, binary=False) as fh, _temporary_text() as spill:
+    step = CHUNK_SAMPLES // 8  # values of |xi| per chunk, two rows each
+
+    def chunk_texts(lo, hi):
+        """The text of the rows xi = lo .. hi - 1 but 0, and of the rows
+        -xi among them, highest |xi| first, with the row 0 last."""
+        rows = _format_spectrum_rows(lo, *(c[lo:hi] for c in columns))
+        a, b = int(lo == 0), last_negative + 1 - lo
+        positive = _text(rows[a:])
+        rows[a:b, 0] = ord("-")
+        return positive, _text(rows[:b][::-1])
+
+    bounds = ((max(0, hi - step), hi) for hi in range(columns[0].size, 0, -step))
+    with (
+        _opened(out, binary=False) as fh,
+        _temporary_text() as spill,
+        contextlib.closing(_in_order(chunk_texts, bounds)) as chunks,
+    ):
         fh.write(_SPECTRUM_HEADER)
         ends = [0]  # where each chunk's rows xi end in the spill, which is ASCII
-        for hi in range(size, 0, -step):
-            lo = max(0, hi - step)
-            rows = _format_spectrum_rows(lo, *(c[lo:hi] for c in columns))
-            # rows[a:b] have a twin -xi.  The spill's text is made and
-            # written before the rows -xi are, so the two are never held
-            # at once.
-            a, b = int(lo == 0), last_negative + 1 - lo
-            spill.write(_text(rows[a:]))
+        for positive, negative in chunks:
+            spill.write(positive)
             ends.append(spill.tell())
-            rows[a:b, 0] = ord("-")
-            fh.write(_text(rows[:b][::-1]))
+            fh.write(negative)
         for start, end in reversed(list(itertools.pairwise(ends))):
             spill.seek(start)
             fh.write(spill.read(end - start))

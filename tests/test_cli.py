@@ -347,6 +347,37 @@ class TestLargeMagnitudes:
         assert code == 2
         assert "64-bit integer budget" in capsys.readouterr().err
 
+    # Totals or scaled samples beyond the float range are refused in one
+    # line; a NumPy overflow warning before it would escape main here.
+    @pytest.mark.parametrize("samples, flags", [
+        ("1e10\n2\n", ["--delta", "1e-300"]),
+        ("1e308\n1e308\n", []),
+        ("1e308\n1e308\n", ["--baseline"]),
+    ], ids=["scaled", "summed", "baseline"])
+    def test_quantize_beyond_the_float_range_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, samples, flags
+    ):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(samples))
+        code = main(["quantize", "--block-exp", "1", "--output", str(tmp_path / "q.csv"),
+                     *flags])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: signal totals exceed the 64-bit integer budget\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_verify_codes_beyond_the_float_range_are_one_error_line(self, tmp_path,
+                                                                     capsys):
+        src, q = tmp_path / "in.csv", tmp_path / "q.csv"
+        src.write_text("1\n2\n")
+        q.write_text("1e308\n1e308\n")
+        code = main(["verify", "--block-exp", "1", "--input", str(src),
+                     "--quantized", str(q)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: quantized totals exceed the 64-bit integer budget\n")
+
 
 class TestUnsoundVerdicts:
     """Verdicts that the fixed float slacks and the float totals get wrong
@@ -1079,10 +1110,15 @@ class TestBoundedMemory:
         assert self.peak(tmp_path, (1 << n) // CHUNK_SAMPLES, n, argv) <= 4 * (8 << n)
 
     # /dev/null is a device: it is written in place and cannot be read back.
+    # Two CPUs format two chunks on workers while the calling thread writes
+    # a third.
     @pytest.mark.parametrize("target", ["file", "devnull"])
-    def test_a_large_spectrum_holds_no_table_text_or_full_grid(self, tmp_path, target):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_large_spectrum_holds_no_table_text_or_full_grid(self, tmp_path, monkeypatch,
+                                                                cpus, target):
         # Full-grid columns and the text of the rows xi >= 0, held until the
         # rows xi < 0 were written, took 10.5 times the block's bytes.
+        use_cpus(monkeypatch, cpus)
         n = 18
         output = str(tmp_path / "spec.csv") if target == "file" else os.devnull
         argv = ["spectrum", "--output", output]
@@ -1101,10 +1137,11 @@ def spectrum_case(n):
 
 
 class TestLargeSpectrum:
-    """Large tables, formatted by the bulk float-text kernel on the calling
-    thread, match a reference that formats every row with repr, whatever
-    the number of compute threads.  At N = 16, 17 and 18 the last
-    formatting chunk holds only xi = 0."""
+    """Large tables, formatted by the bulk float-text kernel on the compute
+    threads, match a reference that formats every row with repr, whatever
+    the number of threads.  A chunk holds 2**13 values of |xi|: at N = 13
+    the table is one chunk, and at N = 14, 16, 17 and 18 the last chunk
+    holds only xi = 0."""
 
     def run(self, tmp_path, data, n, output):
         src = tmp_path / "in.raw"
@@ -1146,3 +1183,68 @@ class TestLargeSpectrum:
         assert code == 0
         for i in range(3):
             assert (tmp_path / f"spec.block{i:04d}.csv").read_text() == expected
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n, inline", [(13, True), (14, False)])
+    def test_chunk_edges_match_the_reference(self, tmp_path, monkeypatch, n, inline, cpus):
+        use_cpus(monkeypatch, cpus)
+        threads = []
+        format_rows = report_io._format_spectrum_rows
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return format_rows(*args)
+
+        monkeypatch.setattr(report_io, "_format_spectrum_rows", recording)
+        data, expected = spectrum_case(n)
+        out = tmp_path / "spec.csv"
+        assert self.run(tmp_path, data, n, str(out)) == 0
+        assert out.read_bytes() == expected.encode()
+        # A lone chunk is formatted on the calling thread, two on workers.
+        assert len(threads) == (1 if inline else 2)
+        assert (set(threads) == {threading.main_thread()}) == inline
+
+    def test_a_failing_chunk_leaves_no_file_and_no_thread(self, tmp_path, monkeypatch,
+                                                          capsys):
+        use_cpus(monkeypatch, 2)
+        format_rows = report_io._format_spectrum_rows
+
+        def failing(lo, *columns):
+            # Chunks run from the highest |xi| down; the third of five fails.
+            if lo < 2 * CHUNK_SAMPLES // 8:
+                raise ValueError("cannot render the third chunk")
+            return format_rows(lo, *columns)
+
+        monkeypatch.setattr(report_io, "_format_spectrum_rows", failing)
+        data, _ = spectrum_case(16)
+        before = threading.active_count()
+        code = self.run(tmp_path, data, 16, str(tmp_path / "spec.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot render the third chunk\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["in.raw"]
+        assert threading.active_count() == before
+
+    def test_a_reader_that_leaves_after_one_line_ends_the_run(self, tmp_path, monkeypatch,
+                                                              capsys):
+        use_cpus(monkeypatch, 2)
+        data, expected = spectrum_case(16)
+        fifo = tmp_path / "spec.csv"
+        os.mkfifo(fifo)
+        lines = []
+
+        def read_one_line():
+            with open(fifo, "rb") as fh:
+                lines.append(fh.readline())
+
+        reader = threading.Thread(target=read_one_line, daemon=True)
+        reader.start()
+        codes = []
+        runner = threading.Thread(
+            target=lambda: codes.append(self.run(tmp_path, data, 16, str(fifo))), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        reader.join(timeout=60)
+        assert not runner.is_alive() and not reader.is_alive()
+        assert codes == [3]
+        assert lines == [expected.encode().splitlines(keepends=True)[0]]
+        assert "Broken pipe" in capsys.readouterr().err
