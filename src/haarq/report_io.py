@@ -205,20 +205,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_order(compute, chunks):
+def _in_order(compute, chunks, spare=0):
     """Yield compute(*chunk) for every chunk, in input order.
 
     Chunks are read on the calling thread and computed on a pool of
-    threads, one per usable CPU: `workers` chunks are submitted and one
-    more is read ahead, so at most workers + 1 are in flight.  When the
-    oldest is done, the next chunk is read and the one before it
-    submitted before the result is handed out, so no worker waits for a
-    result to be written, and with one worker no read runs beside a
-    computation: peak memory does not depend on thread timing.  A lone
-    chunk is computed on the calling thread; on a worker thread, the
-    memory it frees would stay in that thread's malloc arena.  A chunk's
-    error is raised after the results of every earlier chunk, and a read
-    error after the results of every chunk read before it.
+    threads, one per usable CPU: workers + spare chunks are submitted and
+    one more is read ahead.  When the oldest is done, the next chunk is
+    read and the one before it submitted before the result is handed
+    out, so no worker waits for a result to be written, and a spare lets
+    a worker go on while an earlier chunk is late.  With one worker and
+    no spare, no read runs beside a computation: peak memory does not
+    depend on thread timing.  A lone chunk is computed on the calling
+    thread; on a worker thread, the memory it frees would stay in that
+    thread's malloc arena.  An error is raised after the results of
+    every chunk before it: a read error, of every chunk read before it.
     """
     workers = _usable_cpus()
     chunks = iter(chunks)
@@ -254,7 +254,7 @@ def _in_order(compute, chunks):
         else:
             pending.append(pool.submit(compute, *first))
         while pending:
-            while ahead is not None and len(pending) < workers:
+            while ahead is not None and len(pending) < workers + spare:
                 ahead = submit(ahead)
             result = pending.popleft().result()
             if ahead is not None:
@@ -744,6 +744,8 @@ def _format_spectrum_rows(lo, measured, exact, linear):
     xi with '-' in its sign column is the row -xi.
     """
     size = len(measured)
+    # The floats first: the kernel's temporaries and the rows never coexist.
+    texts = _float_texts(np.stack([measured, exact, linear], axis=1)).reshape(size, 3, -1)
     baseline = f",{_BASELINE_BOUND!r}\n".encode()
     rows = np.zeros((size, 9 + 3 * (1 + _TEXT_WIDTH) + len(baseline)), np.uint8)
     # xi in 8 digits; the rows with xi < 10**d have their first 8 - d made NULs.
@@ -752,7 +754,6 @@ def _format_spectrum_rows(lo, measured, exact, linear):
     rows[:, 1:9] = np.take(_quads(), quads).view(np.uint8)
     for d in range(1, 8):
         rows[: max(0, 10**d - lo), 1 : 9 - d] = 0
-    texts = _float_texts(np.stack([measured, exact, linear], axis=1)).reshape(size, 3, -1)
     at = 9
     for j in range(3):
         rows[:, at] = ord(",")
@@ -799,7 +800,7 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     with (
         _opened(out, binary=False) as fh,
         _temporary_text() as spill,
-        contextlib.closing(_in_order(chunk_texts, bounds)) as chunks,
+        contextlib.closing(_in_order(chunk_texts, bounds, spare=1)) as chunks,
     ):
         fh.write(_SPECTRUM_HEADER)
         ends = [0]  # where each chunk's rows xi end in the spill, which is ASCII

@@ -1053,6 +1053,24 @@ class TestThreadPool:
         assert "No space left on device" in capsys.readouterr().err
         # The autouse fixture checks that no worker thread is left.
 
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_a_spare_chunk_lets_a_worker_pass_a_late_one(self, monkeypatch, spare):
+        # Chunk 0 is late until chunk 2 starts.  Without a spare, chunk 2 is
+        # submitted only once chunk 0's result is taken, so chunk 0 gives up
+        # waiting; with one, the worker done with chunk 1 starts it at once.
+        use_cpus(monkeypatch, 2)
+        third = threading.Event()
+
+        def compute(i):
+            if i == 0:
+                return third.wait(30 if spare else 0.2)
+            if i == 2:
+                third.set()
+            return i
+
+        chunks = ((i,) for i in range(4))
+        assert list(report_io._in_order(compute, chunks, spare)) == [bool(spare), 1, 2, 3]
+
 
 class TestBoundedMemory:
     """Peak memory does not grow with the input: tracemalloc follows NumPy's
@@ -1110,8 +1128,8 @@ class TestBoundedMemory:
         assert self.peak(tmp_path, (1 << n) // CHUNK_SAMPLES, n, argv) <= 4 * (8 << n)
 
     # /dev/null is a device: it is written in place and cannot be read back.
-    # Two CPUs format two chunks on workers while the calling thread writes
-    # a third.
+    # Two CPUs format two chunks on workers, with a spare one queued, while
+    # the calling thread writes a fourth.
     @pytest.mark.parametrize("target", ["file", "devnull"])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_large_spectrum_holds_no_table_text_or_full_grid(self, tmp_path, monkeypatch,
