@@ -22,9 +22,10 @@ made, and an input error found after some of it was written still
 exits 3.
 
 Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
-input-format error.  Bounds are measured by verify, spectrum and
-quantize --report; each writes every output first and then exits 1 if
-any measured bound failed.  quantize without --report measures nothing.
+input-format error.  verify, spectrum and quantize --report decide each
+block's DC and level bounds exactly, which imply its uniform and
+spectral bounds; each writes every output first and then exits 1 if a
+block failed.  quantize without --report decides nothing.
 """
 
 import argparse
@@ -257,14 +258,9 @@ def cmd_verify(args) -> int:
     def compute(a, f, valid, g=None):
         if g is None:
             g = _quantize_chunk(f, args)
-        residual = _residual(f, g)
-        haar = _haar_error_rows(f, g, residual)
-        spectrum_pass = np.array([table.all_pass for table in _residual_tables(residual)])
-        passed = haar.passed & spectrum_pass
-        entries = ""
-        if layout is not None:
-            entries = layout.entries(a, g, haar, spectrum_pass)
-        return valid, f.shape[0], bool(passed.all()), entries
+        haar = _haar_error_rows(f, g)
+        entries = layout.entries(a, g, haar) if layout is not None else ""
+        return valid, f.shape[0], bool(haar.passed.all()), entries
 
     length, count, passed = 0, 0, True
     with (
@@ -302,8 +298,12 @@ def cmd_spectrum(args) -> int:
     del ahead
 
     def compute(a, f, valid):
-        # The codes are dropped once the residual is formed, before the FFT.
-        return a, _residual_tables(_residual(f, _quantize_chunk(f, args)))
+        g = _quantize_chunk(f, args)
+        r = _residual(f, g)
+        passed = bool(_haar_error_rows(f, g, r).passed.all())
+        # The codes are dropped once the blocks are decided, before the FFT.
+        del g
+        return a, _residual_tables(r), passed
 
     passed = True
     with (
@@ -314,12 +314,12 @@ def cmd_spectrum(args) -> int:
             # No block: the table is its header alone, as quantize writes empty codes.
             with outputs.open(args.output, binary=False) as out:
                 out.write(_SPECTRUM_HEADER)
-        for a, tables in measured:
+        for a, tables, chunk_passed in measured:
             for i, table in enumerate(tables, start=a):
                 path = _block_path(args.output, i, single)
                 with outputs.open(path, binary=False) as out:
                     write_spectrum_csv(table, out)
-                passed &= table.all_pass
+            passed &= chunk_passed
     return 0 if passed else 1
 
 

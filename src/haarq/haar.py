@@ -164,22 +164,6 @@ def _pairwise_levels(values: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def _haar_rows(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Haar transform of every row of a (rows, 2**N) array.
-
-    Returns the DC coefficients, shape (rows,), and one (rows, 2**(k-1))
-    detail array per level k = 1..N.
-    """
-    levels = _pairwise_levels(values)
-    n = len(levels) - 1
-    dc = levels[0][:, 0] * np.exp2(-n)
-    details = [
-        (v[:, 1::2] - v[:, 0::2]) * np.exp2(-n + 0.5 * (k - 1))
-        for k, v in enumerate(levels[1:], start=1)
-    ]
-    return dc, details
-
-
 def inner_product(f: Signal, g: Signal) -> float:
     """Normalized dot product (1/2**N) * sum(f * g)."""
     if f.grid != g.grid:
@@ -223,8 +207,11 @@ def haar_analyze(f: Signal) -> HaarCoefficients:
     coefficient at position j is 2**(-N+(k-1)/2) times the difference of
     the right and left child totals.
     """
-    dc, details = _haar_rows(f.values[None, :])
-    return HaarCoefficients(f.n_exponent, dc[0], tuple(d[0] for d in details))
+    n = f.n_exponent
+    levels = _pairwise_levels(f.values)
+    details = ((v[1::2] - v[0::2]) * np.exp2(-n + 0.5 * (k - 1))
+               for k, v in enumerate(levels[1:], start=1))
+    return HaarCoefficients(n, levels[0][0] * np.exp2(-n), tuple(details))
 
 
 def haar_synthesize(coefficients: HaarCoefficients) -> Signal:

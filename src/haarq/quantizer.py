@@ -13,20 +13,24 @@ satisfies, for a grid of size 2**N,
 
 where dc/detail_k are the orthonormal Haar coefficients.  Both pyramids
 are tuples of level arrays.  The per-sample rounding baseline is provided
-for contrast, together with a report type that re-measures all three
-bound families for any (signal, quantized) pair.
+for contrast, together with a report type that decides the DC and level
+bounds exactly for any (signal, quantized) pair.  The uniform bound, and
+the spectral envelopes, are sums of the coefficient bounds by the
+triangle inequality, so they hold whenever these do, and the report
+gives the uniform error as a measurement only.
 """
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .haar import Signal, TimeGrid, _haar_rows, _pairwise_levels, _readonly
+from .haar import Signal, TimeGrid, _pairwise_levels, _readonly
 
 __all__ = [
-    "BOUND_SLACK",
     "QuantizedSignal",
     "HaarErrorReport",
     "choose_parity_constrained",
@@ -38,9 +42,6 @@ __all__ = [
 
 TIE_BREAKS = ("toward_negative", "toward_positive")
 PARITIES = ("even", "odd")
-
-# Additive slack used when re-checking the proved inequalities in floats.
-BOUND_SLACK = 1e-12
 
 # Totals beyond this magnitude risk int64 trouble downstream; reject early.
 _INT_BUDGET = float(2**60)
@@ -85,8 +86,9 @@ class QuantizedSignal:
 class HaarErrorReport:
     """Measured coefficient errors versus the proved bounds for one pair.
 
-    All three flags can be recomputed from the stored errors, bounds and
-    slack; they are precomputed for convenience.
+    dc_ok and details_ok are exact verdicts on the DC and level bounds,
+    which the stored float errors only approximate.  sup_error is a
+    measurement: the uniform bound sup_bound follows from the other two.
     """
 
     n_exponent: int
@@ -98,14 +100,12 @@ class HaarErrorReport:
     detail_bounds: np.ndarray
     sup_error: float
     sup_bound: float
-    slack: float
     dc_ok: bool
     details_ok: bool
-    sup_ok: bool
 
     @property
     def passed(self) -> bool:
-        return self.dc_ok and self.details_ok and self.sup_ok
+        return self.dc_ok and self.details_ok
 
 
 def _parity_round(target, parity, tie_break: str):
@@ -132,11 +132,6 @@ def _parity_round(target, parity, tie_break: str):
     return step
 
 
-def _round_nearest(x, tie_break: str):
-    # m is nearest to x, ties per tie_break, iff 2m is the even integer nearest 2x.
-    return _parity_round(2.0 * x, 0, tie_break) >> 1
-
-
 def choose_parity_constrained(
     target: float, parent_parity: str, tie_break: str = "toward_negative"
 ) -> int:
@@ -153,10 +148,13 @@ def choose_parity_constrained(
     return int(_parity_round(target, PARITIES.index(parent_parity), tie_break))
 
 
-def _check_budget(levels, what: str) -> None:
+def _check_budget(levels, what: str) -> float:
+    """Reject totals levels beyond the budget; the last level's largest magnitude."""
     for level in levels:
-        if max(level.max(initial=0.0), -level.min(initial=0.0)) > _INT_BUDGET:
+        largest = max(level.max(initial=0.0), -level.min(initial=0.0))
+        if largest > _INT_BUDGET:
             raise OverflowError(f"{what} exceed the 64-bit integer budget")
+    return largest
 
 
 def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> None:
@@ -166,11 +164,92 @@ def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> None:
     _check_budget(_pairwise_levels(np.asarray(g, dtype=np.float64)), "quantized totals")
 
 
-def _descend(parent: np.ndarray, totals, tie_break: str) -> np.ndarray:
+def _radius(d: int, sup):
+    """A bound on the float error of a pairwise total over 2**d samples, or
+    of the difference of two totals over 2**(d-1) samples each, when every
+    sample is at most sup in magnitude and within 2u(sup + 1) of the value
+    it stands for, u = 2**-53 (_residual).  A pairwise sum of 2**h samples
+    is off by at most h * u / (1 - h * u) times their absolute sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 4): together less
+    than (d + 1) * u * 2**d * (sup + 1).  Two more units cover the
+    rounding of the radius and of the comparisons made with it."""
+    return (d + 3) * 2.0 ** (d - 53) * (sup + 1.0)
+
+
+def _on_grid(values: np.ndarray, bound: float) -> bool:
+    """Whether float sums of the samples values, of magnitude at most bound,
+    are exact: they are when every sample is a multiple of a power of two
+    q <= 1 with bound < 2**53 * q, as quarter steps or integers are."""
+    e = math.frexp(bound)[1] - 53
+    if not -1074 <= e <= 0:
+        return False
+    # Scaling by 1/q is exact and stays below 2**53.
+    scaled = values * math.ldexp(1.0, -e)
+    return bool(np.all(scaled == np.trunc(scaled)))
+
+
+def _split_total(run: np.ndarray, split: int, g=0) -> tuple[int, list[float]]:
+    """The signed total sum(x[split:]) - sum(x[:split]) of x = run - g,
+    exactly: the integer total of the whole parts trunc(run) - g, and the
+    signed fractions run - trunc(run), which need no rounding.  Sums of
+    int64 wrap around, but each total is within the budget, so is exact."""
+    whole = np.trunc(run)
+    parts = run - whole
+    parts[:split] *= -1.0
+    whole = whole.astype(np.int64)
+    whole -= g
+    return int(whole[split:].sum()) - int(whole[:split].sum()), parts.tolist()
+
+
+def _exact_choice(run: np.ndarray, split: int, parity: int, tie_break: str) -> int:
+    """_parity_round of the exact signed total t of run (_split_total).
+
+    With q the floor of the fractions' correctly rounded sum, t is within
+    an ulp below base = whole total + q, or less than 1 above it: base has
+    the parity, or the sign of t - base, exact from math.fsum, picks
+    base + 1 or base - 1.
+    """
+    whole, parts = _split_total(run, split)
+    q = math.floor(math.fsum(parts))
+    base = whole + q
+    if (base - parity) % 2 == 0:
+        return base
+    above = math.fsum([*parts, -q])
+    return base + 1 if above > 0 or (above == 0 and tie_break == "toward_positive") else base - 1
+
+
+def _choose(target, parity, tie_break: str, radius, samples, split: bool, exact) -> np.ndarray:
+    """_parity_round(target, parity, tie_break), decided exactly.
+
+    target (overwritten) holds the rounded totals of equal runs of the
+    samples, each within radius of its exact value, or exact if exact():
+    the right half's total less the left's when split, else twice the
+    run's total.  A choice is certain unless its target is within radius
+    of the integer halfway to the other candidate.
+    """
+    choice = _parity_round(target, parity, tie_break)
+    gap = np.subtract(target, choice, out=target)
+    np.abs(gap, out=gap)
+    if gap.max() >= 1.0 - radius and not exact():
+        width = samples.shape[-1] // choice.shape[-1]
+        parity = np.broadcast_to(parity, choice.shape)
+        for i, j in zip(*np.nonzero(gap >= 1.0 - radius)):
+            run = samples[i, j * width : (j + 1) * width]
+            if not split:
+                run = 2.0 * run
+            choice[i, j] = _exact_choice(run, width // 2 if split else 0, int(parity[i, j]),
+                                         tie_break)
+    return choice
+
+
+def _descend(parent: np.ndarray, totals, tie_break: str, samples, sup, exact) -> np.ndarray:
     """Split the integer totals parent down through the float totals levels
-    below it, one level at a time; returns the bottom level."""
+    of the (rows, width) samples below it, all at most sup in magnitude
+    and exact if exact(), one level at a time; returns the bottom level."""
     for v in totals:
-        diff = _parity_round(v[:, 1::2] - v[:, 0::2], parent, tie_break)
+        d = (samples.shape[-1] // v.shape[-1]).bit_length()
+        diff = _choose(v[:, 1::2] - v[:, 0::2], parent, tie_break, _radius(d, sup), samples,
+                       True, exact)
         child = np.empty(v.shape, dtype=np.int64)
         # parent - diff is even by construction, so the shift halves it exactly.
         np.subtract(parent, diff, out=diff)
@@ -184,40 +263,52 @@ def _descend(parent: np.ndarray, totals, tie_break: str) -> np.ndarray:
 def _quantize_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
     """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
 
-    Returns the int64 codes, one row per block.  A block longer than
-    CHUNK_SAMPLES is descended in two stages, so that each stage's levels
-    stay in cache: the top levels, from the block's total down to the
-    totals of its CHUNK_SAMPLES-sample subtrees, then each subtree from its
-    own pyramid.  The subtrees' pyramids are the parts of the block's, sum
-    for sum, so the codes are those of a whole-block descent.  Each
-    subtree's pyramid is built twice, for its total and for its descent,
-    so that only one is held at a time.
+    Returns the int64 codes, one row per block.  Every rounding is decided
+    exactly (_choose), although the totals it rounds are float sums.  A
+    block longer than CHUNK_SAMPLES is descended in two stages, so that
+    each stage's levels stay in cache: the top levels, from the block's
+    total down to the totals of its CHUNK_SAMPLES-sample subtrees, then
+    each subtree from its own pyramid.  The subtrees' pyramids are the
+    parts of the block's, sum for sum, so the codes are those of a
+    whole-block descent.  Each subtree's pyramid is built twice, for its
+    total and for its descent, so that only one is held at a time.
     """
     width = min(values.shape[-1], CHUNK_SAMPLES)
-    if width == values.shape[-1]:
-        totals = _pairwise_levels(values)
-        _check_budget(totals, "signal totals")
-        return _descend(_round_nearest(totals[0], tie_break), totals[1:], tie_break)
     subtrees = [values[:, a : a + width] for a in range(0, values.shape[-1], width)]
-    roots = np.empty((values.shape[0], len(subtrees)))
-    for s, sub in enumerate(subtrees):
-        totals = _pairwise_levels(sub)
-        _check_budget(totals, "signal totals")
-        roots[:, s] = totals[0][:, 0]
-    top = _pairwise_levels(roots)
-    _check_budget(top, "signal totals")
-    parents = _descend(_round_nearest(top[0], tie_break), top[1:], tie_break)
+    if len(subtrees) == 1:
+        top = _pairwise_levels(values)
+        sup = _check_budget(top, "signal totals")
+    else:
+        roots = np.empty((values.shape[0], len(subtrees)))
+        sups = []
+        for s, sub in enumerate(subtrees):
+            totals = _pairwise_levels(sub)
+            sups.append(_check_budget(totals, "signal totals"))
+            roots[:, s] = totals[0][:, 0]
+        top = _pairwise_levels(roots)
+        _check_budget(top, "signal totals")
+        sup = max(sups)
+    # Whether the float totals are exact is asked only when a rounding is in doubt.
+    exact = functools.cache(lambda: _on_grid(values, values.shape[-1] * sup))
+    # As in _round_rows: the root is half the even integer nearest twice the total.
+    d = values.shape[-1].bit_length()
+    root = _choose(2.0 * top[0], 0, tie_break, _radius(d, sup), values, False, exact) >> 1
+    parents = _descend(root, top[1:], tie_break, values, sup, exact)
+    if len(subtrees) == 1:
+        return parents
     codes = np.empty(values.shape, dtype=np.int64)
     for s, sub in enumerate(subtrees):
         levels = _pairwise_levels(sub)[1:]
-        codes[:, s * width : (s + 1) * width] = _descend(parents[:, s : s + 1], levels, tie_break)
+        codes[:, s * width : (s + 1) * width] = _descend(parents[:, s : s + 1], levels,
+                                                         tie_break, sub, sup, exact)
     return codes
 
 
 def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
     """Per-sample rounding to the nearest integer, half-ties per tie_break."""
     _check_budget(_pairwise_levels(values), "signal totals")
-    return _round_nearest(values, tie_break)
+    # m is nearest to x, ties per tie_break, iff 2m is the even integer nearest 2x.
+    return _parity_round(2.0 * values, 0, tie_break) >> 1
 
 
 def quantize_haar_optimal(
@@ -261,7 +352,8 @@ def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 class _HaarRows(NamedTuple):
     """The Haar measurements of a chunk's blocks, one entry per row: (rows,)
     columns, the (rows, N) maxima of every level's errors, and those errors
-    themselves, one (rows, 2**(k-1)) array per level k."""
+    themselves, one (rows, 2**(k-1)) array per level k.  dc_ok and
+    details_ok are exact verdicts."""
 
     dc_input: np.ndarray
     dc_quantized: np.ndarray
@@ -269,13 +361,12 @@ class _HaarRows(NamedTuple):
     sup_error: np.ndarray
     dc_ok: np.ndarray
     details_ok: np.ndarray
-    sup_ok: np.ndarray
     detail_max: np.ndarray
     detail_errors: tuple[np.ndarray, ...]
 
     @property
     def passed(self) -> np.ndarray:
-        return self.dc_ok & self.details_ok & self.sup_ok
+        return self.dc_ok & self.details_ok
 
 
 def _haar_bounds(n: int) -> tuple[float, np.ndarray, float]:
@@ -285,55 +376,101 @@ def _haar_bounds(n: int) -> tuple[float, np.ndarray, float]:
     return dc_bound, detail_bounds, 1.0 - dc_bound
 
 
+def _certified(err, worst, bound: float, radius, f, g, split: bool, exact) -> np.ndarray:
+    """Exact verdicts, one per row, that every entry of err meets bound.
+
+    err holds the (rows, m) measured magnitudes of the residual's totals
+    over m equal runs of its samples, the right half's less the left's
+    when split, and worst their row maxima; they are exact if exact().
+    An entry passes when err + radius <= bound, fails when
+    err - radius > bound, and is settled exactly otherwise: math.fsum
+    rounds the exact sum correctly, so the sign of its result is exact.
+    """
+    width = f.shape[-1] // err.shape[-1]
+    ok = worst + radius <= bound
+    undecided = np.flatnonzero(~ok & (worst - radius <= bound))
+    if undecided.size and exact():
+        ok[undecided] = worst[undecided] <= bound
+        return ok
+    for i in undecided:
+        for j in np.flatnonzero(err[i] + radius[i] > bound):
+            run = slice(j * width, (j + 1) * width)
+            whole, parts = _split_total(f[i, run], width // 2 if split else 0, g[i, run])
+            # Two floats hold the integer total exactly: |whole| < 2**63.
+            terms = [*parts, float(whole), float(whole - int(float(whole)))]
+            if not math.fsum([*terms, -bound]) <= 0.0 <= math.fsum([*terms, bound]):
+                break
+        else:
+            ok[i] = True
+    return ok
+
+
 def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) -> _HaarRows:
     """The Haar errors of every row pair of (rows, 2**N) signal and code
-    arrays against the proved bounds, each measured on the residual
-    r = f - g (formed here when not given), not on two large transforms."""
+    arrays, each measured on the residual r = f - g (formed here when not
+    given), not on two large transforms, and the exact verdicts on them.
+
+    The verdicts are stated on the residual's unscaled totals: |total| <=
+    1/2 at DC, and |right - left| <= 1 for each level's pair of totals,
+    where the scale 2**(-N+(k-1)/2) of level k cancels from error and
+    bound alike.
+    """
     n = f.shape[-1].bit_length() - 1
     if r is None:
         r = _residual(f, g)
-    dc_r, details_r = _haar_rows(r)
-    dc_bound, detail_bounds, sup_bound = _haar_bounds(n)
-    detail_errors = tuple(_readonly(np.abs(d)) for d in details_r)
-    detail_max = np.empty((f.shape[0], n))
-    for k, err in enumerate(detail_errors):
-        detail_max[:, k] = err.max(axis=1)
-    dc_error = np.abs(dc_r)
     sup_error = np.abs(r).max(axis=1)
+    # Samples on a grid make exact residuals, whose totals below the bound are exact.
+    exact = functools.cache(lambda: _on_grid(f, f.shape[-1] * (sup_error.max() + 1.0)))
+    levels = _pairwise_levels(r)
+    detail_errors = []
+    detail_max = np.empty((f.shape[0], n))
+    details_ok = np.ones(f.shape[0], dtype=bool)
+    for k, v in enumerate(levels[1:], start=1):
+        err = v[:, 1::2] - v[:, 0::2]
+        np.abs(err, out=err)
+        worst = err.max(axis=1)
+        details_ok &= _certified(err, worst, 1.0, _radius(n - k + 1, sup_error), f, g, True,
+                                 exact)
+        # Rounding keeps the order of the products by a positive scale, so
+        # the scaled maximum is the maximum of the scaled errors, bit for bit.
+        scale = np.exp2(-n + 0.5 * (k - 1))
+        err *= scale
+        detail_errors.append(_readonly(err))
+        detail_max[:, k - 1] = worst * scale
+    total = np.abs(levels[0])
+    dc_ok = _certified(total, total[:, 0], 0.5, _radius(n, sup_error), f, g, False, exact)
     return _HaarRows(
         dc_input=_pairwise_levels(f)[0][:, 0] * np.exp2(-n),
         dc_quantized=g.sum(axis=1) * np.exp2(-n),
-        dc_error=dc_error,
+        dc_error=total[:, 0] * np.exp2(-n),
         sup_error=sup_error,
-        dc_ok=dc_error <= dc_bound + BOUND_SLACK,
-        details_ok=np.all(detail_max <= detail_bounds + BOUND_SLACK, axis=1),
-        sup_ok=sup_error <= sup_bound + BOUND_SLACK,
+        dc_ok=dc_ok,
+        details_ok=details_ok,
         detail_max=detail_max,
-        detail_errors=detail_errors,
+        detail_errors=tuple(detail_errors),
     )
 
 
 def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
     """Measure every coefficient error of (f, g) against the proved bounds.
 
-    Checks the DC bound 2**(-N-1), the level-k bound 2**(-N+(k-1)/2) and
-    the uniform bound 1 - 2**(-N-1), each with BOUND_SLACK of additive
-    tolerance for float rounding.  Raises OverflowError when either
-    signal's dyadic totals exceed 2**60.
+    Decides the DC bound 2**(-N-1) and the level-k bound 2**(-N+(k-1)/2)
+    exactly, and measures the uniform error, whose bound 1 - 2**(-N-1)
+    they imply.  Raises OverflowError when either signal's dyadic totals
+    exceed 2**60.
     """
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
     _check_pair_budget(f.values[None, :], g.values[None, :])
     rows = _haar_error_rows(f.values[None, :], g.values[None, :])
     dc_bound, detail_bounds, sup_bound = _haar_bounds(f.n_exponent)
-    columns = ("dc_input", "dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok", "sup_ok")
+    columns = ("dc_input", "dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok")
     return HaarErrorReport(
         n_exponent=f.n_exponent,
         dc_bound=dc_bound,
         detail_errors=tuple(err[0] for err in rows.detail_errors),
         detail_bounds=detail_bounds,
         sup_bound=sup_bound,
-        slack=BOUND_SLACK,
         **{name: getattr(rows, name)[0].item() for name in columns},
     )
 

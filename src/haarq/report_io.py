@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .haar import MAX_EXPONENT, _readonly
-from .quantizer import BOUND_SLACK, CHUNK_SAMPLES, _haar_bounds
+from .quantizer import CHUNK_SAMPLES, _haar_bounds
 from .spectral import _BASELINE_BOUND, FrequencyGrid, NoiseBoundTable
 
 __all__ = [
@@ -281,9 +281,9 @@ def _codes_sha256(codes) -> str:
 
 # How the text of a slot's value is made, by the slot's kind.
 _CONVERSIONS = {"float": "%r", "int": "%d", "flag": "%s", "str": '"%s"'}
-_FLAG_TEXT = {True: "true", False: "false", None: "null"}
+_FLAG_TEXT = {True: "true", False: "false"}
 _FLOAT_COLUMNS = ("dc_input", "dc_quantized", "dc_error", "sup_error")
-_HAAR_FLAGS = ("dc_ok", "details_ok", "sup_ok")
+_HAAR_FLAGS = ("dc_ok", "details_ok")
 # The run's own slots, in the order _ReportLayout._run takes them.
 _RUN_SLOTS = (("int", "original_length"), ("int", "pad_count"), ("int", "block_count"),
               ("flag", "run_pass"))
@@ -305,7 +305,7 @@ class _ReportLayout:
     for each varying value, so key order, indentation and every constant
     are its own.  Each block's entry is then a %-format string that turns
     the block's values into its text: floats by repr, as json does, ints,
-    flags as true, false or null, and the quoted SHA-256.
+    flags as true or false, and the quoted SHA-256.
     """
 
     def __init__(self, config: dict, n: int):
@@ -325,7 +325,6 @@ class _ReportLayout:
             "n_exponent": n,
             "dc_bound": dc_bound,
             "sup_bound": sup_bound,
-            "slack": BOUND_SLACK,
             "detail_levels": [
                 {"level": k, "max_error": slot("float", name), "bound": float(bound)}
                 for k, (name, bound) in enumerate(zip(self.levels, detail_bounds), start=1)
@@ -339,7 +338,6 @@ class _ReportLayout:
             "quantized_sha256": slot("str", "quantized_sha256"),
             "dc_total": slot("int", "dc_total"),
             "haar": haar,
-            "spectrum_pass": slot("flag", "spectrum_pass"),
             "pass": slot("flag", "pass"),
         }
         text = dumps_canonical(self._run(
@@ -368,30 +366,24 @@ class _ReportLayout:
             "pass": passed,
         }
 
-    def entries(self, a: int, g: np.ndarray, haar, spectrum_pass=None) -> str:
+    def entries(self, a: int, g: np.ndarray, haar) -> str:
         """The text of the entries of the blocks a, a + 1, ..., led by the
         separator from the entry before unless a is 0.
 
-        g holds the blocks' codes, a row each, and haar is their _HaarRows.
-        spectrum_pass holds each block's spectrum flag, or is None where
-        the spectrum was not measured.  A block passes when its Haar bounds
-        hold and its spectrum, if measured, does.  A non-finite float
-        raises ValueError.
+        g holds the blocks' codes, a row each, and haar is their _HaarRows,
+        whose verdict is the block's.  A non-finite float raises
+        ValueError.
         """
         rows = g.shape[0]
-        if spectrum_pass is None:
-            spectrum_pass, passed = [None] * rows, haar.passed
-        else:
-            passed = haar.passed & spectrum_pass
         flags = {name: getattr(haar, name) for name in _HAAR_FLAGS}
-        flags.update({"haar_pass": haar.passed, "spectrum_pass": spectrum_pass, "pass": passed})
+        flags["haar_pass"] = flags["pass"] = haar.passed
         values = {
             "index": range(a, a + rows),
             "quantized_sha256": [_codes_sha256(row) for row in g],
             "dc_total": g.sum(axis=1).tolist(),
             **{name: _floats(getattr(haar, name)) for name in _FLOAT_COLUMNS},
             **dict(zip(self.levels, _floats(haar.detail_max.T))),
-            **{name: [_FLAG_TEXT[flag] for flag in np.asarray(column, dtype=object).tolist()]
+            **{name: [_FLAG_TEXT[flag] for flag in column.tolist()]
                for name, column in flags.items()},
         }
         text = self.join.join([self.entry % row for row in zip(

@@ -17,7 +17,10 @@ spectral error at frequency xi != 0 is bounded by the summed envelope
     sum_{k=1..N} 2**(-2N+2(k-1)) * (1 - cos(2 pi xi / 2**k)) / |sin(pi xi / 2**N)|
 
 which is itself below the linear envelope N * pi**2 * |xi| / 2**(N+2);
-the DC error is bounded by 2**(-N-1).
+the DC error is bounded by 2**(-N-1).  The summed envelope is the sum,
+over every Haar function h of levels k >= 1, of h's coefficient bound
+times |F h(xi)|, so it holds whenever the DC and level bounds do: the
+tables here are measurements, and the verdict is the Haar bounds'.
 """
 
 import cmath
@@ -32,7 +35,6 @@ from .haar import MAX_EXPONENT, IndexLike, Signal, _readonly, check_index
 from .quantizer import QuantizedSignal, _check_pair_budget, _residual
 
 __all__ = [
-    "SPECTRUM_SLACK",
     "FrequencyGrid",
     "FourierSpectrum",
     "NoiseBoundTable",
@@ -42,9 +44,6 @@ __all__ = [
     "fourier_error_bound_linear",
     "spectrum_error",
 ]
-
-# Additive slack for all envelope comparisons (absorbs transcendental rounding).
-SPECTRUM_SLACK = 1e-10
 
 # The flat spectral bound of per-sample rounding, whose error is at most
 # 1/2 at every sample and so at every frequency.
@@ -126,21 +125,20 @@ class NoiseBoundTable:
 
     Every column is even in xi, so the table stores only the rows
     xi = 0..2**(N-1): the *_half fields.  The full-grid columns
-    (frequencies, measured, bound_exact, bound_linear and passes,
-    ascending in xi) are mirrored from them on each access, and are
-    bitwise even by construction.  Both bound columns hold 2**(-N-1) in
-    the DC row.  baseline_bound is the flat 1/2 guaranteed by per-sample
-    rounding, the same at every frequency, so it is not stored: it reads
-    as a full-grid array of 0.5.  A row passes when
-    measured <= bound_exact + slack.
+    (frequencies, measured, bound_exact and bound_linear, ascending in
+    xi) are mirrored from them on each access, and are bitwise even by
+    construction.  Both bound columns hold 2**(-N-1) in the DC row.
+    baseline_bound is the flat 1/2 guaranteed by per-sample rounding, the
+    same at every frequency, so it is not stored: it reads as a full-grid
+    array of 0.5.  The table carries no verdict: measured stays within
+    bound_exact, up to its float rounding, whenever the pair's DC and
+    level bounds hold.
     """
 
     n_exponent: int
     measured_half: np.ndarray
     bound_exact_half: np.ndarray
     bound_linear_half: np.ndarray
-    passes_half: np.ndarray
-    slack: float
 
     def __post_init__(self):
         shape = ((1 << FrequencyGrid(self.n_exponent).n_exponent) // 2 + 1,)
@@ -155,24 +153,19 @@ class NoiseBoundTable:
     baseline_bound = property(
         lambda self: _readonly(np.full(self.frequencies.shape, _BASELINE_BOUND))
     )
-    passes = property(lambda self: _readonly(_mirror(self.passes_half)))
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(np.all(self.passes_half))
 
 
 def _half_spectrum(values: np.ndarray) -> np.ndarray:
     """Transform every row of a real (rows, 2**N) array at xi = 0..2**(N-1)."""
     size = values.shape[-1]
+    spectrum = np.fft.rfft(values, axis=-1)
     # Midpoint sampling: exp(i pi xi (1 - 1/2**N)) = (-1)**xi * exp(-i pi xi / 2**N),
-    # built in one array.
+    # built in one array once the transform's own buffers are freed.
     phase = np.arange(size // 2 + 1, dtype=np.complex128)
     phase *= -1j * np.pi
     phase /= size
     np.exp(phase, out=phase)
     phase[1::2] *= -1.0
-    spectrum = np.fft.rfft(values, axis=-1)
     spectrum *= phase
     spectrum /= size
     return spectrum
@@ -296,22 +289,12 @@ def _residual_tables(r: np.ndarray) -> list[NoiseBoundTable]:
     n = r.shape[-1].bit_length() - 1
     measured = _readonly(np.abs(_half_spectrum(r)))
     exact, linear = _noise_envelopes(n)
-    passes = _readonly(measured <= exact + SPECTRUM_SLACK)
-    return [
-        NoiseBoundTable(
-            n_exponent=n,
-            measured_half=row,
-            bound_exact_half=exact,
-            bound_linear_half=linear,
-            passes_half=row_passes,
-            slack=SPECTRUM_SLACK,
-        )
-        for row, row_passes in zip(measured, passes)
-    ]
+    return [NoiseBoundTable(n, row, exact, linear) for row in measured]
 
 
 def spectrum_error(f: Signal, g: QuantizedSignal) -> NoiseBoundTable:
-    """Per-frequency |F(f - g)| next to the envelopes, with pass flags.
+    """Per-frequency |F(f - g)| next to the envelopes, which hold whenever
+    verify_haar_bounds(f, g) passes.
 
     Raises OverflowError when either signal's dyadic totals exceed 2**60.
     """

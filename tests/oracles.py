@@ -16,7 +16,7 @@ import numpy as np
 
 from haarq import (
     FrequencyGrid, QuantizedSignal, Signal, dumps_canonical, make_grid, quantize_haar_optimal,
-    quantize_simple, spectrum_error, verify_haar_bounds,
+    quantize_simple, verify_haar_bounds,
 )
 
 
@@ -112,36 +112,69 @@ def exact_envelope_by_level(xi: np.ndarray, n: int) -> np.ndarray:
     return acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
 
 
-def _nearest_of_parity(target: np.ndarray, parity: np.ndarray, tie_break: str) -> np.ndarray:
-    """Nearest integer of the given parity (0 or 1) to each float target.
+def _as_integers(values):
+    """Floats as integers over one common denominator, a power of two:
+    every float is such an integer ratio.  The integers are int64 when
+    they fit with room to spare, else Python integers."""
+    mantissa, exponent = np.frexp(np.asarray(values, dtype=np.float64))
+    num = (mantissa * 2.0**53).astype(np.int64)  # exact
+    exponent -= 53
+    # Drop each numerator's trailing zero bits, so the denominator is small.
+    low_bit = np.maximum(np.frexp((num & -num).astype(np.float64))[1] - 1, 0)
+    num >>= low_bit
+    exponent += low_bit
+    base = min(0, int(exponent[num != 0].min(initial=0)))
+    shift = np.where(num != 0, exponent - base, 0)
+    if int((np.frexp(num.astype(np.float64))[1] + shift).max(initial=0)) < 60:
+        num <<= shift
+    else:
+        num = num.astype(object) << shift.astype(object)
+    return num, 1 << -base
 
-    With i = floor(target): i when it has the parity; otherwise i + 1,
-    unless target is i exactly, where i - 1 and i + 1 tie at distance 1.
+
+def _nearest_of_parity(num: np.ndarray, den: int, parity, tie_break: str) -> np.ndarray:
+    """Nearest integer of the given parity (0 or 1) to each exact num / den.
+
+    With i = floor(num / den): i when it has the parity; otherwise i + 1,
+    unless num / den is i exactly, where i - 1 and i + 1 tie.
     """
-    floor = np.floor(target)
-    i = floor.astype(np.int64)
-    tie = (target == floor) & (tie_break == "toward_negative")
-    return np.where((i - parity) % 2 == 0, i, np.where(tie, i - 1, i + 1))
+    i = num // den
+    step = (i - parity) & 1
+    if tie_break == "toward_negative":
+        step = np.where(num % den == 0, -step, step)
+    return i + step
+
+
+def _exact_levels(num: np.ndarray, bound: int) -> list[np.ndarray]:
+    """The totals pyramid along the last axis of integers num, root level
+    first, exact: Python integers are exact and int64 is fast, so each
+    level is int64 while a bound on its magnitudes fits, doubled per level
+    up from bound."""
+    levels = [num.astype(np.int64 if bound < 2**61 else object)]
+    while levels[0].shape[-1] > 1:
+        bound *= 2
+        levels.insert(0, levels[0][..., 0::2] + levels[0][..., 1::2])
+        levels[0] = levels[0].astype(np.int64 if bound < 2**61 else object)
+    return levels
 
 
 def quantize_rows_reference(values, tie_break="toward_negative") -> np.ndarray:
     """Codes of every row of a (rows, 2**N) array by the whole-block
-    per-level descent: the full totals pyramid, then one level at a time
-    from the rounded grand total down to the samples."""
-    totals = [np.asarray(values, dtype=np.float64)]
-    while totals[0].shape[-1] > 1:
-        totals.insert(0, totals[0][:, 0::2] + totals[0][:, 1::2])
-    floor = np.floor(totals[0])
-    frac = totals[0] - floor  # exact
-    up = (frac > 0.5) | ((frac == 0.5) & (tie_break == "toward_positive"))
-    parent = floor.astype(np.int64) + up
-    for v in totals[1:]:
-        diff = _nearest_of_parity(v[:, 1::2] - v[:, 0::2], parent % 2, tie_break)
-        child = np.empty(v.shape, dtype=np.int64)
-        child[:, 0::2] = (parent - diff) // 2
-        child[:, 1::2] = (parent + diff) // 2
+    per-level descent in exact rationals: the full totals pyramid, then one
+    level at a time from the rounded grand total down to the samples."""
+    num, den = _as_integers(values)
+    levels = _exact_levels(num, int(np.abs(num).max(initial=0)) + den)
+    # m is nearest to x iff 2m is the even integer nearest to 2x.
+    parent = _nearest_of_parity(2 * levels[0], den, 0, tie_break) >> 1
+    for v in levels[1:]:
+        # The totals of the codes are within the budget, so int64 holds them.
+        parent = parent.astype(np.int64)
+        diff = _nearest_of_parity(v[:, 1::2] - v[:, 0::2], den, parent & 1, tie_break)
+        child = np.empty(v.shape, dtype=v.dtype)
+        child[:, 0::2] = (parent - diff) >> 1
+        child[:, 1::2] = parent - child[:, 0::2]
         parent = child
-    return parent
+    return parent.astype(np.int64)
 
 
 def quantize_per_block(values, n: int, tie_break="toward_negative") -> np.ndarray:
@@ -173,25 +206,26 @@ def enumerate_integer_quantizations(f: Signal):
     yield from itertools.product(*per_sample)
 
 
-def satisfies_all_haar_bounds(f: Signal, g_values, slack: float = 1e-12) -> bool:
-    """Check the DC, per-level and sup bounds using only naive dot products."""
-    n = f.grid.n_exponent
-    g = Signal(f.grid, np.array(g_values, dtype=float))
-    if abs(naive_coefficient(f, 0, 1) - naive_coefficient(g, 0, 1)) > 2.0 ** (-n - 1) + slack:
-        return False
-    for k in range(1, n + 1):
-        bound = 2.0 ** (-n + (k - 1) / 2)
-        for j in range(1, 2 ** (k - 1) + 1):
-            if abs(naive_coefficient(f, k, j) - naive_coefficient(g, k, j)) > bound + slack:
-                return False
-    sup = float(np.abs(f.values - g.values).max())
-    return sup <= 1.0 - 2.0 ** (-n - 1) + slack
+def exact_haar_verdicts(f_values, g_values) -> tuple[bool, bool]:
+    """The exact DC and level verdicts of integer codes g for samples f:
+    whether |dc(f) - dc(g)| <= 2**(-N-1), and whether every level-k
+    coefficient error is at most 2**(-N+(k-1)/2).
+
+    Stated on the residual r = f - g, these are |sum(r)| <= 1/2 and
+    |sum(right half) - sum(left half)| <= 1 over every dyadic interval,
+    each total an exact Fraction of the common denominator of f.
+    """
+    num, den = _as_integers(f_values)
+    r = num.astype(object) - np.asarray(g_values, dtype=np.int64).astype(object) * den
+    levels = _exact_levels(r, int(np.abs(r).max(initial=0)) + den)
+    dc_ok = abs(Fraction(int(levels[0][0]), den)) <= Fraction(1, 2)
+    details_ok = all(bool(np.all(np.abs(v[1::2] - v[0::2]) <= den)) for v in levels[1:])
+    return dc_ok, details_ok
 
 
-def report_block(index: int, f: Signal, g: QuantizedSignal, spectrum_pass=None) -> dict:
-    """A block's report entry as a dict: its codes' digest and total, its
-    HaarErrorReport with each level's errors reduced to their maximum, and
-    its spectrum flag (None where the spectrum was not measured)."""
+def report_block(index: int, f: Signal, g: QuantizedSignal) -> dict:
+    """A block's report entry as a dict: its codes' digest and total, and
+    its HaarErrorReport with each level's errors reduced to their maximum."""
     r = verify_haar_bounds(f, g)
     haar = {
         "n_exponent": r.n_exponent,
@@ -205,10 +239,8 @@ def report_block(index: int, f: Signal, g: QuantizedSignal, spectrum_pass=None) 
         ],
         "sup_error": r.sup_error,
         "sup_bound": r.sup_bound,
-        "slack": r.slack,
         "dc_ok": r.dc_ok,
         "details_ok": r.details_ok,
-        "sup_ok": r.sup_ok,
         "pass": r.passed,
     }
     return {
@@ -216,22 +248,18 @@ def report_block(index: int, f: Signal, g: QuantizedSignal, spectrum_pass=None) 
         "quantized_sha256": codes_sha256(g.values),
         "dc_total": int(g.values.sum()),
         "haar": haar,
-        "spectrum_pass": spectrum_pass,
-        "pass": r.passed and spectrum_pass is not False,
+        "pass": r.passed,
     }
 
 
-def report_reference(values, n: int, config: dict, codes=None, spectrum=False) -> str:
+def report_reference(values, n: int, config: dict, codes=None) -> str:
     """The canonical JSON report of a CLI run, built one block at a time:
     each zero-padded block's report_block dict, then dumps_canonical over
     the whole run's dict.
 
     values are the scaled input samples and config the run's echoed
     configuration; codes are the run's codes, or None to quantize each
-    block here with config's quantizer and tie rule.  spectrum is False
-    for no spectrum flags, as quantize writes; True for each block's
-    spectrum pass flag, as verify measures it; or a list of one flag per
-    block, taken as given.
+    block here with config's quantizer and tie rule.
     """
     size = 1 << n
     pad = -len(values) % size
@@ -248,11 +276,7 @@ def report_reference(values, n: int, config: dict, codes=None, spectrum=False) -
             g = quantize_simple(f, config["tie_break"])
         else:
             g, _ = quantize_haar_optimal(f, config["tie_break"])
-        if spectrum is True:
-            spectrum_pass = spectrum_error(f, g).all_pass
-        else:
-            spectrum_pass = spectrum[i] if spectrum else None
-        blocks.append(report_block(i, f, g, spectrum_pass))
+        blocks.append(report_block(i, f, g))
     return dumps_canonical({
         "config": config,
         "original_length": len(values),

@@ -34,11 +34,12 @@ from oracles import (
     all_indices,
     dft_direct,
     enumerate_integer_quantizations,
-    satisfies_all_haar_bounds,
+    exact_haar_verdicts,
 )
 
 SLACK = 1e-12
 SPECTRUM_SLACK = 1e-10
+U = 2.0**-53  # the unit roundoff of float64
 
 
 def announce(num: int, ok: bool, detail: str = "") -> None:
@@ -148,8 +149,11 @@ def test_criterion_4_spectrum_bounds():
         for _ in range(100):
             f = random_signal(n, rng)
             g, _ = quantize_haar_optimal(f)
+            # The envelope holds for the exact residual; its measurement
+            # may exceed it by its own rounding only.
             table = spectrum_error(f, g)
-            rows_ok &= table.all_pass
+            rows_ok &= bool(np.all(
+                table.measured_half <= table.bound_exact_half * (1 + 8 * n * U)))
         chain_ok &= bool(
             np.all(table.bound_exact <= table.bound_linear + SPECTRUM_SLACK)
         )
@@ -227,12 +231,12 @@ def test_criterion_7_worked_example(tmp_path):
     ok &= abs(report.dc_input - 0.15) < 1e-15
 
     # independent brute-force check: enumerate all integer signals within
-    # sup distance < 1 and confirm the chosen one satisfies every bound
-    # according to the naive dot-product checker
+    # sup distance < 1 and confirm the chosen one satisfies the DC and level
+    # bounds according to the exact rational checker
     satisfying = [
         c
         for c in enumerate_integer_quantizations(f)
-        if satisfies_all_haar_bounds(f, c)
+        if all(exact_haar_verdicts(f.values, c))
     ]
     ok &= tuple(g.values.tolist()) in satisfying
 

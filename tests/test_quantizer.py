@@ -1,6 +1,10 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from haarq import (
@@ -16,11 +20,16 @@ from haarq import (
     verify_haar_bounds,
 )
 
-from haarq.quantizer import CHUNK_SAMPLES, _haar_error_rows, _parity_round, _quantize_rows
+from haarq.cli import main as cli_main
+from haarq.quantizer import (
+    CHUNK_SAMPLES, _haar_error_rows, _parity_round, _quantize_rows, _residual,
+)
+from haarq.spectral import _residual_tables
 
 from oracles import (
     all_indices,
     dc_error_fraction,
+    exact_haar_verdicts,
     naive_coefficient,
     parity_choice_oracle,
     quantize_rows_reference,
@@ -313,16 +322,14 @@ class TestVerify:
         assert report.sup_error == 0.0
         assert all(np.all(err == 0) for err in report.detail_errors)
 
-    def test_flags_recomputable_from_stored_errors(self):
+    def test_flags_are_the_exact_verdicts(self):
         rng = np.random.default_rng(17)
         f = random_signal(5, rng)
         g, _ = quantize_haar_optimal(f)
-        r = verify_haar_bounds(f, g)
-        assert r.dc_ok == (r.dc_error <= r.dc_bound + r.slack)
-        assert r.details_ok == all(
-            e.max() <= b + r.slack for e, b in zip(r.detail_errors, r.detail_bounds)
-        )
-        assert r.sup_ok == (r.sup_error <= r.sup_bound + r.slack)
+        for codes in (g.values, g.values + np.eye(1, 32, 7, dtype=np.int64)[0]):
+            r = verify_haar_bounds(f, QuantizedSignal(f.grid, codes))
+            assert (r.dc_ok, r.details_ok) == exact_haar_verdicts(f.values, codes)
+            assert r.passed == (r.dc_ok and r.details_ok)
 
     def test_coarse_square_wave_breaks_baseline_level_one(self):
         # Half-period square wave: per-sample rounding kills the level-1
@@ -336,7 +343,7 @@ class TestVerify:
         assert err_11 == pytest.approx(0.49, abs=1e-12)
         assert err_11 > report.detail_bounds[0]
         assert not report.details_ok and not report.passed
-        assert report.sup_error <= 0.5 and report.sup_ok
+        assert report.sup_error <= 0.5
         optimal, _ = quantize_haar_optimal(f)
         assert verify_haar_bounds(f, optimal).passed
 
@@ -354,7 +361,7 @@ class TestVerify:
         g, _ = quantize_haar_optimal(f)
         report = verify_haar_bounds(f, g)
         assert report.dc_error == float(dc_error_fraction(values, g.values))
-        assert not report.dc_ok and not report.passed
+        assert 0 < report.dc_error <= report.dc_bound and report.passed
 
     def test_totals_beyond_budget_rejected(self):
         f = Signal(make_grid(1), [1e300, 0.0])
@@ -374,7 +381,7 @@ class TestVerify:
         for i, (fr, gr) in enumerate(zip(f, g)):
             one = verify_haar_bounds(Signal(grid, fr), QuantizedSignal(grid, gr))
             for name in ("dc_input", "dc_quantized", "dc_error", "sup_error",
-                         "dc_ok", "details_ok", "sup_ok"):
+                         "dc_ok", "details_ok"):
                 assert getattr(rows, name)[i] == getattr(one, name)
             for k, (a, b) in enumerate(zip(rows.detail_errors, one.detail_errors)):
                 assert np.array_equal(a[i], b)
@@ -443,3 +450,102 @@ def test_naive_oracle_agrees_on_bounds(f):
         err = abs(naive_coefficient(f, k, j) - naive_coefficient(g.to_signal(), k, j))
         bound = 2.0 ** (-n - 1) if k == 0 else 2.0 ** (-n + (k - 1) / 2)
         assert err <= bound + 1e-12
+
+
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def nudged(x: float, ulps: int) -> float:
+    """x moved by |ulps| float64 steps, up for ulps > 0 and down for ulps < 0."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+@st.composite
+def pairs_near_the_bounds(draw, max_exponent=6):
+    """(N, samples, codes): samples that are often on a 1/8 grid, where
+    totals tie and the quantizer meets its bounds with equality; its codes,
+    or those off by one in a sample; then one sample moved by a few ulps,
+    so that a bound met with equality is just met or just broken."""
+    n = draw(st.integers(min_value=0, max_value=max_exponent))
+    sample = st.one_of(st.integers(-32, 32).map(lambda i: i / 8),
+                       st.floats(-4.0, 4.0, allow_nan=False))
+    f = np.array(draw(st.lists(sample, min_size=1 << n, max_size=1 << n)))
+    g = _quantize_rows(f[None, :], draw(st.sampled_from(["toward_negative",
+                                                         "toward_positive"])))[0]
+    g[draw(st.integers(0, (1 << n) - 1))] += draw(st.sampled_from([0, 0, 0, 1, -1]))
+    k = draw(st.integers(0, (1 << n) - 1))
+    f[k] = nudged(f[k], draw(st.integers(-2, 2)))
+    return n, f, g
+
+
+def pinned(n, head):
+    """A block of 2**n samples led by head, the rest 0, with all-zero codes."""
+    f = np.zeros(1 << n)
+    f[: len(head)] = head
+    return n, f, np.zeros(1 << n, dtype=np.int64)
+
+
+def cli_verdicts(n, f, g):
+    """verify --quantized on one block: its exit code and its report's flags."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, q, rep = (Path(tmp) / name for name in ("in.raw", "q.raw", "rep.json"))
+        f.astype("<f8").tofile(src)
+        g.astype("<f8").tofile(q)
+        code = cli_main(["verify", "--format", "raw", "--block-exp", str(n), "--input",
+                         str(src), "--quantized", str(q), "--report", str(rep)])
+        haar = json.loads(rep.read_text())["blocks"][0]["haar"]
+    return code, haar["dc_ok"], haar["details_ok"]
+
+
+HALF_UP, HALF_DOWN = nudged(0.5, 1), nudged(0.5, -1)
+
+
+@given(pairs_near_the_bounds())
+@settings(max_examples=150, deadline=None)
+# A block total of 1/2 meets the DC bound with equality, one ulp less is
+# inside and one ulp more breaks it, on both sides of 0, at N = 0 and 3.
+@example(pinned(0, [0.5]))
+@example(pinned(0, [HALF_UP]))
+@example(pinned(0, [-HALF_UP]))
+@example(pinned(3, [0.5]))
+@example(pinned(3, [HALF_DOWN]))
+@example(pinned(3, [HALF_UP]))
+@example(pinned(3, [-HALF_UP]))
+@example(pinned(3, [0.500000000004]))
+# A level difference of exactly 1 meets its bound, one ulp beyond breaks it.
+@example(pinned(1, [-0.5, 0.5]))
+@example(pinned(1, [-0.5, HALF_DOWN]))
+@example(pinned(1, [-0.5, HALF_UP]))
+@example(pinned(1, [-HALF_UP, 0.5]))
+@example(pinned(2, [0.0, 0.0, -0.5, 0.5]))
+# Float sums read 0.5 here, but the exact total exceeds it by 2.8e-17.
+@example(pinned(2, [0.1, 0.2, 0.2, 0.0]))
+# One 2**20 block: equality, and a total 1e-7 beyond.
+@example(pinned(20, [0.5]))
+@example(pinned(20, [0.5000001]))
+def test_verdicts_are_the_exact_oracles(case):
+    n, f, g = case
+    want = exact_haar_verdicts(f, g)
+    grid = make_grid(n)
+    report = verify_haar_bounds(Signal(grid, f), QuantizedSignal(grid, g))
+    assert (report.dc_ok, report.details_ok) == want
+    assert cli_verdicts(n, f, g) == (0 if all(want) else 1, *want)
+
+
+@given(pairs_near_the_bounds(max_exponent=8))
+@settings(max_examples=80, deadline=None)
+@example(pinned(3, [0.5]))
+@example(pinned(2, [0.0, 0.0, -0.5, 0.5]))
+def test_the_exact_verdicts_imply_the_sup_and_spectral_bounds(case):
+    # The uniform bound and the exact envelope are sums of the DC and level
+    # bounds, so they hold whenever those do; the measurements may exceed
+    # them by their own rounding only.
+    n, f, g = case
+    assume(all(exact_haar_verdicts(f, g)))
+    grid = make_grid(n)
+    report = verify_haar_bounds(Signal(grid, f), QuantizedSignal(grid, g))
+    assert report.sup_error <= report.sup_bound * (1 + 2 * U)
+    table = _residual_tables(_residual(f[None, :], g[None, :]))[0]
+    assert np.all(table.measured_half <= table.bound_exact_half * (1 + 8 * n * U))

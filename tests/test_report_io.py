@@ -318,8 +318,8 @@ class TestIntegerCsv:
 
 class TestReportLayout:
     def test_bytes_are_those_of_the_reference(self):
-        # A config with a '%' and text like the layout's slots, a failing
-        # block, and spectrum flags of every kind, in two chunks.
+        # A config with a '%' and text like the layout's slots, and a failing
+        # block, in two chunks.
         config = {"note": "100% {x}", "slot": "$int:index", "slots": "$$float:dc_error"}
         n = 2
         values = np.random.default_rng(77).uniform(-9.0, 9.0, 17)
@@ -330,15 +330,13 @@ class TestReportLayout:
         layout = _ReportLayout(config, n)
         entries = [
             layout.entries(0, g[:2], _haar_error_rows(f[:2], g[:2])),
-            layout.entries(2, g[2:], _haar_error_rows(f[2:], g[2:]),
-                           np.array([True, False, True])),
+            layout.entries(2, g[2:], _haar_error_rows(f[2:], g[2:])),
         ]
         out = io.StringIO()
         layout.write(out, entries, 17, 3, 5, False)
-        spectrum = [None, None, True, False, True]
-        assert out.getvalue() == report_reference(values, n, config, codes, spectrum)
+        assert out.getvalue() == report_reference(values, n, config, codes)
         assert [b["pass"] for b in json.loads(out.getvalue())["blocks"]] == [
-            True, False, True, False, True]
+            True, False, True, True, True]
 
 
 class TestDumpsCanonical:

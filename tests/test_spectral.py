@@ -248,7 +248,8 @@ class TestSpectrumError:
             f = random_signal(n, rng)
             g, _ = quantize_haar_optimal(f)
             table = spectrum_error(f, g)
-            assert table.all_pass
+            # The measurement may exceed the envelope by its own rounding only.
+            assert np.all(table.measured_half <= table.bound_exact_half * (1 + 8 * n * 2.0**-53))
             dc = table.measured[list(table.frequencies).index(0)]
             assert dc <= 2.0 ** (-n - 1) + 1e-10
 
@@ -304,7 +305,6 @@ class TestSpectrumError:
         for fr, gr, table in zip(f, g, _residual_tables(_residual(f, g))):
             one = spectrum_error(Signal(grid, fr), QuantizedSignal(grid, gr))
             assert np.array_equal(table.measured, one.measured)
-            assert np.array_equal(table.passes, one.passes)
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_half_columns_of_the_wrong_length_rejected(self, n):
@@ -313,8 +313,8 @@ class TestSpectrumError:
         assert table.measured_half.shape == ((1 << n) // 2 + 1,)
         with pytest.raises(ValueError, match="measured_half"):
             replace(table, measured_half=np.append(table.measured_half, 0.0))
-        with pytest.raises(ValueError, match="passes_half"):
-            replace(table, passes_half=table.passes_half[:-1])
+        with pytest.raises(ValueError, match="bound_linear_half"):
+            replace(table, bound_linear_half=table.bound_linear_half[:-1])
 
     def test_grid_mismatch(self):
         f = Signal(make_grid(1), [0.0, 0.0])
@@ -331,7 +331,7 @@ class TestSpectrumError:
         table = spectrum_error(f, g)
         dc = table.measured[list(table.frequencies).index(0)]
         assert dc == float(dc_error_fraction(values, g.values))
-        assert not table.all_pass
+        assert 0 < dc <= table.bound_exact_half[0]
 
     def test_totals_beyond_budget_rejected(self):
         f = Signal(make_grid(1), [1e300, 0.0])
