@@ -45,12 +45,9 @@ from .report_io import (
     write_values,
 )
 from .spectral import (
-    FourierSpectrum,
     FrequencyGrid,
     NoiseBoundTable,
     dft,
-    fourier_error_bound_exact,
-    fourier_error_bound_linear,
     haar_fourier_coefficient,
     spectrum_error,
 )
@@ -64,7 +61,6 @@ __all__ = [
     "QuantizedSignal",
     "HaarErrorReport",
     "FrequencyGrid",
-    "FourierSpectrum",
     "NoiseBoundTable",
     "InputSpec",
     "InputFormatError",
@@ -82,8 +78,6 @@ __all__ = [
     "check_range",
     "dft",
     "haar_fourier_coefficient",
-    "fourier_error_bound_exact",
-    "fourier_error_bound_linear",
     "spectrum_error",
     "read_signal",
     "write_values",

@@ -6,13 +6,14 @@ chunk of blocks (CHUNK_SAMPLES samples, or one block when N >= 16) is
 read, scaled, quantized, measured and written, then dropped.  Chunks
 are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
-flight; an input of one chunk is computed on the calling thread.  A
-spectrum table is formatted in chunks on the same threads, and written
-on the calling thread.  The output does not depend on the number of
-CPUs.  Memory depends on the block size
-and the number of CPUs, not on the input length: `--report` entries
-wait in an unnamed temporary file until the input has ended and the
-report's head, which gives the block count, can be written.
+flight; an input of one chunk is computed on the calling thread.  Each
+spectrum table is written on the calling thread by write_spectrum_csv,
+which formats it in chunks on a pool of its own, one thread per usable
+CPU.  The output does not depend on the number of CPUs.  Memory
+depends on the block size and the number of CPUs, not on the input
+length: `--report` entries wait in an unnamed temporary file until the
+input has ended and the report's head, which gives the block count, can
+be written.
 verify --quantized reads its two inputs in step, and refuses --baseline
 and --tie-break, which could not act on the codes it is given.  Each
 output file, the report too, is written to a temporary file beside it,

@@ -38,6 +38,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_exponent(n, name: str = "n_exponent") -> int:
+    """n as an int, once it is a grid exponent in [0, MAX_EXPONENT]."""
+    n = operator.index(n)
+    if not 0 <= n <= MAX_EXPONENT:
+        raise ValueError(f"{name} must be in [0, {MAX_EXPONENT}], got {n}")
+    return n
+
+
 class HaarIndex(NamedTuple):
     """Level/position pair (k, j); (0, 1) is the constant (DC) function."""
 
@@ -67,12 +75,7 @@ class TimeGrid:
     n_exponent: int
 
     def __post_init__(self):
-        n = operator.index(self.n_exponent)
-        if not 0 <= n <= MAX_EXPONENT:
-            raise ValueError(
-                f"n_exponent must be in [0, {MAX_EXPONENT}], got {n}"
-            )
-        object.__setattr__(self, "n_exponent", n)
+        object.__setattr__(self, "n_exponent", _check_exponent(self.n_exponent))
 
     @property
     def size(self) -> int:

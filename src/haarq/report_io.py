@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import sys
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .haar import MAX_EXPONENT, _readonly
+from .haar import _check_exponent, _readonly
 from .quantizer import CHUNK_SAMPLES, _haar_bounds
 from .spectral import _BASELINE_BOUND, FrequencyGrid, NoiseBoundTable
 
@@ -65,11 +64,7 @@ class InputSpec:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.pad_policy not in PAD_POLICIES:
             raise ValueError(f"pad_policy must be one of {PAD_POLICIES}")
-        n = operator.index(self.block_exponent)
-        if not 0 <= n <= MAX_EXPONENT:
-            raise ValueError(
-                f"block_exponent must be in [0, {MAX_EXPONENT}], got {n}"
-            )
+        n = _check_exponent(self.block_exponent, "block_exponent")
         object.__setattr__(self, "block_exponent", n)
         delta = float(self.scale_delta)
         if not (math.isfinite(delta) and delta > 0.0):
@@ -763,7 +758,7 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     a spectrum table is even in xi, so each |xi| is formatted once: its
     row xi, prefixed with '-', is the row -xi.  The table is formatted
     in chunks of CHUNK_SAMPLES // 8 values of |xi|, from the highest |xi|
-    down, on the compute threads of _in_order, each chunk into the text
+    down, on an _in_order pool of its own, each chunk into the text
     of its rows xi >= 1 and of its rows -xi, highest |xi| first; the row
     xi = 0 follows the last chunk's.  The calling thread appends each
     chunk's rows xi to an unnamed temporary file and writes its rows -xi,

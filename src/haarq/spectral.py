@@ -1,15 +1,14 @@
 """Discrete Fourier transform on the midpoint grid and noise envelopes.
 
 The transform is normalized by 1/2**N and evaluated at the integer
-frequencies (-2**(N-1), 2**(N-1)].  Because the grid samples midpoints,
-a standard FFT needs a half-sample phase correction.  The tests check the
-corrected FFT against the defining direct sum.
+frequencies xi = 0..2**(N-1), NumPy's rfft convention.  Because the grid
+samples midpoints, a standard FFT needs a half-sample phase correction.
+The tests check the corrected FFT against the defining direct sum.
 
 Signals and residuals are real, so F(-xi) = conj(F(xi)), and both noise
-envelopes are even in xi.  A real-input FFT computes xi = 0..2**(N-1),
-and noise tables are computed and stored on that half alone; the full
-grid is its mirror, made only when it is asked for, so every table is
-bitwise even.
+envelopes are even in xi: every spectrum and noise table here is its
+xi >= 0 half.  The spectrum CSV writer is the one place that writes out
+the rows -xi.
 
 For a signal quantized by the parity-constrained pyramid, the absolute
 spectral error at frequency xi != 0 is bounded by the summed envelope
@@ -31,17 +30,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .haar import MAX_EXPONENT, IndexLike, Signal, _readonly, check_index
-from .quantizer import QuantizedSignal, _check_pair_budget, _residual
+from .haar import IndexLike, Signal, _check_exponent, _readonly, check_index
+from .quantizer import QuantizedSignal, _check_pair_budget, _haar_bounds, _residual
 
 __all__ = [
     "FrequencyGrid",
-    "FourierSpectrum",
     "NoiseBoundTable",
     "dft",
     "haar_fourier_coefficient",
-    "fourier_error_bound_exact",
-    "fourier_error_bound_linear",
     "spectrum_error",
 ]
 
@@ -66,10 +62,7 @@ class FrequencyGrid:
     n_exponent: int
 
     def __post_init__(self):
-        n = operator.index(self.n_exponent)
-        if not 0 <= n <= MAX_EXPONENT:
-            raise ValueError(f"n_exponent must be in [0, {MAX_EXPONENT}], got {n}")
-        object.__setattr__(self, "n_exponent", n)
+        object.__setattr__(self, "n_exponent", _check_exponent(self.n_exponent))
 
     @property
     def size(self) -> int:
@@ -92,47 +85,15 @@ class FrequencyGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class FourierSpectrum:
-    """Complex transform values ordered by ascending frequency."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.complex128, copy=True)
-        if arr.shape != (self.grid.size,):
-            raise ValueError(f"expected {self.grid.size} values, got {arr.shape}")
-        object.__setattr__(self, "values", _readonly(arr))
-
-    def value_at(self, xi: int) -> complex:
-        return complex(self.values[self.grid.index_of(xi)])
-
-
-def _mirror(nonneg: np.ndarray) -> np.ndarray:
-    """Ascending full grid from the values at xi = 0..2**(N-1): F(-xi) = conj F(xi).
-
-    Real values are mirrored unchanged, so an even column stays bitwise even.
-    """
-    negative = nonneg[..., -2:0:-1]
-    if np.iscomplexobj(negative):
-        negative = np.conj(negative)
-    return np.concatenate([negative, nonneg], axis=-1)
-
-
-@dataclass(frozen=True, eq=False)
 class NoiseBoundTable:
-    """Measured spectral errors next to their envelopes, one row per frequency.
+    """Measured spectral errors next to their envelopes at xi = 0..2**(N-1).
 
-    Every column is even in xi, so the table stores only the rows
-    xi = 0..2**(N-1): the *_half fields.  The full-grid columns
-    (frequencies, measured, bound_exact and bound_linear, ascending in
-    xi) are mirrored from them on each access, and are bitwise even by
-    construction.  Both bound columns hold 2**(-N-1) in the DC row.
-    baseline_bound is the flat 1/2 guaranteed by per-sample rounding, the
-    same at every frequency, so it is not stored: it reads as a full-grid
-    array of 0.5.  The table carries no verdict: measured stays within
-    bound_exact, up to its float rounding, whenever the pair's DC and
-    level bounds hold.
+    Every column is even in xi, so the table holds only the rows xi >= 0,
+    the *_half fields; the row -xi is the row xi.  Both bound columns hold
+    2**(-N-1) in the DC row.  The flat 1/2 guaranteed by per-sample
+    rounding is the same at every frequency, so it is not stored.  The
+    table carries no verdict: measured stays within bound_exact, up to its
+    float rounding, whenever the pair's DC and level bounds hold.
     """
 
     n_exponent: int
@@ -141,18 +102,10 @@ class NoiseBoundTable:
     bound_linear_half: np.ndarray
 
     def __post_init__(self):
-        shape = ((1 << FrequencyGrid(self.n_exponent).n_exponent) // 2 + 1,)
+        shape = ((1 << _check_exponent(self.n_exponent)) // 2 + 1,)
         for f in fields(self):
             if f.name.endswith("_half") and np.shape(getattr(self, f.name)) != shape:
                 raise ValueError(f"{f.name} must hold the {shape[0]} rows xi >= 0")
-
-    frequencies = property(lambda self: _frequencies(self.n_exponent))
-    measured = property(lambda self: _readonly(_mirror(self.measured_half)))
-    bound_exact = property(lambda self: _readonly(_mirror(self.bound_exact_half)))
-    bound_linear = property(lambda self: _readonly(_mirror(self.bound_linear_half)))
-    baseline_bound = property(
-        lambda self: _readonly(np.full(self.frequencies.shape, _BASELINE_BOUND))
-    )
 
 
 def _half_spectrum(values: np.ndarray) -> np.ndarray:
@@ -171,31 +124,23 @@ def _half_spectrum(values: np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def _dft_rows(values: np.ndarray) -> np.ndarray:
-    """Transform every row of a real (rows, 2**N) array; columns ascend in frequency.
-
-    The negative half is the conjugate of the mirrored positive half.
-    """
-    return _mirror(_half_spectrum(values))
-
-
-def dft(f: Signal) -> FourierSpectrum:
+def dft(f: Signal) -> np.ndarray:
     """Transform with the 1/2**N normalization and midpoint-grid phase.
 
-    Evaluated by a phase-corrected real-input FFT in O(N * 2**N); the
-    negative frequencies are conjugates, so value_at(-xi) equals
-    value_at(xi).conjugate() exactly.  The DC value always equals the DC
+    A read-only complex array of the values at xi = 0..2**(N-1), by a
+    phase-corrected real-input FFT in O(N * 2**N); the value at -xi is
+    the conjugate of the value at xi.  The DC value always equals the DC
     Haar coefficient.
     """
-    return FourierSpectrum(FrequencyGrid(f.n_exponent), _dft_rows(f.values[None, :])[0])
+    return _readonly(_half_spectrum(f.values[None, :])[0])
 
 
 def haar_fourier_coefficient(xi: int, index: IndexLike, n_exponent: int) -> complex:
     """Closed-form transform of the sampled Haar function (k, j) at xi.
 
-    Matches dft(haar_basis(index, grid)).value_at(xi).  The DC pairings are
-    special: 1 at (0, (0,1)), and 0 whenever exactly one of xi and the
-    level is zero.
+    Matches dft(haar_basis(index, grid))[xi] for xi >= 0, and its
+    conjugate at -xi.  The DC pairings are special: 1 at (0, (0,1)), and
+    0 whenever exactly one of xi and the level is zero.
     """
     n = operator.index(n_exponent)
     fgrid = FrequencyGrid(n)
@@ -216,71 +161,26 @@ def haar_fourier_coefficient(xi: int, index: IndexLike, n_exponent: int) -> comp
     return amplitude * (numerator / denominator) * phase * -1j
 
 
-def _nonzero_frequency(xi: int, n_exponent: int) -> tuple[np.ndarray, int]:
-    """xi as a one-element float array, once it is a nonzero grid frequency."""
-    n = operator.index(n_exponent)
-    xi = operator.index(xi)
-    if not FrequencyGrid(n).contains(xi):
-        raise ValueError(f"frequency {xi} outside the grid for N={n}")
-    if xi == 0:
-        raise ValueError("the DC bound is 2**(-N-1); this envelope needs xi != 0")
-    # |xi|: the table computes the even envelopes on xi > 0 and mirrors them.
-    return np.array([abs(xi)], dtype=np.float64), n
-
-
-def fourier_error_bound_exact(xi: int, n_exponent: int) -> float:
-    """Summed noise envelope at a nonzero frequency.
-
-    The DC error has the separate bound 2**(-N-1); passing xi = 0 here is
-    an error.
-    """
-    return float(_exact_envelope(*_nonzero_frequency(xi, n_exponent))[0])
-
-
-def fourier_error_bound_linear(xi: int, n_exponent: int) -> float:
-    """Linear envelope N * pi**2 * |xi| / 2**(N+2) at a nonzero frequency."""
-    return float(_linear_envelope(*_nonzero_frequency(xi, n_exponent))[0])
-
-
-def _envelope_term(xi: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Level k's term of the summed envelope's numerator at the float
-    frequencies xi."""
-    angles = 2.0 * np.pi * np.mod(xi * 2.0**-k, 1.0)
-    return np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * (1.0 - np.cos(angles))
-
-
-def _exact_envelope(xi: np.ndarray, n: int) -> np.ndarray:
-    """Summed envelope at the nonzero integral float frequencies xi.
+@lru_cache(maxsize=32)
+def _noise_envelopes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exact, linear) envelope at xi = 0..2**(N-1), the DC slot holding
+    the DC bound.
 
     Level k's term depends on xi only through xi * 2**-k mod 1, which is
-    exact, so it equals the term at xi mod 2**k.  When xi has more entries
-    than that, the term is looked up in a table of its 2**k values, with
-    the same bits as evaluating it at each xi.
+    exact, so the sum of levels 1..k at xi is the sum of levels 1..k-1 at
+    xi mod 2**(k-1) plus level k's term.  Each level repeats the sums
+    before it and adds its term at xi < 2**k, where xi * 2**-k is its own
+    residue mod 1: the same additions, in the same order and with the same
+    bits, as evaluating every level at every xi.
     """
-    acc = np.zeros(xi.shape)
-    residues = xi.astype(np.int64)
+    xi = np.arange((1 << n) // 2 + 1, dtype=np.float64)
+    exact = np.zeros(1)
     for k in range(1, n + 1):
-        if xi.size > 1 << k:
-            table = _envelope_term(np.arange(1 << k, dtype=np.float64), k, n)
-            acc += table[residues & ((1 << k) - 1)]
-        else:
-            acc += _envelope_term(xi, k, n)
-    return acc / np.abs(np.sin(np.pi * xi * 2.0**-n))
-
-
-def _linear_envelope(xi: np.ndarray, n: int) -> np.ndarray:
-    """Linear envelope at the nonzero float frequencies xi."""
-    return n * np.pi**2 * np.abs(xi) * 2.0 ** (-n - 2)
-
-
-@lru_cache(maxsize=32)
-def _noise_envelopes(n_exponent: int) -> tuple[np.ndarray, np.ndarray]:
-    """(exact, linear) envelope at xi = 0..2**(N-1), DC slot set to 2**(-N-1)."""
-    n = n_exponent
-    positive = np.arange(1, (1 << n) // 2 + 1, dtype=np.float64)
-    dc_bound = np.array([2.0 ** (-n - 1)])
-    exact = np.concatenate([dc_bound, _exact_envelope(positive, n)])
-    linear = np.concatenate([dc_bound, _linear_envelope(positive, n)])
+        term = 1.0 - np.cos(2.0 * np.pi * (xi[: 1 << k] * 2.0**-k))
+        exact = np.resize(exact, term.size) + np.exp2(-2.0 * n + 2.0 * (k - 1.0)) * term
+    exact[1:] /= np.abs(np.sin(np.pi * xi[1:] * 2.0**-n))
+    linear = n * np.pi**2 * xi * 2.0 ** (-n - 2)
+    exact[0] = linear[0] = _haar_bounds(n)[0]
     return _readonly(exact), _readonly(linear)
 
 
@@ -293,8 +193,8 @@ def _residual_tables(r: np.ndarray) -> list[NoiseBoundTable]:
 
 
 def spectrum_error(f: Signal, g: QuantizedSignal) -> NoiseBoundTable:
-    """Per-frequency |F(f - g)| next to the envelopes, which hold whenever
-    verify_haar_bounds(f, g) passes.
+    """Per-frequency |F(f - g)| at xi = 0..2**(N-1) next to the envelopes,
+    which hold whenever verify_haar_bounds(f, g) passes.
 
     Raises OverflowError when either signal's dyadic totals exceed 2**60.
     """

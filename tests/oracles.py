@@ -71,16 +71,17 @@ def parity_choice_oracle(target: float, parity: str, tie_break: str) -> int:
 
 def spectrum_csv_reference(table) -> str:
     """A noise table's CSV text with every row formatted on its own, in
-    ascending frequency, from the columns mirrored onto the full grid."""
+    ascending frequency, from the columns mirrored onto the full grid.
+    The baseline column is per-sample rounding's flat bound 1/2."""
     def full(half):
         return np.concatenate([half[-2:0:-1], half]).tolist()
 
     columns = [full(np.asarray(c)) for c in (
         table.measured_half, table.bound_exact_half, table.bound_linear_half,
-    )] + [np.asarray(table.baseline_bound).tolist()]
+    )]
     lines = ["xi,measured,bound_exact,bound_linear,baseline_bound\n"]
     for xi, *values in zip(FrequencyGrid(table.n_exponent).frequencies.tolist(), *columns):
-        lines.append(",".join([str(xi)] + [repr(v) for v in values]) + "\n")
+        lines.append(",".join([str(xi)] + [repr(v) for v in [*values, 0.5]]) + "\n")
     return "".join(lines)
 
 

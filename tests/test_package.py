@@ -1,5 +1,10 @@
+import re
+from pathlib import Path
+
 import haarq
 from haarq import haar, quantizer, report_io, spectral
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_public_name_resolves():
@@ -16,3 +21,11 @@ def test_public_names_are_the_submodules():
         names.update(module.__all__)
     assert len(haarq.__all__) == len(set(haarq.__all__))
     assert set(haarq.__all__) == names
+
+
+def test_readme_library_example_runs():
+    # The documented API is the one the package exports.
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = re.match(r"\s*```python\n(.*?)^```", library, re.S | re.M)
+    assert example is not None
+    exec(compile(example[1], f"{README}:Library", "exec"), {})
