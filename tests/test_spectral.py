@@ -18,6 +18,7 @@ from haarq import (
     quantize_haar_optimal,
     quantize_simple,
     spectrum_error,
+    write_spectrum_csv,
 )
 from haarq.quantizer import QuantizedSignal, _haar_bounds, _residual
 from haarq.spectral import _half_spectrum, _noise_envelopes, _residual_tables
@@ -118,6 +119,16 @@ class TestDft:
             assert np.array_equal(got, expected)
             assert np.array_equal(dft(Signal(make_grid(n), row)), expected)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_conjugate_symmetry(self, n):
+        # A real signal's row -xi is the conjugate of its row xi, so the rows
+        # xi >= 0 that dft returns are the whole spectrum.
+        rng = np.random.default_rng(1100 + n)
+        f = random_signal(n, rng)
+        spec = dft(f)
+        for xi in range(1, (1 << (n - 1))):
+            assert dft_by_sum(f, -xi) == pytest.approx(spec[xi].conjugate(), abs=1e-12)
+
 
 class TestClosedForm:
     def test_dc_specials(self):
@@ -210,6 +221,33 @@ class TestSpectrumError:
             # The measurement may exceed the envelope by its own rounding only.
             assert np.all(table.measured_half <= table.bound_exact_half * (1 + 8 * n * 2.0**-53))
             assert table.measured_half[0] <= 2.0 ** (-n - 1) + 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("step", [None, 0.25], ids=["uniform", "quarter_steps"])
+    def test_every_column_is_bitwise_even(self, n, step, tmp_path):
+        # The written row -xi is the row xi, and both hold the table's values
+        # at |xi| bit for bit.  Quarter-step samples put many totals on
+        # rounding ties.
+        rng = np.random.default_rng(1250 + n)
+        values = rng.uniform(-2.0, 2.0, 1 << n)
+        if step is not None:
+            values = np.round(values / step) * step
+        f = Signal(make_grid(n), values)
+        table = spectrum_error(f, quantize_haar_optimal(f)[0])
+        p = tmp_path / "spec.csv"
+        write_spectrum_csv(table, str(p))
+        rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == FrequencyGrid(n).frequencies.tolist()
+        by_xi = {int(r[0]): r[1:] for r in rows}
+        for xi in range(1, 1 << (n - 1)):
+            assert by_xi[-xi] == by_xi[xi]
+        written = np.array([[float(v) for v in r[1:]] for r in rows])
+        at = np.abs(FrequencyGrid(n).frequencies)
+        for column, half in zip(written.T, (
+            table.measured_half, table.bound_exact_half, table.bound_linear_half,
+        )):
+            assert np.array_equal(column.view(np.int64), half[at].view(np.int64))
+        assert np.all(written[:, 3] == 0.5)
 
     def test_integer_signal_zero_error(self):
         vals = np.array([1.0, -3.0, 0.0, 2.0])
