@@ -45,7 +45,6 @@ from .report_io import (
     write_values,
 )
 from .spectral import (
-    FrequencyGrid,
     NoiseBoundTable,
     dft,
     haar_fourier_coefficient,
@@ -60,7 +59,6 @@ __all__ = [
     "HaarCoefficients",
     "QuantizedSignal",
     "HaarErrorReport",
-    "FrequencyGrid",
     "NoiseBoundTable",
     "InputSpec",
     "InputFormatError",

@@ -62,7 +62,7 @@ from .report_io import (
     write_spectrum_csv,
     write_values,
 )
-from .spectral import FrequencyGrid, _residual_tables, haar_fourier_coefficient
+from .spectral import _residual_tables, haar_fourier_coefficient
 
 _FORMAT_BY_FLAG = {"csv": "csv", "raw": "raw_f64_le"}
 _TIE_BY_FLAG = {"down": "toward_negative", "up": "toward_positive"}
@@ -330,7 +330,7 @@ def cmd_basis(args) -> int:
     index = check_index((args.level, args.position), n)
     if args.fourier:
         header = "xi,re,im,abs\n"
-        freqs = FrequencyGrid(n).frequencies.tolist()
+        freqs = range(grid.size // 2 - grid.size + 1, grid.size // 2 + 1)
         values = [haar_fourier_coefficient(xi, index, n) for xi in freqs]
         rows = (
             f"{xi},{format_float(v.real)},{format_float(v.imag)},"

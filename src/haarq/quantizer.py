@@ -46,17 +46,10 @@ PARITIES = ("even", "odd")
 # Totals beyond this magnitude risk int64 trouble downstream; reject early.
 _INT_BUDGET = float(2**60)
 
-# Every stage works on chunks of about this many samples: (rows, 2**N)
-# arrays of 512 KiB of float64, so each stage's temporaries stay in cache
-# and memory does not grow with the input.  Blocks of 2**16 samples or
-# more are one chunk each, and the quantizer descends them by subtrees of
-# this size.
-CHUNK_SAMPLES = 1 << 16
-
 
 @dataclass(frozen=True, eq=False)
 class QuantizedSignal:
-    """Integer-valued samples on a TimeGrid."""
+    """Integer-valued samples on a TimeGrid, each in the int64 range."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -68,10 +61,14 @@ class QuantizedSignal:
                 f"expected {self.grid.size} samples, got shape {arr.shape}"
             )
         if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
+            # In float64, where the int64 range's bounds below are exact.
+            rounded = np.rint(arr, dtype=np.float64)
             if not np.all(np.isfinite(arr)) or not np.all(arr == rounded):
                 raise ValueError("quantized values must be integers")
             arr = rounded
+        # Floats and uint64 hold integers beyond int64, which astype would wrap.
+        if not (arr.min() >= -(2**63) and arr.max() < 2**63):
+            raise ValueError("quantized values must lie in the int64 range")
         object.__setattr__(self, "values", _readonly(arr.astype(np.int64)))
 
     @property
@@ -242,11 +239,13 @@ def _choose(target, parity, tie_break: str, radius, samples, split: bool, exact)
     return choice
 
 
-def _descend(parent: np.ndarray, totals, tie_break: str, samples, sup, exact) -> np.ndarray:
+def _descend(parent: np.ndarray, totals: list, tie_break: str, samples, sup, exact) -> np.ndarray:
     """Split the integer totals parent down through the float totals levels
     of the (rows, width) samples below it, all at most sup in magnitude
-    and exact if exact(), one level at a time; returns the bottom level."""
-    for v in totals:
+    and exact if exact(), one level at a time; returns the bottom level.
+    Each level is taken off the list totals and freed once it is split."""
+    while totals:
+        v = totals.pop(0)
         d = (samples.shape[-1] // v.shape[-1]).bit_length()
         diff = _choose(v[:, 1::2] - v[:, 0::2], parent, tie_break, _radius(d, sup), samples,
                        True, exact)
@@ -264,44 +263,16 @@ def _quantize_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
     """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
 
     Returns the int64 codes, one row per block.  Every rounding is decided
-    exactly (_choose), although the totals it rounds are float sums.  A
-    block longer than CHUNK_SAMPLES is descended in two stages, so that
-    each stage's levels stay in cache: the top levels, from the block's
-    total down to the totals of its CHUNK_SAMPLES-sample subtrees, then
-    each subtree from its own pyramid.  The subtrees' pyramids are the
-    parts of the block's, sum for sum, so the codes are those of a
-    whole-block descent.  Each subtree's pyramid is built twice, for its
-    total and for its descent, so that only one is held at a time.
+    exactly (_choose), although the totals it rounds are float sums.
     """
-    width = min(values.shape[-1], CHUNK_SAMPLES)
-    subtrees = [values[:, a : a + width] for a in range(0, values.shape[-1], width)]
-    if len(subtrees) == 1:
-        top = _pairwise_levels(values)
-        sup = _check_budget(top, "signal totals")
-    else:
-        roots = np.empty((values.shape[0], len(subtrees)))
-        sups = []
-        for s, sub in enumerate(subtrees):
-            totals = _pairwise_levels(sub)
-            sups.append(_check_budget(totals, "signal totals"))
-            roots[:, s] = totals[0][:, 0]
-        top = _pairwise_levels(roots)
-        _check_budget(top, "signal totals")
-        sup = max(sups)
+    totals = _pairwise_levels(values)
+    sup = _check_budget(totals, "signal totals")
     # Whether the float totals are exact is asked only when a rounding is in doubt.
     exact = functools.cache(lambda: _on_grid(values, values.shape[-1] * sup))
     # As in _round_rows: the root is half the even integer nearest twice the total.
     d = values.shape[-1].bit_length()
-    root = _choose(2.0 * top[0], 0, tie_break, _radius(d, sup), values, False, exact) >> 1
-    parents = _descend(root, top[1:], tie_break, values, sup, exact)
-    if len(subtrees) == 1:
-        return parents
-    codes = np.empty(values.shape, dtype=np.int64)
-    for s, sub in enumerate(subtrees):
-        levels = _pairwise_levels(sub)[1:]
-        codes[:, s * width : (s + 1) * width] = _descend(parents[:, s : s + 1], levels,
-                                                         tie_break, sub, sup, exact)
-    return codes
+    root = _choose(2.0 * totals.pop(0), 0, tie_break, _radius(d, sup), values, False, exact) >> 1
+    return _descend(root, totals, tie_break, values, sup, exact)
 
 
 def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:

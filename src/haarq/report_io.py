@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .haar import _check_exponent, _readonly
-from .quantizer import CHUNK_SAMPLES, _haar_bounds
-from .spectral import _BASELINE_BOUND, FrequencyGrid, NoiseBoundTable
+from .quantizer import _haar_bounds
+from .spectral import _BASELINE_BOUND, NoiseBoundTable
 
 __all__ = [
     "InputFormatError",
@@ -43,6 +43,12 @@ __all__ = [
 
 FORMATS = ("csv", "raw_f64_le")
 PAD_POLICIES = ("zero_pad_last", "reject_partial")
+
+# Every stage works on chunks of about this many samples: (rows, 2**N)
+# arrays of 512 KiB of float64, so each stage's temporaries stay in cache
+# and memory does not grow with the input.  Blocks of 2**16 samples or
+# more are one chunk each.
+CHUNK_SAMPLES = 1 << 16
 
 
 class InputFormatError(ValueError):
@@ -770,8 +776,9 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     columns = [table.measured_half, table.bound_exact_half, table.bound_linear_half]
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError("cannot render non-finite value")
-    # The grid's negative frequencies are -1 .. -last_negative.
-    last_negative = FrequencyGrid(table.n_exponent).index_of(0)
+    # The grid's negative frequencies are -1 .. -last_negative, 2**(N-1) - 1
+    # of them, and none at N=0.
+    last_negative = max(0, columns[0].size - 2)
     step = CHUNK_SAMPLES // 8  # values of |xi| per chunk, two rows each
 
     def chunk_texts(lo, hi):

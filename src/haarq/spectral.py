@@ -34,7 +34,6 @@ from .haar import IndexLike, Signal, _check_exponent, _readonly, check_index
 from .quantizer import QuantizedSignal, _check_pair_budget, _haar_bounds, _residual
 
 __all__ = [
-    "FrequencyGrid",
     "NoiseBoundTable",
     "dft",
     "haar_fourier_coefficient",
@@ -44,44 +43,6 @@ __all__ = [
 # The flat spectral bound of per-sample rounding, whose error is at most
 # 1/2 at every sample and so at every frequency.
 _BASELINE_BOUND = 0.5
-
-
-@lru_cache(maxsize=32)
-def _frequencies(n: int) -> np.ndarray:
-    """The ascending frequencies of size 2**n, one shared read-only array."""
-    if n == 0:
-        return _readonly(np.array([0], dtype=np.int64))
-    half = 1 << (n - 1)
-    return _readonly(np.arange(-half + 1, half + 1, dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Integer frequencies (-2**(N-1), 2**(N-1)] of the size-2**N transform."""
-
-    n_exponent: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_exponent", _check_exponent(self.n_exponent))
-
-    @property
-    def size(self) -> int:
-        return 1 << self.n_exponent
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return _frequencies(self.n_exponent)
-
-    def contains(self, xi: int) -> bool:
-        if self.n_exponent == 0:
-            return xi == 0
-        half = self.size // 2
-        return -half < xi <= half
-
-    def index_of(self, xi: int) -> int:
-        if not self.contains(xi):
-            raise ValueError(f"frequency {xi} outside the grid for N={self.n_exponent}")
-        return int(xi - self.frequencies[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +103,11 @@ def haar_fourier_coefficient(xi: int, index: IndexLike, n_exponent: int) -> comp
     conjugate at -xi.  The DC pairings are special: 1 at (0, (0,1)), and
     0 whenever exactly one of xi and the level is zero.
     """
-    n = operator.index(n_exponent)
-    fgrid = FrequencyGrid(n)
+    n = _check_exponent(n_exponent)
     xi = operator.index(xi)
-    if not fgrid.contains(xi):
+    # The grid (-2**(N-1), 2**(N-1)], or [0] at N=0.
+    half = (1 << n) // 2
+    if not half - (1 << n) < xi <= half:
         raise ValueError(f"frequency {xi} outside the grid for N={n}")
     k, j = check_index(index, n)
     if xi == 0:

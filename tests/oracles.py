@@ -15,9 +15,16 @@ from functools import lru_cache
 import numpy as np
 
 from haarq import (
-    FrequencyGrid, QuantizedSignal, Signal, dumps_canonical, make_grid, quantize_haar_optimal,
+    QuantizedSignal, Signal, dumps_canonical, make_grid, quantize_haar_optimal,
     quantize_simple, verify_haar_bounds,
 )
+
+
+def frequencies(n: int) -> np.ndarray:
+    """The integer frequencies (-2**(N-1), 2**(N-1)] of the size-2**N
+    transform, ascending; [0] at N=0."""
+    half = (1 << n) // 2
+    return np.arange(half - (1 << n) + 1, half + 1)
 
 
 def mother_step(u: float) -> float:
@@ -80,7 +87,7 @@ def spectrum_csv_reference(table) -> str:
         table.measured_half, table.bound_exact_half, table.bound_linear_half,
     )]
     lines = ["xi,measured,bound_exact,bound_linear,baseline_bound\n"]
-    for xi, *values in zip(FrequencyGrid(table.n_exponent).frequencies.tolist(), *columns):
+    for xi, *values in zip(frequencies(table.n_exponent).tolist(), *columns):
         lines.append(",".join([str(xi)] + [repr(v) for v in [*values, 0.5]]) + "\n")
     return "".join(lines)
 
@@ -93,7 +100,7 @@ def dft_by_sum(f: Signal, xi: int) -> complex:
 
 @lru_cache(maxsize=4)
 def _dft_matrix(n: int) -> np.ndarray:
-    freqs = FrequencyGrid(n).frequencies
+    freqs = frequencies(n)
     t = make_grid(n).samples
     return np.exp(-2j * np.pi * np.outer(freqs, t)) / (1 << n)
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from haarq import (
-    FrequencyGrid,
     Signal,
     check_range,
     format_float,
@@ -35,6 +34,7 @@ from oracles import (
     dft_direct,
     enumerate_integer_quantizations,
     exact_haar_verdicts,
+    frequencies,
 )
 
 SLACK = 1e-12
@@ -174,7 +174,7 @@ def test_criterion_5_closed_form_matches_direct_dft():
     max_dev = 0.0
     for n in range(0, 9):
         grid = make_grid(n)
-        freqs = FrequencyGrid(n).frequencies
+        freqs = frequencies(n)
         for k, j in all_indices(n):
             direct = dft_direct(haar_basis((k, j), grid))
             for xi, value in zip(freqs, direct):

@@ -495,15 +495,16 @@ class TestBasis:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert values == pytest.approx([0, 0, -(2**0.5), 2**0.5])
 
-    def test_fourier_dump(self, capsys):
-        code = main([
-            "basis", "--block-exp", "3", "--level", "1", "--position", "1",
-            "--fourier",
-        ])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_fourier_dump(self, capsys, n):
+        code = main(["basis", "--block-exp", str(n), "--level", "0", "--position", "1",
+                     "--fourier"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "xi,re,im,abs"
-        assert len(lines) == 9
+        # The grid (-2**(N-1), 2**(N-1)], ascending; [0] at N=0.
+        expected = list(range(1 - 2 ** (n - 1), 2 ** (n - 1) + 1)) if n else [0]
+        assert [int(line.split(",")[0]) for line in lines[1:]] == expected
 
     def test_invalid_index_is_usage_error(self, capsys):
         code = main(["basis", "--block-exp", "2", "--level", "3", "--position", "1"])
@@ -1022,16 +1023,20 @@ class TestThreadPool:
         assert captured.out == "".join(f"{c}\n" for c in expected.tolist())
 
 
+    @pytest.mark.parametrize("case", ["verify-quantized-report", "spectrum-n11"])
     def test_cold_caches_under_frequent_thread_switches(self, tmp_path, monkeypatch,
-                                                        capsysbinary):
-        # The workers share only spectral's lru_caches, filled here by
-        # several workers at once while threads switch every 10 us.
-        fmt, argv = self.CASES["verify-quantized-report"]
+                                                        capsysbinary, case):
+        # The threads share only the noise envelopes and the float
+        # formatter's tables, cached on first use, filled here by several
+        # threads at once while threads switch every 10 us.
+        fmt, argv = self.CASES[case]
         values = np.random.default_rng(2300).uniform(-50.0, 50.0, 6 * CHUNK_SAMPLES + 5)
         write_raw(tmp_path / "in.raw", values)
-        write_raw(tmp_path / "q.raw", quantize_per_block(values, self.N))
-        spectral._noise_envelopes.cache_clear()
-        spectral._frequencies.cache_clear()
+        if "--quantized" in argv:
+            write_raw(tmp_path / "q.raw", quantize_per_block(values, self.N))
+        for cache in (spectral._noise_envelopes, report_io._quads, report_io._ryu_tables,
+                      report_io._templates):
+            cache.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -1127,9 +1132,10 @@ class TestBoundedMemory:
         lone = self.peak(tmp_path, 1, 10, argv)
         assert self.peak(tmp_path, 32, 10, argv) <= 3 * lone
 
-    def test_a_large_block_is_quantized_by_subtrees(self, tmp_path):
-        # Holding the whole block's float and int64 pyramids took 6.4 times
-        # the block's bytes.
+    def test_a_large_block_peaks_below_four_times_its_bytes(self, tmp_path):
+        # The descent frees each float level once it is split: keeping them
+        # all to the end took 4.27 times the block's bytes, and holding the
+        # whole block's float and int64 pyramids 6.4 times.
         n = 18
         argv = self.quantize(tmp_path)
         self.peak(tmp_path, 1, n, argv)  # imports and caches

@@ -21,9 +21,8 @@ from haarq import (
 )
 
 from haarq.cli import main as cli_main
-from haarq.quantizer import (
-    CHUNK_SAMPLES, _haar_error_rows, _parity_round, _quantize_rows, _residual,
-)
+from haarq.quantizer import _haar_error_rows, _parity_round, _quantize_rows, _residual
+from haarq.report_io import CHUNK_SAMPLES
 from haarq.spectral import _residual_tables
 
 from oracles import (
@@ -197,9 +196,10 @@ class TestQuantizeOptimal:
                 call()
 
 
-class TestSubtreeDescent:
-    """Blocks longer than CHUNK_SAMPLES (N = 17, 18 here) are descended by
-    subtrees; the codes must be those of the whole-block per-level descent."""
+class TestLargeBlockDescent:
+    """Blocks up to and beyond a chunk's CHUNK_SAMPLES (N = 15 to 18 here)
+    are descended in one pass; the codes must be those of the reference
+    per-level descent."""
 
     @staticmethod
     def rows(kind, n):
@@ -232,14 +232,14 @@ class TestSubtreeDescent:
             assert not b.flags.writeable
             assert np.array_equal(a, b)
 
-    def test_overflow_in_a_later_subtree_is_caught(self):
+    def test_overflow_late_in_the_block_is_caught(self):
         values = np.zeros((1, 4 * CHUNK_SAMPLES))
         values[0, -1] = 2.0**61
         with pytest.raises(OverflowError):
             _quantize_rows(values, "toward_negative")
 
     def test_overflow_of_the_block_total_alone_is_caught(self):
-        # Each subtree totals 2**59, inside the budget; the block, 2**61.
+        # Each quarter totals 2**59, inside the budget; the block, 2**61.
         values = np.full((1, 4 * CHUNK_SAMPLES), 2.0**59 / CHUNK_SAMPLES)
         with pytest.raises(OverflowError):
             _quantize_rows(values, "toward_negative")
@@ -300,6 +300,34 @@ def test_nearest_integer_rounding_is_exact(value, tie, expected):
     assert quantize_simple(f, tie).values.tolist() == [expected]
     g, _ = quantize_haar_optimal(f, tie_break=tie)
     assert g.values.tolist() == [expected]
+
+
+class TestQuantizedSignal:
+    @pytest.mark.parametrize("values", [
+        np.array([2.0**63, 0.0]),
+        np.array([1e19, 0.0]),
+        np.array([-1e19, 0.0]),
+        np.array([2**63, 1], dtype=np.uint64),
+    ], ids=["2.0**63", "1e19", "-1e19", "uint64 2**63"])
+    def test_values_outside_int64_rejected(self, values):
+        # Before, these wrapped around to other integers.
+        with pytest.raises(ValueError, match="int64 range"):
+            QuantizedSignal(make_grid(1), values)
+
+    def test_int64_extremes_accepted(self):
+        extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+        g = QuantizedSignal(make_grid(1), extremes)
+        assert g.values.tolist() == extremes.tolist()
+        floats = QuantizedSignal(make_grid(1), np.array([-(2.0**63), 2.0**63 - 1024]))
+        assert floats.values.tolist() == [-(2**63), 2**63 - 1024]
+        # Narrow floats are checked in float64, with no overflow warning.
+        narrow = QuantizedSignal(make_grid(1), np.array([-3.0, 65504.0], dtype=np.float16))
+        assert narrow.values.tolist() == [-3, 65504]
+
+    def test_non_integers_rejected(self):
+        for values in ([0.5, 0.0], [np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="must be integers"):
+                QuantizedSignal(make_grid(1), np.array(values))
 
 
 class TestVerify:

@@ -457,10 +457,10 @@ def spectrum_case(n):
 
 
 class TestSpectrumCsvAgainstReference:
-    """write_spectrum_csv formats each |xi| once and, where it can, reads its
-    rows -xi back to make the rows xi; the reference formats every row.
-    From N = 16 on, the 2**(N-1) + 1 values of |xi| leave a last chunk
-    that holds only xi = 0."""
+    """write_spectrum_csv formats each |xi| once, and its row -xi is its
+    row xi with a '-' in front; the reference formats every row.  From
+    N = 14 on, the 2**(N-1) + 1 values of |xi| leave a last chunk that
+    holds only xi = 0."""
 
     NS = [0, 1, 2, 3, 16, 17, 18]
 

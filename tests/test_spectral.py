@@ -6,7 +6,6 @@ import pytest
 
 from haarq import (
     MAX_EXPONENT,
-    FrequencyGrid,
     InputSpec,
     Signal,
     TimeGrid,
@@ -29,6 +28,7 @@ from oracles import (
     dft_by_sum,
     dft_direct,
     exact_envelope_by_level,
+    frequencies,
 )
 
 
@@ -36,31 +36,13 @@ def random_signal(n, rng):
     return Signal(make_grid(n), rng.uniform(-0.5, 0.5, 1 << n))
 
 
-class TestFrequencyGrid:
-    def test_n0_is_dc_only(self):
-        assert FrequencyGrid(0).frequencies.tolist() == [0]
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_shape_and_membership(self, n):
-        grid = FrequencyGrid(n)
-        freqs = grid.frequencies
-        assert freqs.shape == (1 << n,)
-        assert 0 in freqs
-        assert freqs[0] == -(1 << (n - 1)) + 1
-        assert freqs[-1] == 1 << (n - 1)
-        assert grid.contains(int(freqs[0])) and grid.contains(int(freqs[-1]))
-        assert not grid.contains(int(freqs[0]) - 1)
-        assert not grid.contains(int(freqs[-1]) + 1)
-
-
 @pytest.mark.parametrize(
     "make",
     [
         lambda n: InputSpec("x.csv", n),
-        FrequencyGrid,
         TimeGrid,
     ],
-    ids=["InputSpec", "FrequencyGrid", "TimeGrid"],
+    ids=["InputSpec", "TimeGrid"],
 )
 def test_exponent_above_max_rejected(make):
     make(MAX_EXPONENT)
@@ -100,7 +82,7 @@ class TestDft:
         rng = np.random.default_rng(1000 + n)
         f = random_signal(n, rng)
         # The oracle ascends over the full grid; its rows xi >= 0 end it.
-        direct = dft_direct(f)[FrequencyGrid(n).index_of(0):]
+        direct = dft_direct(f)[frequencies(n) >= 0]
         fast = dft(f)
         assert not fast.flags.writeable
         assert np.abs(direct - fast).max() <= 1e-10
@@ -146,14 +128,16 @@ class TestClosedForm:
         direct = dft_by_sum(haar_basis((1, 1), make_grid(4)), 8)
         assert abs(direct) <= 1e-14
 
-    def test_out_of_grid_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            haar_fourier_coefficient(9, (1, 1), 4)
+    @pytest.mark.parametrize("n, xi", [(4, 9), (4, -8), (1, 2), (1, -1), (0, 1), (0, -1)])
+    def test_out_of_grid_frequency_rejected(self, n, xi):
+        # Just past either edge of (-2**(N-1), 2**(N-1)], or off [0] at N=0.
+        with pytest.raises(ValueError, match="outside the grid"):
+            haar_fourier_coefficient(xi, (0, 1), n)
 
     @pytest.mark.parametrize("n", range(0, 7))
     def test_matches_direct_transform_of_basis(self, n):
         g = make_grid(n)
-        freqs = FrequencyGrid(n).frequencies
+        freqs = frequencies(n)
         for k, j in all_indices(n):
             direct = dft_direct(haar_basis((k, j), g))
             for xi, value in zip(freqs, direct):
@@ -237,12 +221,12 @@ class TestSpectrumError:
         p = tmp_path / "spec.csv"
         write_spectrum_csv(table, str(p))
         rows = [line.split(",") for line in p.read_text().splitlines()[1:]]
-        assert [int(r[0]) for r in rows] == FrequencyGrid(n).frequencies.tolist()
+        assert [int(r[0]) for r in rows] == frequencies(n).tolist()
         by_xi = {int(r[0]): r[1:] for r in rows}
         for xi in range(1, 1 << (n - 1)):
             assert by_xi[-xi] == by_xi[xi]
         written = np.array([[float(v) for v in r[1:]] for r in rows])
-        at = np.abs(FrequencyGrid(n).frequencies)
+        at = np.abs(frequencies(n))
         for column, half in zip(written.T, (
             table.measured_half, table.bound_exact_half, table.bound_linear_half,
         )):
