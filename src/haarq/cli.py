@@ -6,7 +6,9 @@ chunk of blocks (CHUNK_SAMPLES samples, or one block when N >= 16) is
 read, scaled, quantized, measured and written, then dropped.  Chunks
 are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
-flight; an input of one chunk is computed on the calling thread.  Each
+flight; an input of one chunk is computed on the calling thread.  A
+chunk's codes are encoded for output, as text or float64, where it is
+computed.  Each
 spectrum table is written on the calling thread by write_spectrum_csv,
 which formats it in chunks on a pool of its own, one thread per usable
 CPU.  The output does not depend on the number of CPUs.  Memory
@@ -54,13 +56,13 @@ from .report_io import (
     _Outputs,
     _ReportLayout,
     _SPECTRUM_HEADER,
+    _encoded,
     _in_order,
     _temporary_text,
     _write_lines,
     format_float,
     read_signal,
     write_spectrum_csv,
-    write_values,
 )
 from .spectral import _residual_tables, haar_fourier_coefficient
 
@@ -200,11 +202,10 @@ def cmd_quantize(args) -> int:
         entries, passed = "", True
         if layout is not None:
             haar = _haar_error_rows(f, g)
-            entries = layout.entries(a, g, haar)
+            entries = layout.entries(a, f, g, haar)
             passed = bool(haar.passed.all())
-        codes = g.reshape(-1)[:valid]
-        # Raw codes are written as float64, converted here, off the writing thread.
-        return (codes.astype("<f8") if binary else codes), entries, passed
+        # The codes are encoded here, off the writing thread.
+        return _encoded(g.reshape(-1)[:valid], fmt), valid, entries, passed
 
     length, passed = 0, True
     with (
@@ -213,11 +214,11 @@ def cmd_quantize(args) -> int:
         outputs.open(args.output, binary=binary) as out,
         contextlib.closing(_in_order(compute, read_signal(spec))) as chunks,
     ):
-        for codes, chunk_entries, chunk_passed in chunks:
-            write_values(out, codes, fmt)
+        for data, valid, chunk_entries, chunk_passed in chunks:
+            out.write(data)
             if layout is not None:
                 entries.write(chunk_entries)
-            length += codes.size
+            length += valid
             passed &= chunk_passed
         if layout is not None:
             _write_report(outputs, args, layout, entries, length, passed)
@@ -260,7 +261,7 @@ def cmd_verify(args) -> int:
         if g is None:
             g = _quantize_chunk(f, args)
         haar = _haar_error_rows(f, g)
-        entries = layout.entries(a, g, haar) if layout is not None else ""
+        entries = layout.entries(a, f, g, haar) if layout is not None else ""
         return valid, f.shape[0], bool(haar.passed.all()), entries
 
     length, count, passed = 0, 0, True

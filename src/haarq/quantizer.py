@@ -324,9 +324,9 @@ class _HaarRows(NamedTuple):
     """The Haar measurements of a chunk's blocks, one entry per row: (rows,)
     columns, the (rows, N) maxima of every level's errors, and those errors
     themselves, one (rows, 2**(k-1)) array per level k.  dc_ok and
-    details_ok are exact verdicts."""
+    details_ok are exact verdicts.  The input's own DC coefficient is
+    _dc_input's."""
 
-    dc_input: np.ndarray
     dc_quantized: np.ndarray
     dc_error: np.ndarray
     sup_error: np.ndarray
@@ -345,6 +345,13 @@ def _haar_bounds(n: int) -> tuple[float, np.ndarray, float]:
     dc_bound = 2.0 ** (-n - 1)
     detail_bounds = _readonly(np.exp2(-n + 0.5 * np.arange(n, dtype=np.float64)))
     return dc_bound, detail_bounds, 1.0 - dc_bound
+
+
+def _dc_input(f: np.ndarray) -> np.ndarray:
+    """The DC coefficient of every row of a (rows, 2**N) signal array: its
+    pairwise total, as the quantizer sums it, times 2**-N."""
+    n = f.shape[-1].bit_length() - 1
+    return _pairwise_levels(f)[0][:, 0] * np.exp2(-n)
 
 
 def _certified(err, worst, bound: float, radius, f, g, split: bool, exact) -> np.ndarray:
@@ -411,7 +418,6 @@ def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) 
     total = np.abs(levels[0])
     dc_ok = _certified(total, total[:, 0], 0.5, _radius(n, sup_error), f, g, False, exact)
     return _HaarRows(
-        dc_input=_pairwise_levels(f)[0][:, 0] * np.exp2(-n),
         dc_quantized=g.sum(axis=1) * np.exp2(-n),
         dc_error=total[:, 0] * np.exp2(-n),
         sup_error=sup_error,
@@ -435,9 +441,10 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
     _check_pair_budget(f.values[None, :], g.values[None, :])
     rows = _haar_error_rows(f.values[None, :], g.values[None, :])
     dc_bound, detail_bounds, sup_bound = _haar_bounds(f.n_exponent)
-    columns = ("dc_input", "dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok")
+    columns = ("dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok")
     return HaarErrorReport(
         n_exponent=f.n_exponent,
+        dc_input=_dc_input(f.values[None, :])[0].item(),
         dc_bound=dc_bound,
         detail_errors=tuple(err[0] for err in rows.detail_errors),
         detail_bounds=detail_bounds,

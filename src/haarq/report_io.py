@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .haar import _check_exponent, _readonly
-from .quantizer import _haar_bounds
+from .quantizer import _dc_input, _haar_bounds
 from .spectral import _BASELINE_BOUND, NoiseBoundTable
 
 __all__ = [
@@ -78,42 +78,171 @@ class InputSpec:
         object.__setattr__(self, "scale_delta", delta)
 
 
-def _read_csv_values(lines, source: str, first_lineno: int) -> np.ndarray:
-    """The line parser: skips blank and '#' lines, names the first bad one."""
+def _read_csv_values(lines, source: str, linenos) -> tuple[list[float], Exception | None]:
+    """The line parser: the value of each line, NaN for a blank or '#'
+    line, up to the first bad line, and the error that names it (or None)."""
     values = []
-    for lineno, line in enumerate(lines, start=first_lineno):
+    for lineno, line in zip(linenos, lines):
         text = line.strip()
         if not text or text.startswith("#"):
+            values.append(math.nan)
             continue
         try:
             value = float(text)
         except ValueError:
-            raise InputFormatError(
-                f"{source}:{lineno}: not a number: {text!r}"
-            ) from None
+            return values, InputFormatError(f"{source}:{lineno}: not a number: {text!r}")
         if not math.isfinite(value):
-            raise InputFormatError(f"{source}:{lineno}: non-finite sample {text!r}")
+            return values, InputFormatError(f"{source}:{lineno}: non-finite sample {text!r}")
         values.append(value)
-    return np.array(values, dtype=np.float64)
+    return values, None
 
 
-def _csv_pieces(fh, source: str, count: int):
-    """Samples of successive chunks of `count` lines.
+# Bulk CSV reading.  A plain line, [+-]?digits[.digits] with '5.' and '.5'
+# allowed, is w / 10**frac for the integer w of its digits.  With both
+# exact in a binary format of p >= 64 significant bits whose division is
+# correctly rounded, their quotient is rounded once, to p bits (Clinger,
+# "How to read floating point numbers accurately", PLDI 1990).  Rounding
+# that to float64 gives float()'s bits unless it lands on a float64
+# midpoint: every midpoint has at most 54 significant bits, so no p-bit
+# rounding carries a value across one.  A line whose value is in doubt
+# goes to float() alone; a line outside the grammar, to the line parser.
 
-    NumPy converts each line with float(), so a chunk of plain numbers
-    parses in one call, to the same bits; a chunk that this rejects or
-    that holds a non-finite value goes through the line parser instead.
+_READ_CHARS = 1 << 20  # characters of CSV text read at a time
+# Whether np.longdouble is x87 extended (64-bit significand) or IEEE quad
+# (113-bit): the formats whose division the argument above holds for.
+# Elsewhere, such as IBM double-double, every line takes the line path.
+_EXTENDED = np.finfo(np.longdouble).nmant in (63, 112)
+# 10**0 .. 10**18, exact in either format.
+_DECIMAL_POWERS = np.cumprod(np.r_[1, np.full(18, 10)].astype(np.longdouble))
+
+
+def _plain_lines(buf):
+    """The lines of ASCII bytes ending in '\\n': where each starts and
+    ends (at its '\\n'), whether it is plain, and its sign, digit count
+    and digits after the dot.  Only '\\n', '.', '+', '-' and a few others
+    are below '0', and bytes above '9' make a line not plain."""
+    special = np.flatnonzero(buf < 48)
+    kinds = buf[special]
+    nl = np.flatnonzero(kinds == 10)
+    ends = special[nl]
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    # Of a plain line's specials, but its newline, a sign is first and a dot last.
+    count = np.diff(nl, prepend=-1) - 1
+    first = buf[starts]
+    signed = (first == 43) | (first == 45)
+    last = nl - 1
+    dotted = (count > 0) & (kinds[last] == 46)
+    digits = ends - starts - count
+    plain = (count - dotted - signed == 0) & (digits > 0)
+    if buf.max() > 57:
+        plain[np.searchsorted(ends, np.flatnonzero(buf > 57))] = False
+    frac = np.where(dotted, ends - special[last] - 1, 0)
+    return starts, ends, plain, first == 45, digits, frac
+
+
+def _plain_values(buf, starts, ends, plain, negative, digits, frac):
+    """The float64 of each plain line, and the indices among them of the
+    lines whose value is in doubt."""
+    keep = buf != 46
+    if not plain.all():
+        keep &= np.repeat(plain, ends - starts + 1)
+    w = np.fromstring(buf[keep].tobytes(), dtype=np.int64, sep="\n")
+    np.abs(w, out=w)
+    frac, digits = frac[plain], digits[plain]
+    # Up to 18 digits, w < 2**63 and fromstring does not saturate; a line
+    # has no fewer digits than it has after its dot.
+    exact = digits <= 18
+    y = w.astype(np.longdouble)
+    y /= _DECIMAL_POWERS[np.minimum(frac, 18)]
+    z = y.astype(np.float64)
+    # y - z is exact, and where y is a midpoint it is a power of two, which
+    # float64 holds: then d is half the gap from z to its neighbour toward y
+    # (a d that is only rounded to that sends its line to float() too).
+    y -= z
+    d = y.astype(np.float64)
+    near = np.flatnonzero((d.view(np.uint64) << 12 == 0) & (d != 0))
+    gap = np.abs(np.nextafter(z[near], np.copysign(np.inf, d[near])) - z[near])
+    exact[near[2 * np.abs(d[near]) == gap]] = False
+    np.negative(z, out=z, where=negative[plain])
+    return z, np.flatnonzero(~exact)
+
+
+def _csv_block(text: str, source: str, first_lineno: int):
+    """The samples of a block of whole CSV lines, those before its first
+    bad line; its number of lines; and the InputFormatError that names
+    that line, or None."""
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii() else None
+    count = text.count("\n")
+    plain = np.zeros(count, bool)
+    if buf is not None and _EXTENDED:
+        starts, ends, plain, *parts = _plain_lines(buf)
+
+    def lines(index):
+        """The text of the lines index; only where _plain_lines ran."""
+        return [text[a:b] for a, b in zip(starts[index].tolist(), ends[index].tolist())]
+
+    values = np.empty(count)  # NaN for a line without a sample
+    stop, error = count, None  # the first bad line and its error
+    if plain.any():
+        index = np.flatnonzero(plain)
+        values[index], doubt = _plain_values(buf, starts, ends, plain, *parts)
+        doubt = index[doubt]
+        values[doubt] = [float(line) for line in lines(doubt)]
+        # A line of more than 308 digits overflows.
+        bad = doubt[~np.isfinite(values[doubt])]
+        if bad.size:
+            stop = bad[0]
+            error = InputFormatError(
+                f"{source}:{first_lineno + stop}: non-finite sample {lines([stop])[0]!r}")
+    other = np.flatnonzero(~plain)
+    if other.size:
+        # NumPy converts each line with float(), to the same bits; lines
+        # that this rejects, or that hold a non-finite value, go through
+        # the line parser instead.
+        texts = text.split("\n")[:-1] if other.size == count else lines(other)
+        other_error = None
+        try:
+            parsed = np.array(texts, dtype=np.float64)
+        except ValueError:
+            parsed = None
+        if parsed is None or not np.isfinite(parsed).all():
+            parsed, other_error = _read_csv_values(texts, source,
+                                                   (other + first_lineno).tolist())
+        values[other[: len(parsed)]] = parsed
+        if other_error is not None and other[len(parsed)] < stop:
+            stop, error = other[len(parsed)], other_error
+    values = values[:stop]
+    return values[~np.isnan(values)], count, error
+
+
+def _csv_pieces(fh, source: str):
+    """Samples of successive blocks of CSV lines read from fh.
+
+    Each read of _READ_CHARS characters ends at its last newline; the
+    rest starts the next block.  Every sample before a bad line is
+    yielded before its error is raised.
     """
     first_lineno = 1
-    while lines := list(itertools.islice(fh, count)):
-        try:
-            values = np.array(lines, dtype=np.float64)
-        except ValueError:
-            values = None
-        if values is None or not np.all(np.isfinite(values)):
-            values = _read_csv_values(lines, source, first_lineno)
+    pending = []  # text read since the last newline
+    while True:
+        text = fh.read(_READ_CHARS)
+        cut = text.rfind("\n") + 1
+        if text and not cut:
+            pending.append(text)
+            continue
+        block = "".join([*pending, text[:cut]] if text else pending)
+        pending = [text[cut:]]
+        if not block:
+            return
+        values, lines, error = _csv_block(block, source, first_lineno)
         yield values
-        first_lineno += len(lines)
+        if error is not None:
+            raise error
+        first_lineno += lines
 
 
 def _raw_pieces(fh, source: str, count: int):
@@ -140,15 +269,19 @@ def _raw_pieces(fh, source: str, count: int):
 def _exact_pieces(pieces, count: int):
     """Re-cut a stream of sample arrays into arrays of exactly `count`
     samples; only the last may be shorter, and none is empty."""
-    rest = np.empty(0)
+    held, size = [], 0  # the pieces not yet cut, and their samples
     for piece in pieces:
-        buf = np.concatenate([rest, piece]) if rest.size else piece
-        cut = buf.size - buf.size % count
+        held.append(piece)
+        size += piece.size
+        if size < count:
+            continue
+        buf = np.concatenate(held) if len(held) > 1 else piece
+        cut = size - size % count
         for a in range(0, cut, count):
             yield buf[a : a + count]
-        rest = buf[cut:]
-    if rest.size:
-        yield rest
+        held, size = ([buf[cut:]] if cut < size else []), size - cut
+    if size:
+        yield np.concatenate(held)
 
 
 def _open_input(path: str, binary: bool):
@@ -177,7 +310,7 @@ def read_signal(spec: InputSpec):
     source = "<stdin>" if spec.path == "-" else spec.path
     binary = spec.format == "raw_f64_le"
     with _open_input(spec.path, binary) as fh:
-        pieces = (_raw_pieces if binary else _csv_pieces)(fh, source, count)
+        pieces = _raw_pieces(fh, source, count) if binary else _csv_pieces(fh, source)
         first_block = length = 0
         for values in _exact_pieces(pieces, count):
             valid = values.size
@@ -283,7 +416,7 @@ def _codes_sha256(codes) -> str:
 # How the text of a slot's value is made, by the slot's kind.
 _CONVERSIONS = {"float": "%r", "int": "%d", "flag": "%s", "str": '"%s"'}
 _FLAG_TEXT = {True: "true", False: "false"}
-_FLOAT_COLUMNS = ("dc_input", "dc_quantized", "dc_error", "sup_error")
+_FLOAT_COLUMNS = ("dc_quantized", "dc_error", "sup_error")  # of _HaarRows
 _HAAR_FLAGS = ("dc_ok", "details_ok")
 # The run's own slots, in the order _ReportLayout._run takes them.
 _RUN_SLOTS = (("int", "original_length"), ("int", "pad_count"), ("int", "block_count"),
@@ -330,7 +463,7 @@ class _ReportLayout:
                 {"level": k, "max_error": slot("float", name), "bound": float(bound)}
                 for k, (name, bound) in enumerate(zip(self.levels, detail_bounds), start=1)
             ],
-            **{name: slot("float", name) for name in _FLOAT_COLUMNS},
+            **{name: slot("float", name) for name in ("dc_input", *_FLOAT_COLUMNS)},
             **{name: slot("flag", name) for name in _HAAR_FLAGS},
             "pass": slot("flag", "haar_pass"),
         }
@@ -367,13 +500,13 @@ class _ReportLayout:
             "pass": passed,
         }
 
-    def entries(self, a: int, g: np.ndarray, haar) -> str:
+    def entries(self, a: int, f: np.ndarray, g: np.ndarray, haar) -> str:
         """The text of the entries of the blocks a, a + 1, ..., led by the
         separator from the entry before unless a is 0.
 
-        g holds the blocks' codes, a row each, and haar is their _HaarRows,
-        whose verdict is the block's.  A non-finite float raises
-        ValueError.
+        f and g hold the blocks' samples and codes, a row each, and haar
+        is their _HaarRows, whose verdict is the block's.  A non-finite
+        float raises ValueError.
         """
         rows = g.shape[0]
         flags = {name: getattr(haar, name) for name in _HAAR_FLAGS}
@@ -382,6 +515,7 @@ class _ReportLayout:
             "index": range(a, a + rows),
             "quantized_sha256": [_codes_sha256(row) for row in g],
             "dc_total": g.sum(axis=1).tolist(),
+            "dc_input": _floats(_dc_input(f)),
             **{name: _floats(getattr(haar, name)) for name in _FLOAT_COLUMNS},
             **dict(zip(self.levels, _floats(haar.detail_max.T))),
             **{name: [_FLAG_TEXT[flag] for flag in column.tolist()]
@@ -628,6 +762,42 @@ def _float_texts(values) -> np.ndarray:
     return texts
 
 
+@functools.cache
+def _int_quads():
+    """The texts of a base-10**4 group of an integer: _quads() below its
+    highest group; then, for its highest, the same with leading zeros as
+    NULs, 0 being "\\0\\0\\00" (the integer 0); then four NULs above it."""
+    lead = "".join(f"{i:4d}" for i in range(10000)).replace(" ", "\0").encode()
+    return np.concatenate([_quads(), np.frombuffer(lead, np.uint32), [0]]).astype(np.uint32)
+
+
+def _int_lines(values) -> np.ndarray:
+    """The text "%d\\n" of each integer, as the rows of a uint8 matrix
+    padded with NULs: a sign, as many base-10**4 groups of the magnitude
+    as the largest needs, and the newline."""
+    arr = np.asarray(values).reshape(-1)
+    if arr.dtype.kind == "u":
+        mag = arr.astype(np.uint64)
+    else:
+        # |-2**63| is -2**63 in int64, and 2**63 in uint64.
+        mag = np.abs(arr.astype(np.int64, copy=False)).view(np.uint64)
+    groups = -(-len(str(mag.max(initial=0))) // 4)
+    quads = np.empty((arr.size, groups), np.uint32)
+    for col in range(groups - 1, -1, -1):
+        high = mag // 10**4
+        index = (mag - high * 10**4).astype(np.intp)
+        index += (high == 0) * 10000  # the highest group, or one above it
+        if col < groups - 1:
+            index += (mag == 0) * 10000  # above the highest: NULs
+        np.take(_int_quads(), index, out=quads[:, col])
+        mag = high
+    rows = np.empty((arr.size, 4 * groups + 2), np.uint8)
+    rows[:, 0] = (arr < 0) * ord("-")
+    rows[:, 1:-1] = quads.view(np.uint8)
+    rows[:, -1] = ord("\n")
+    return rows
+
+
 def _text(rows) -> str:
     """The text of a NUL-padded byte matrix, row after row, without its NULs."""
     return str(rows[rows != 0], "ascii")
@@ -695,6 +865,19 @@ def _write_lines(out, lines) -> None:
         fh.writelines(lines)
 
 
+def _encoded(values, format: str):
+    """values as write_values writes them: float64 for raw, else text."""
+    arr = np.asarray(values)
+    if format == "raw_f64_le":
+        return arr.astype("<f8", copy=False)
+    if np.issubdtype(arr.dtype, np.integer):
+        return _text(_int_lines(arr))
+    lines = np.empty((arr.size, _TEXT_WIDTH + 1), np.uint8)
+    lines[:, :-1] = _float_texts(arr)
+    lines[:, -1] = ord("\n")
+    return _text(lines)
+
+
 def write_values(out, values: np.ndarray, format: str = "csv") -> None:
     """Write samples in the given format; integer arrays render as integers.
 
@@ -704,18 +887,8 @@ def write_values(out, values: np.ndarray, format: str = "csv") -> None:
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
-    arr = np.asarray(values)
-    binary = format == "raw_f64_le"
-    if binary:
-        data = arr.astype("<f8", copy=False)
-    elif np.issubdtype(arr.dtype, np.integer):
-        data = ("%d\n" * arr.size) % tuple(arr.tolist())
-    else:
-        lines = np.empty((arr.size, _TEXT_WIDTH + 1), np.uint8)
-        lines[:, :-1] = _float_texts(arr)
-        lines[:, -1] = ord("\n")
-        data = _text(lines)
-    with _opened(out, binary) as fh:
+    data = _encoded(values, format)
+    with _opened(out, format == "raw_f64_le") as fh:
         fh.write(data)
 
 

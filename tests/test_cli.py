@@ -133,6 +133,23 @@ class TestQuantize:
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["0", "0", "1", "0"]
 
+    def test_plain_decimal_csv_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
+        def refuse(lines, source, linenos):
+            raise AssertionError("a plain line reached the line parser")
+
+        monkeypatch.setattr(report_io, "_read_csv_values", refuse)
+        values = np.random.default_rng(59).normal(0.0, 300.0, 3000).tolist()
+        # repr and %.17g lines, signs, '-0', '5.', '.5', leading zeros, and
+        # lines whose value is in doubt: a float64 midpoint and 19 or more digits.
+        lines = [repr(v) for v in values[:1000]] + ["%.17g" % v for v in values[1000:]]
+        lines += ["-0", "+3", "5.", ".5", "-.25", "007.5", "4503599627370496.5",
+                  "0.1234567890123456789", "-0000000000000000000012.5"]
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("".join(f"{line}\n" for line in lines))
+        assert main(["quantize", "--input", str(src), "--output", str(out)]) == 0
+        samples = np.array([float(line) for line in lines])
+        assert read_int_csv(out) == quantize_per_block(samples, 10).tolist()
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
@@ -1023,19 +1040,23 @@ class TestThreadPool:
         assert captured.out == "".join(f"{c}\n" for c in expected.tolist())
 
 
-    @pytest.mark.parametrize("case", ["verify-quantized-report", "spectrum-n11"])
+    @pytest.mark.parametrize("case", ["verify-quantized-report", "spectrum-n11",
+                                      "quantize-csv-report"])
     def test_cold_caches_under_frequent_thread_switches(self, tmp_path, monkeypatch,
                                                         capsysbinary, case):
-        # The threads share only the noise envelopes and the float
-        # formatter's tables, cached on first use, filled here by several
-        # threads at once while threads switch every 10 us.
+        # The threads share only the noise envelopes and the float and
+        # integer formatters' tables, cached on first use, filled here by
+        # several threads at once while threads switch every 10 us.
         fmt, argv = self.CASES[case]
         values = np.random.default_rng(2300).uniform(-50.0, 50.0, 6 * CHUNK_SAMPLES + 5)
-        write_raw(tmp_path / "in.raw", values)
+        if fmt == "csv":
+            write_csv(tmp_path / "in.csv", values)
+        else:
+            write_raw(tmp_path / "in.raw", values)
         if "--quantized" in argv:
             write_raw(tmp_path / "q.raw", quantize_per_block(values, self.N))
         for cache in (spectral._noise_envelopes, report_io._quads, report_io._ryu_tables,
-                      report_io._templates):
+                      report_io._templates, report_io._int_quads):
             cache.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -21,7 +21,13 @@ from haarq import (
 )
 
 from haarq.cli import main as cli_main
-from haarq.quantizer import _haar_error_rows, _parity_round, _quantize_rows, _residual
+from haarq.quantizer import (
+    _dc_input,
+    _haar_error_rows,
+    _parity_round,
+    _quantize_rows,
+    _residual,
+)
 from haarq.report_io import CHUNK_SAMPLES
 from haarq.spectral import _residual_tables
 
@@ -404,12 +410,13 @@ class TestVerify:
         g = np.array([quantize_haar_optimal(Signal(grid, row))[0].values for row in f])
         g[4, -1] += 2  # one failing row among passing ones
         rows = _haar_error_rows(f, g)
+        dc_input = _dc_input(f)
         assert rows.passed.tolist() == [True] * 4 + [False, True]
         assert rows.detail_max.shape == (6, n)
         for i, (fr, gr) in enumerate(zip(f, g)):
             one = verify_haar_bounds(Signal(grid, fr), QuantizedSignal(grid, gr))
-            for name in ("dc_input", "dc_quantized", "dc_error", "sup_error",
-                         "dc_ok", "details_ok"):
+            assert dc_input[i] == one.dc_input
+            for name in ("dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok"):
                 assert getattr(rows, name)[i] == getattr(one, name)
             for k, (a, b) in enumerate(zip(rows.detail_errors, one.detail_errors)):
                 assert np.array_equal(a[i], b)

@@ -5,6 +5,7 @@ import math
 import os
 import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from haarq import (
     make_grid,
     quantize_haar_optimal,
     read_signal,
+    report_io,
     spectrum_error,
     write_spectrum_csv,
     write_values,
@@ -145,6 +147,89 @@ class TestCsvChunks:
             (0, CHUNK_SAMPLES, CHUNK_SAMPLES), (CHUNK_SAMPLES, 5, 5)
         ]
         assert np.array_equal(np.concatenate([rows for _, rows, _ in chunks])[:, 0], values)
+
+
+def _float_line(x, form, decimals):
+    """x as one of the texts CSV writers make: repr, %.17g, %.Nf, %d or %.18e."""
+    if form == "repr":
+        return repr(x)
+    if form == "%.Nf":
+        return "%.*f" % (decimals, x)
+    return form % x
+
+
+# Lines of the bulk reader's grammar, and beside it: signs, '-0', '5.', '.5',
+# leading zeros, 19 to 20 digit strings and too many digits after the dot.
+CSV_LINES = st.one_of(
+    st.builds(_float_line, st.floats(-1e20, 1e20, allow_nan=False),
+              st.sampled_from(["repr", "%.17g", "%.Nf", "%d", "%.18e"]), st.integers(0, 30)),
+    st.from_regex(r"\A[+-]?[0-9]{0,21}\.?[0-9]{0,32}\Z").filter(
+        lambda s: any(c.isdigit() for c in s)),
+    st.sampled_from(["-0", "+0", "-0.0", "5.", ".5", "-.5", "+5.", "007", "-00.25"]),
+)
+
+
+class TestBulkCsvReader:
+    """The bulk reader gives float()'s bits for every line, with or without
+    its long double kernel, whatever the reads' boundaries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(CSV_LINES, min_size=1, max_size=60),
+           read_chars=st.integers(1, 200))
+    # Float64 midpoints, exact, and lines whose 64-bit quotient is one while
+    # they are not: rounding that again to float64 would get them wrong.
+    @example(lines=["9007199254740993", "4503599627370496.5", "9992.5850355856428",
+                    "-0.14118613576402427", "9007199254740993.0001"], read_chars=200)
+    # Digit strings above 2**53, where float64 division would be inexact, 18
+    # digits all after the dot, and digit strings beyond int64.
+    @example(lines=["14637558675684.521", "-16404167252770.369", ".123456789012345678"],
+             read_chars=200)
+    @example(lines=["9999999999999999999", "-9999999999999999999", "9223372036854775808",
+                    "-9223372036854775809", "92233720368547758080",
+                    "-92233720368547758080", "18446744073709551616.5"], read_chars=200)
+    @pytest.mark.parametrize("extended", [True, False])
+    def test_values_are_those_of_float(self, extended, lines, read_chars):
+        text = "".join(f"{line}\n" for line in lines)
+        with (mock.patch.object(report_io, "_EXTENDED", extended),
+              mock.patch.object(report_io, "_READ_CHARS", read_chars)):
+            pieces = list(report_io._csv_pieces(io.StringIO(text), "src"))
+        got = np.concatenate(pieces)
+        expected = np.array([float(line) for line in lines])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_without_the_long_double_kernel_every_line_takes_the_line_path(self):
+        def refuse(buf):
+            raise AssertionError("the bulk kernel ran without its long double")
+
+        text = "1.5\n-0\n9007199254740993\n.5\n"
+        with (mock.patch.object(report_io, "_EXTENDED", False),
+              mock.patch.object(report_io, "_plain_lines", refuse)):
+            got = np.concatenate(list(report_io._csv_pieces(io.StringIO(text), "src")))
+        assert got.view(np.int64).tolist() == \
+            np.array([1.5, -0.0, 9007199254740992.0, 0.5]).view(np.int64).tolist()
+
+    def test_the_last_line_may_lack_its_newline(self):
+        pieces = report_io._csv_pieces(io.StringIO("1.5\n-2\n0.25"), "src")
+        assert np.concatenate(list(pieces)).tolist() == [1.5, -2.0, 0.25]
+
+    def test_a_block_that_is_not_ascii_goes_to_the_line_parser(self):
+        # float() reads other scripts' digits; so does the line parser.
+        text = "# café\n1.5\n١٢\n-3\n"
+        assert np.concatenate(list(report_io._csv_pieces(io.StringIO(text), "src"))).tolist() \
+            == [1.5, 12.0, -3.0]
+
+    def test_every_sample_before_a_bad_line_is_yielded(self):
+        # The bad line is in the same read as the samples before it.
+        pieces = report_io._csv_pieces(io.StringIO("1\n# c\n2.5\n3x\n4\n"), "src")
+        assert next(pieces).tolist() == [1.0, 2.5]
+        with pytest.raises(InputFormatError, match=":4: not a number: '3x'"):
+            next(pieces)
+
+    def test_an_overflowing_digit_string_is_named(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text("0.5\n" + "9" * 400 + "\n")
+        with pytest.raises(InputFormatError, match=":2: non-finite sample '999"):
+            read_blocks(InputSpec(str(p), 0))
 
 
 class TestReadRaw:
@@ -305,6 +390,22 @@ class TestIntegerCsv:
         write_values(str(p), extremes, "csv")
         assert p.read_bytes() == b"-9223372036854775808\n9223372036854775807\n9007199254740993\n"
 
+    # Each side of every width of base-10**4 groups, and zero among them.
+    EDGES = [0] + [s * (10**(4 * k) - d) for k in range(1, 5) for d in (1, 0) for s in (1, -1)]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8,
+                                       np.uint32, np.uint64])
+    def test_every_group_width_edge_is_printf(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        values = [v for v in self.EDGES if info.min <= v <= info.max] + [info.min, info.max]
+        p = tmp_path / "codes.csv"
+        # All at once, where the largest sets the groups of all, and one by one.
+        write_values(str(p), np.array(values, dtype=dtype), "csv")
+        assert p.read_text() == ("%d\n" * len(values)) % tuple(values)
+        for v in values:
+            write_values(str(p), np.array([v], dtype=dtype), "csv")
+            assert p.read_text() == "%d\n" % v
+
     def test_chunks_append_and_the_empty_chunk_writes_nothing(self, tmp_path):
         p = tmp_path / "codes.csv"
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
@@ -329,8 +430,8 @@ class TestReportLayout:
         g = np.concatenate([codes, np.zeros(3, dtype=np.int64)]).reshape(-1, 4)
         layout = _ReportLayout(config, n)
         entries = [
-            layout.entries(0, g[:2], _haar_error_rows(f[:2], g[:2])),
-            layout.entries(2, g[2:], _haar_error_rows(f[2:], g[2:])),
+            layout.entries(0, f[:2], g[:2], _haar_error_rows(f[:2], g[:2])),
+            layout.entries(2, f[2:], g[2:], _haar_error_rows(f[2:], g[2:])),
         ]
         out = io.StringIO()
         layout.write(out, entries, 17, 3, 5, False)
