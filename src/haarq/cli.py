@@ -159,7 +159,8 @@ def _config_echo(args) -> dict:
     }
 
 
-def _quantize_chunk(f: np.ndarray, args) -> np.ndarray:
+def _quantize_chunk(f: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk's codes and the pairwise totals of its blocks' samples."""
     tie_break = _tie_break(args)
     if args.baseline:
         return _round_rows(f, tie_break)
@@ -198,11 +199,11 @@ def cmd_quantize(args) -> int:
     layout = _report_layout(args)
 
     def compute(a, f, valid):
-        g = _quantize_chunk(f, args)
+        g, total = _quantize_chunk(f, args)
         entries, passed = "", True
         if layout is not None:
             haar = _haar_error_rows(f, g)
-            entries = layout.entries(a, f, g, haar)
+            entries = layout.entries(a, total, g, haar)
             passed = bool(haar.passed.all())
         # The codes are encoded here, off the writing thread.
         return _encoded(g.reshape(-1)[:valid], fmt), valid, entries, passed
@@ -227,12 +228,13 @@ def cmd_quantize(args) -> int:
 
 
 def _with_codes(chunks, args):
-    """Each input chunk with the matching chunk of the --quantized codes.
+    """Each input chunk with the matching chunk of the --quantized codes
+    and the pairwise totals of its blocks' samples.
 
     The two files are read in step.  When their lengths differ, both are
     read to the end, so the error gives both lengths.
     """
-    codes = read_signal(_input_spec(args, path=args.quantized, delta=1.0))
+    codes = read_signal(_input_spec(args, path=args.quantized, delta=1.0), _codes=True)
     done = 0
     pairs = itertools.zip_longest(chunks, codes, fillvalue=(0, None, 0))
     for (a, f, valid), (_, q, q_valid) in pairs:
@@ -244,8 +246,8 @@ def _with_codes(chunks, args):
             )
         if not np.all(q == np.rint(q)):
             raise InputFormatError(f"{args.quantized}: values are not integers")
-        _check_pair_budget(f, q)
-        yield a, f, valid, q.astype(np.int64)
+        total = _check_pair_budget(f, q)
+        yield a, f, valid, q.astype(np.int64), total
         done += valid
 
 
@@ -257,11 +259,11 @@ def cmd_verify(args) -> int:
         chunks = _with_codes(chunks, args)
     layout = _report_layout(args)
 
-    def compute(a, f, valid, g=None):
+    def compute(a, f, valid, g=None, total=None):
         if g is None:
-            g = _quantize_chunk(f, args)
+            g, total = _quantize_chunk(f, args)
         haar = _haar_error_rows(f, g)
-        entries = layout.entries(a, f, g, haar) if layout is not None else ""
+        entries = layout.entries(a, total, g, haar) if layout is not None else ""
         return valid, f.shape[0], bool(haar.passed.all()), entries
 
     length, count, passed = 0, 0, True
@@ -300,7 +302,7 @@ def cmd_spectrum(args) -> int:
     del ahead
 
     def compute(a, f, valid):
-        g = _quantize_chunk(f, args)
+        g, _ = _quantize_chunk(f, args)
         r = _residual(f, g)
         passed = bool(_haar_error_rows(f, g, r).passed.all())
         # The codes are dropped once the blocks are decided, before the FFT.

@@ -145,20 +145,23 @@ def choose_parity_constrained(
     return int(_parity_round(target, PARITIES.index(parent_parity), tie_break))
 
 
-def _check_budget(levels, what: str) -> float:
-    """Reject totals levels beyond the budget; the last level's largest magnitude."""
+def _check_budget(levels, what: str) -> tuple[np.ndarray, float]:
+    """Reject totals levels beyond the budget; the root level's totals, one
+    per row, and the last level's largest magnitude."""
     for level in levels:
         largest = max(level.max(initial=0.0), -level.min(initial=0.0))
         if largest > _INT_BUDGET:
             raise OverflowError(f"{what} exceed the 64-bit integer budget")
-    return largest
+    return levels[0][..., 0], largest
 
 
-def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> None:
+def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reject (rows, 2**N) signal and code arrays with totals beyond the
-    budget, so their residual and block sums stay exact in int64."""
-    _check_budget(_pairwise_levels(f), "signal totals")
+    budget, so their residual and block sums stay exact in int64; return
+    the signal's (rows,) pairwise totals."""
+    total, _ = _check_budget(_pairwise_levels(f), "signal totals")
     _check_budget(_pairwise_levels(np.asarray(g, dtype=np.float64)), "quantized totals")
+    return total
 
 
 def _radius(d: int, sup):
@@ -259,27 +262,29 @@ def _descend(parent: np.ndarray, totals: list, tie_break: str, samples, sup, exa
     return parent
 
 
-def _quantize_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
+def _quantize_rows(values: np.ndarray, tie_break: str) -> tuple[np.ndarray, np.ndarray]:
     """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
 
-    Returns the int64 codes, one row per block.  Every rounding is decided
-    exactly (_choose), although the totals it rounds are float sums.
+    Returns the int64 codes, one row per block, and the rows' (rows,)
+    pairwise totals.  Every rounding is decided exactly (_choose),
+    although the totals it rounds are float sums.
     """
     totals = _pairwise_levels(values)
-    sup = _check_budget(totals, "signal totals")
+    total, sup = _check_budget(totals, "signal totals")
     # Whether the float totals are exact is asked only when a rounding is in doubt.
     exact = functools.cache(lambda: _on_grid(values, values.shape[-1] * sup))
     # As in _round_rows: the root is half the even integer nearest twice the total.
     d = values.shape[-1].bit_length()
     root = _choose(2.0 * totals.pop(0), 0, tie_break, _radius(d, sup), values, False, exact) >> 1
-    return _descend(root, totals, tie_break, values, sup, exact)
+    return _descend(root, totals, tie_break, values, sup, exact), total
 
 
-def _round_rows(values: np.ndarray, tie_break: str) -> np.ndarray:
-    """Per-sample rounding to the nearest integer, half-ties per tie_break."""
-    _check_budget(_pairwise_levels(values), "signal totals")
+def _round_rows(values: np.ndarray, tie_break: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample rounding to the nearest integer, half-ties per tie_break,
+    and the pairwise totals of the last axis."""
+    total, _ = _check_budget(_pairwise_levels(values), "signal totals")
     # m is nearest to x, ties per tie_break, iff 2m is the even integer nearest 2x.
-    return _parity_round(2.0 * values, 0, tie_break) >> 1
+    return _parity_round(2.0 * values, 0, tie_break) >> 1, total
 
 
 def quantize_haar_optimal(
@@ -296,7 +301,7 @@ def quantize_haar_optimal(
     Returns the quantized signal and its integer pyramid: read-only int64
     levels[0..N], levels[k] with 2**k entries, equal to totals_pyramid(g).
     """
-    codes = _quantize_rows(f.values[None, :], tie_break)[0]
+    codes = _quantize_rows(f.values[None, :], tie_break)[0][0]
     # Integer pairwise sums are exact, so these are the levels of the descent.
     levels = tuple(_readonly(v) for v in _pairwise_levels(codes))
     return QuantizedSignal(f.grid, levels[-1]), levels
@@ -304,7 +309,7 @@ def quantize_haar_optimal(
 
 def quantize_simple(f: Signal, tie_break: str = "toward_negative") -> QuantizedSignal:
     """Per-sample rounding to the nearest integer, half-ties per tie_break."""
-    return QuantizedSignal(f.grid, _round_rows(f.values, tie_break))
+    return QuantizedSignal(f.grid, _round_rows(f.values, tie_break)[0])
 
 
 def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -324,8 +329,9 @@ class _HaarRows(NamedTuple):
     """The Haar measurements of a chunk's blocks, one entry per row: (rows,)
     columns, the (rows, N) maxima of every level's errors, and those errors
     themselves, one (rows, 2**(k-1)) array per level k.  dc_ok and
-    details_ok are exact verdicts.  The input's own DC coefficient is
-    _dc_input's."""
+    details_ok are exact verdicts.  The input's own DC coefficient is its
+    pairwise total, which _quantize_rows and _check_pair_budget return,
+    times 2**-N."""
 
     dc_quantized: np.ndarray
     dc_error: np.ndarray
@@ -345,13 +351,6 @@ def _haar_bounds(n: int) -> tuple[float, np.ndarray, float]:
     dc_bound = 2.0 ** (-n - 1)
     detail_bounds = _readonly(np.exp2(-n + 0.5 * np.arange(n, dtype=np.float64)))
     return dc_bound, detail_bounds, 1.0 - dc_bound
-
-
-def _dc_input(f: np.ndarray) -> np.ndarray:
-    """The DC coefficient of every row of a (rows, 2**N) signal array: its
-    pairwise total, as the quantizer sums it, times 2**-N."""
-    n = f.shape[-1].bit_length() - 1
-    return _pairwise_levels(f)[0][:, 0] * np.exp2(-n)
 
 
 def _certified(err, worst, bound: float, radius, f, g, split: bool, exact) -> np.ndarray:
@@ -438,13 +437,13 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
     """
     if f.grid != g.grid:
         raise ValueError("signal and quantized signal live on different grids")
-    _check_pair_budget(f.values[None, :], g.values[None, :])
+    total = _check_pair_budget(f.values[None, :], g.values[None, :])
     rows = _haar_error_rows(f.values[None, :], g.values[None, :])
     dc_bound, detail_bounds, sup_bound = _haar_bounds(f.n_exponent)
     columns = ("dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok")
     return HaarErrorReport(
         n_exponent=f.n_exponent,
-        dc_input=_dc_input(f.values[None, :])[0].item(),
+        dc_input=total[0].item() * 2.0**-f.n_exponent,
         dc_bound=dc_bound,
         detail_errors=tuple(err[0] for err in rows.detail_errors),
         detail_bounds=detail_bounds,

@@ -22,13 +22,14 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 
 from .haar import _check_exponent, _readonly
-from .quantizer import _dc_input, _haar_bounds
+from .quantizer import _haar_bounds
 from .spectral import _BASELINE_BOUND, NoiseBoundTable
 
 __all__ = [
@@ -78,9 +79,11 @@ class InputSpec:
         object.__setattr__(self, "scale_delta", delta)
 
 
-def _read_csv_values(lines, source: str, linenos) -> tuple[list[float], Exception | None]:
+def _read_csv_values(lines, source: str, linenos,
+                     codes: bool) -> tuple[list[float], Exception | None]:
     """The line parser: the value of each line, NaN for a blank or '#'
-    line, up to the first bad line, and the error that names it (or None)."""
+    line, up to the first bad line, and the error that names it (or None).
+    With codes, a line whose exact value float64 does not hold is bad."""
     values = []
     for lineno, line in zip(linenos, lines):
         text = line.strip()
@@ -93,19 +96,27 @@ def _read_csv_values(lines, source: str, linenos) -> tuple[list[float], Exceptio
             return values, InputFormatError(f"{source}:{lineno}: not a number: {text!r}")
         if not math.isfinite(value):
             return values, InputFormatError(f"{source}:{lineno}: non-finite sample {text!r}")
+        if codes:
+            try:
+                exact = Decimal(text) == Decimal(value)
+            except InvalidOperation:  # an exponent beyond Decimal's range
+                exact = False
+            if not exact:
+                return values, InputFormatError(
+                    f"{source}:{lineno}: not exact in float64: {text!r}")
         values.append(value)
     return values, None
 
 
 # Bulk CSV reading.  A plain line, [+-]?digits[.digits] with '5.' and '.5'
-# allowed, is w / 10**frac for the integer w of its digits.  With both
-# exact in a binary format of p >= 64 significant bits whose division is
-# correctly rounded, their quotient is rounded once, to p bits (Clinger,
-# "How to read floating point numbers accurately", PLDI 1990).  Rounding
-# that to float64 gives float()'s bits unless it lands on a float64
-# midpoint: every midpoint has at most 54 significant bits, so no p-bit
-# rounding carries a value across one.  A line whose value is in doubt
-# goes to float() alone; a line outside the grammar, to the line parser.
+# allowed and at most 18 digits, is w / 10**frac for the integer w of its
+# digits.  With both exact in a binary format of p >= 64 significant bits
+# whose division is correctly rounded, their quotient is rounded once, to
+# p bits (Clinger, "How to read floating point numbers accurately", PLDI
+# 1990).  Rounding that to float64 gives float()'s bits unless it lands on
+# a float64 midpoint: every midpoint has at most 54 significant bits, so
+# no p-bit rounding carries a value across one.  Every other line takes
+# the line path.
 
 _READ_CHARS = 1 << 20  # characters of CSV text read at a time
 # Whether np.longdouble is x87 extended (64-bit significand) or IEEE quad
@@ -116,11 +127,12 @@ _EXTENDED = np.finfo(np.longdouble).nmant in (63, 112)
 _DECIMAL_POWERS = np.cumprod(np.r_[1, np.full(18, 10)].astype(np.longdouble))
 
 
-def _plain_lines(buf):
+def _plain_values(buf, codes: bool):
     """The lines of ASCII bytes ending in '\\n': where each starts and
-    ends (at its '\\n'), whether it is plain, and its sign, digit count
-    and digits after the dot.  Only '\\n', '.', '+', '-' and a few others
-    are below '0', and bytes above '9' make a line not plain."""
+    ends (at its '\\n'), and the float64 of each plain line it decides;
+    NaN for every other line and, with codes, for a line whose value
+    float64 may not hold.  Only '\\n', '.', '+', '-' and a few others are
+    below '0', and bytes above '9' make a line not plain."""
     special = np.flatnonzero(buf < 48)
     kinds = buf[special]
     nl = np.flatnonzero(kinds == 10)
@@ -135,92 +147,71 @@ def _plain_lines(buf):
     last = nl - 1
     dotted = (count > 0) & (kinds[last] == 46)
     digits = ends - starts - count
-    plain = (count - dotted - signed == 0) & (digits > 0)
+    # Up to 18 digits, w < 2**63 and fromstring does not saturate; a line
+    # has no fewer digits than it has after its dot.
+    plain = (count - dotted - signed == 0) & (digits > 0) & (digits <= 18)
     if buf.max() > 57:
         plain[np.searchsorted(ends, np.flatnonzero(buf > 57))] = False
-    frac = np.where(dotted, ends - special[last] - 1, 0)
-    return starts, ends, plain, first == 45, digits, frac
-
-
-def _plain_values(buf, starts, ends, plain, negative, digits, frac):
-    """The float64 of each plain line, and the indices among them of the
-    lines whose value is in doubt."""
     keep = buf != 46
     if not plain.all():
         keep &= np.repeat(plain, ends - starts + 1)
     w = np.fromstring(buf[keep].tobytes(), dtype=np.int64, sep="\n")
     np.abs(w, out=w)
-    frac, digits = frac[plain], digits[plain]
-    # Up to 18 digits, w < 2**63 and fromstring does not saturate; a line
-    # has no fewer digits than it has after its dot.
-    exact = digits <= 18
     y = w.astype(np.longdouble)
-    y /= _DECIMAL_POWERS[np.minimum(frac, 18)]
+    y /= _DECIMAL_POWERS[np.where(dotted, ends - special[last] - 1, 0)[plain]]
     z = y.astype(np.float64)
     # y - z is exact, and where y is a midpoint it is a power of two, which
     # float64 holds: then d is half the gap from z to its neighbour toward y
-    # (a d that is only rounded to that sends its line to float() too).
+    # (a d that is only rounded to that leaves its line undecided too).
     y -= z
     d = y.astype(np.float64)
     near = np.flatnonzero((d.view(np.uint64) << 12 == 0) & (d != 0))
     gap = np.abs(np.nextafter(z[near], np.copysign(np.inf, d[near])) - z[near])
-    exact[near[2 * np.abs(d[near]) == gap]] = False
-    np.negative(z, out=z, where=negative[plain])
-    return z, np.flatnonzero(~exact)
+    z[near[2 * np.abs(d[near]) == gap]] = np.nan
+    if codes:
+        # Up to 18 digits, y == z for an integer z only where the line is z;
+        # a z that is not an integer fails the codes' own check.
+        z[d != 0] = np.nan
+    np.negative(z, out=z, where=(first == 45)[plain])
+    values = np.full(ends.size, np.nan)
+    values[plain] = z
+    return starts, ends, values
 
 
-def _csv_block(text: str, source: str, first_lineno: int):
+def _csv_block(text: str, source: str, first_lineno: int, codes: bool):
     """The samples of a block of whole CSV lines, those before its first
     bad line; its number of lines; and the InputFormatError that names
-    that line, or None."""
+    that line, or None.  With codes, a line whose exact value float64
+    does not hold is bad."""
     if not text.endswith("\n"):
         text += "\n"
-    buf = np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii() else None
     count = text.count("\n")
-    plain = np.zeros(count, bool)
-    if buf is not None and _EXTENDED:
-        starts, ends, plain, *parts = _plain_lines(buf)
-
-    def lines(index):
-        """The text of the lines index; only where _plain_lines ran."""
-        return [text[a:b] for a, b in zip(starts[index].tolist(), ends[index].tolist())]
-
-    values = np.empty(count)  # NaN for a line without a sample
-    stop, error = count, None  # the first bad line and its error
-    if plain.any():
-        index = np.flatnonzero(plain)
-        values[index], doubt = _plain_values(buf, starts, ends, plain, *parts)
-        doubt = index[doubt]
-        values[doubt] = [float(line) for line in lines(doubt)]
-        # A line of more than 308 digits overflows.
-        bad = doubt[~np.isfinite(values[doubt])]
-        if bad.size:
-            stop = bad[0]
-            error = InputFormatError(
-                f"{source}:{first_lineno + stop}: non-finite sample {lines([stop])[0]!r}")
-    other = np.flatnonzero(~plain)
-    if other.size:
-        # NumPy converts each line with float(), to the same bits; lines
-        # that this rejects, or that hold a non-finite value, go through
-        # the line parser instead.
-        texts = text.split("\n")[:-1] if other.size == count else lines(other)
-        other_error = None
-        try:
-            parsed = np.array(texts, dtype=np.float64)
-        except ValueError:
-            parsed = None
-        if parsed is None or not np.isfinite(parsed).all():
-            parsed, other_error = _read_csv_values(texts, source,
-                                                   (other + first_lineno).tolist())
-        values[other[: len(parsed)]] = parsed
-        if other_error is not None and other[len(parsed)] < stop:
-            stop, error = other[len(parsed)], other_error
-    values = values[:stop]
+    if _EXTENDED and text.isascii():
+        starts, ends, values = _plain_values(np.frombuffer(text.encode("ascii"), np.uint8),
+                                             codes)
+        other = np.flatnonzero(np.isnan(values))
+    else:
+        values, other = np.empty(count), np.arange(count)
+    # The line path.  NumPy converts each line with float(), to the same
+    # bits; lines that this rejects or that hold a non-finite value, and
+    # codes, go through the line parser instead.
+    texts = (text.split("\n")[:-1] if other.size == count else
+             [text[a:b] for a, b in zip(starts[other].tolist(), ends[other].tolist())])
+    error = None
+    try:
+        parsed = np.array(texts, dtype=np.float64)
+    except ValueError:
+        parsed = None
+    if codes or parsed is None or not np.isfinite(parsed).all():
+        parsed, error = _read_csv_values(texts, source, (other + first_lineno).tolist(), codes)
+    values[other[: len(parsed)]] = parsed
+    if error is not None:
+        values = values[: other[len(parsed)]]
     return values[~np.isnan(values)], count, error
 
 
-def _csv_pieces(fh, source: str):
-    """Samples of successive blocks of CSV lines read from fh.
+def _csv_pieces(fh, source: str, codes: bool = False):
+    """Samples of successive blocks of CSV lines read from fh (_csv_block).
 
     Each read of _READ_CHARS characters ends at its last newline; the
     rest starts the next block.  Every sample before a bad line is
@@ -238,7 +229,7 @@ def _csv_pieces(fh, source: str):
         pending = [text[cut:]]
         if not block:
             return
-        values, lines, error = _csv_block(block, source, first_lineno)
+        values, lines, error = _csv_block(block, source, first_lineno, codes)
         yield values
         if error is not None:
             raise error
@@ -292,7 +283,7 @@ def _open_input(path: str, binary: bool):
     return open(path, "r", encoding="utf-8")
 
 
-def read_signal(spec: InputSpec):
+def read_signal(spec: InputSpec, _codes: bool = False):
     """Yield the signal, scaled by 1/delta, one chunk at a time.
 
     Each item is (first_block, rows, valid): rows is a read-only
@@ -303,14 +294,16 @@ def read_signal(spec: InputSpec):
     pad samples are exactly 0) or, per the pad policy, rejected once the
     input has ended.  An empty input yields nothing.  The input is opened
     when the first chunk is asked for, and a malformed sample raises
-    InputFormatError when its chunk is read.
+    InputFormatError when its chunk is read.  With _codes, for the
+    integer codes that verify reads, so does a CSV line whose exact
+    value float64 does not hold: every integer code is exact in float64.
     """
     size = 1 << spec.block_exponent
     count = max(1, CHUNK_SAMPLES >> spec.block_exponent) * size
     source = "<stdin>" if spec.path == "-" else spec.path
     binary = spec.format == "raw_f64_le"
     with _open_input(spec.path, binary) as fh:
-        pieces = _raw_pieces(fh, source, count) if binary else _csv_pieces(fh, source)
+        pieces = _raw_pieces(fh, source, count) if binary else _csv_pieces(fh, source, _codes)
         first_block = length = 0
         for values in _exact_pieces(pieces, count):
             valid = values.size
@@ -500,13 +493,14 @@ class _ReportLayout:
             "pass": passed,
         }
 
-    def entries(self, a: int, f: np.ndarray, g: np.ndarray, haar) -> str:
+    def entries(self, a: int, total: np.ndarray, g: np.ndarray, haar) -> str:
         """The text of the entries of the blocks a, a + 1, ..., led by the
         separator from the entry before unless a is 0.
 
-        f and g hold the blocks' samples and codes, a row each, and haar
-        is their _HaarRows, whose verdict is the block's.  A non-finite
-        float raises ValueError.
+        total holds the pairwise totals of the blocks' samples, as the
+        quantizer sums them, g their codes, a row each, and haar is their
+        _HaarRows, whose verdict is the block's.  A non-finite float
+        raises ValueError.
         """
         rows = g.shape[0]
         flags = {name: getattr(haar, name) for name in _HAAR_FLAGS}
@@ -515,7 +509,7 @@ class _ReportLayout:
             "index": range(a, a + rows),
             "quantized_sha256": [_codes_sha256(row) for row in g],
             "dc_total": g.sum(axis=1).tolist(),
-            "dc_input": _floats(_dc_input(f)),
+            "dc_input": _floats(total / g.shape[-1]),
             **{name: _floats(getattr(haar, name)) for name in _FLOAT_COLUMNS},
             **dict(zip(self.levels, _floats(haar.detail_max.T))),
             **{name: [_FLAG_TEXT[flag] for flag in column.tolist()]
@@ -913,14 +907,10 @@ def _format_spectrum_rows(lo, measured, exact, linear):
     # The floats first: the kernel's temporaries and the rows never coexist.
     texts = _float_texts(np.stack([measured, exact, linear], axis=1)).reshape(size, 3, -1)
     baseline = f",{_BASELINE_BOUND!r}\n".encode()
-    rows = np.zeros((size, 9 + 3 * (1 + _TEXT_WIDTH) + len(baseline)), np.uint8)
-    # xi in 8 digits; the rows with xi < 10**d have their first 8 - d made NULs.
-    xi = np.arange(lo, lo + size)
-    quads = np.stack([xi // 10**4, xi % 10**4], axis=1)
-    rows[:, 1:9] = np.take(_quads(), quads).view(np.uint8)
-    for d in range(1, 8):
-        rows[: max(0, 10**d - lo), 1 : 9 - d] = 0
-    at = 9
+    xi = _int_lines(np.arange(lo, lo + size))[:, :-1]
+    at = xi.shape[1]
+    rows = np.empty((size, at + 3 * (1 + _TEXT_WIDTH) + len(baseline)), np.uint8)
+    rows[:, :at] = xi
     for j in range(3):
         rows[:, at] = ord(",")
         rows[:, at + 1 : at + 1 + _TEXT_WIDTH] = texts[:, j]

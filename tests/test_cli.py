@@ -134,7 +134,7 @@ class TestQuantize:
         assert capsys.readouterr().out.splitlines() == ["0", "0", "1", "0"]
 
     def test_plain_decimal_csv_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
-        def refuse(lines, source, linenos):
+        def refuse(lines, source, linenos, codes):
             raise AssertionError("a plain line reached the line parser")
 
         monkeypatch.setattr(report_io, "_read_csv_values", refuse)
@@ -239,16 +239,46 @@ class TestVerify:
         ])
         assert code == 3
 
-    def test_non_integer_quantized_rejected(self, tmp_path):
-        src = tmp_path / "in.csv"
-        q = tmp_path / "q.csv"
-        write_csv(src, WORKED)
-        write_csv(q, [0.5, 0.0, 1.0, 0.0])
-        code = main([
-            "verify", "--input", str(src), "--quantized", str(q),
-            "--block-exp", "2",
-        ])
-        assert code == 3
+    @pytest.mark.parametrize("fmt, code", [("csv", 1.5), ("raw", 0.5)])
+    def test_non_integer_quantized_rejected(self, tmp_path, capsys, fmt, code):
+        src, q = tmp_path / f"in.{fmt}", tmp_path / f"q.{fmt}"
+        values = [0.3, 0.0, 1.0, 0.0]
+        if fmt == "csv":
+            write_csv(src, values)
+            write_csv(q, [code, 0.0, 1.0, 0.0])
+        else:
+            src.write_bytes(np.array(values, "<f8").tobytes())
+            q.write_bytes(np.array([code, 0.0, 1.0, 0.0], "<f8").tobytes())
+        assert main(["verify", "--format", fmt, "--input", str(src), "--quantized", str(q),
+                     "--block-exp", "2"]) == 3
+        assert capsys.readouterr().err == f"error: {q}: values are not integers\n"
+
+    # 2**55 + 3 reads as 2**55 in float64: its exact DC error is 3, far
+    # beyond 1/2.  Every genuine code is exact in float64: |f - g| < 1, and
+    # every float64 of magnitude 2**52 or more is an integer.
+    @pytest.mark.parametrize("text", [
+        "36028797018963971", "36028797018963971.000", "3.6028797018963971e16",
+        "36028797018963968.5", "0.1", "1e300", "1e-99999999999999999999",
+    ])
+    def test_a_code_float64_does_not_hold_is_refused(self, tmp_path, capsys, text):
+        src, q = tmp_path / "in.csv", tmp_path / "q.csv"
+        src.write_text("36028797018963968\n")
+        q.write_text(f"# codes\n{text}\n")
+        assert main(["verify", "--block-exp", "0", "--input", str(src),
+                     "--quantized", str(q)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {q}:2: not exact in float64: {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["36028797018963976", "3.6028797018963976e16",
+                                      "36028797018963976.000"])
+    def test_a_large_code_float64_holds_passes(self, tmp_path, capsys, text):
+        src, q = tmp_path / "in.csv", tmp_path / "q.csv"
+        src.write_text("36028797018963976\n")  # 2**55 + 8
+        q.write_text(f"{text}\n")
+        assert main(["verify", "--block-exp", "0", "--input", str(src),
+                     "--quantized", str(q)]) == 0
+        assert capsys.readouterr().out == "verify: PASS (1 blocks)\n"
 
 
 class TestBaselineTieBreak:
@@ -372,8 +402,9 @@ class TestLargeMagnitudes:
     @pytest.mark.parametrize("which", ["input", "quantized"])
     def test_verify_rejects_values_beyond_budget(self, tmp_path, capsys, which):
         files = {"input": tmp_path / "in.csv", "quantized": tmp_path / "q.csv"}
+        # 2**61, beyond the budget, and exact in float64 as every code must be.
         for name, path in files.items():
-            path.write_text("1e300\n0\n" if name == which else "0\n0\n")
+            path.write_text(f"{2**61}\n0\n" if name == which else "0\n0\n")
         code = main(["verify", "--block-exp", "1", "--input", str(files["input"]),
                      "--quantized", str(files["quantized"])])
         assert code == 2
@@ -403,7 +434,7 @@ class TestLargeMagnitudes:
                                                                      capsys):
         src, q = tmp_path / "in.csv", tmp_path / "q.csv"
         src.write_text("1\n2\n")
-        q.write_text("1e308\n1e308\n")
+        q.write_text(f"{2**1023}\n{2**1023}\n")  # exact in float64, as codes must be
         code = main(["verify", "--block-exp", "1", "--input", str(src),
                      "--quantized", str(q)])
         assert code == 2

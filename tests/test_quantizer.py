@@ -22,7 +22,7 @@ from haarq import (
 
 from haarq.cli import main as cli_main
 from haarq.quantizer import (
-    _dc_input,
+    _check_pair_budget,
     _haar_error_rows,
     _parity_round,
     _quantize_rows,
@@ -223,7 +223,7 @@ class TestLargeBlockDescent:
     @pytest.mark.parametrize("n", [15, 16, 17, 18])
     def test_codes_match_the_whole_block_descent(self, n, kind, tie):
         values = self.rows(kind, n)
-        codes = _quantize_rows(values, tie)
+        codes, _ = _quantize_rows(values, tie)
         assert codes.dtype == np.int64
         assert np.array_equal(codes, quantize_rows_reference(values, tie))
 
@@ -410,7 +410,7 @@ class TestVerify:
         g = np.array([quantize_haar_optimal(Signal(grid, row))[0].values for row in f])
         g[4, -1] += 2  # one failing row among passing ones
         rows = _haar_error_rows(f, g)
-        dc_input = _dc_input(f)
+        dc_input = _check_pair_budget(f, g) * 2.0**-n
         assert rows.passed.tolist() == [True] * 4 + [False, True]
         assert rows.detail_max.shape == (6, n)
         for i, (fr, gr) in enumerate(zip(f, g)):
@@ -508,7 +508,7 @@ def pairs_near_the_bounds(draw, max_exponent=6):
                        st.floats(-4.0, 4.0, allow_nan=False))
     f = np.array(draw(st.lists(sample, min_size=1 << n, max_size=1 << n)))
     g = _quantize_rows(f[None, :], draw(st.sampled_from(["toward_negative",
-                                                         "toward_positive"])))[0]
+                                                         "toward_positive"])))[0][0]
     g[draw(st.integers(0, (1 << n) - 1))] += draw(st.sampled_from([0, 0, 0, 1, -1]))
     k = draw(st.integers(0, (1 << n) - 1))
     f[k] = nudged(f[k], draw(st.integers(-2, 2)))

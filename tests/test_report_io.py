@@ -5,6 +5,7 @@ import math
 import os
 import threading
 from dataclasses import replace
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from haarq import (
     write_values,
 )
 from haarq.cli import main
-from haarq.quantizer import _haar_error_rows
+from haarq.quantizer import _check_pair_budget, _haar_error_rows
 from haarq.report_io import CHUNK_SAMPLES, _ReportLayout, _float_texts
 
 from oracles import quantize_per_block, report_reference, spectrum_csv_reference
@@ -188,22 +189,32 @@ class TestBulkCsvReader:
                     "-9223372036854775809", "92233720368547758080",
                     "-92233720368547758080", "18446744073709551616.5"], read_chars=200)
     @pytest.mark.parametrize("extended", [True, False])
-    def test_values_are_those_of_float(self, extended, lines, read_chars):
+    @pytest.mark.parametrize("codes", [False, True])
+    def test_values_are_those_of_float(self, extended, codes, lines, read_chars):
+        # As codes, the lines up to the first whose value float64 does not hold.
+        exact = [Decimal(line) == Decimal(float(line)) for line in lines]
+        stop = exact.index(False) if codes and not all(exact) else len(lines)
         text = "".join(f"{line}\n" for line in lines)
+        got = []
         with (mock.patch.object(report_io, "_EXTENDED", extended),
               mock.patch.object(report_io, "_READ_CHARS", read_chars)):
-            pieces = list(report_io._csv_pieces(io.StringIO(text), "src"))
-        got = np.concatenate(pieces)
-        expected = np.array([float(line) for line in lines])
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+            try:
+                for piece in report_io._csv_pieces(io.StringIO(text), "src", codes):
+                    got += piece.tolist()
+            except InputFormatError as exc:
+                assert str(exc) == f"src:{stop + 1}: not exact in float64: {lines[stop]!r}"
+            else:
+                assert stop == len(lines)
+        expected = np.array([float(line) for line in lines[:stop]])
+        assert np.array_equal(np.array(got).view(np.int64), expected.view(np.int64))
 
     def test_without_the_long_double_kernel_every_line_takes_the_line_path(self):
-        def refuse(buf):
+        def refuse(buf, codes):
             raise AssertionError("the bulk kernel ran without its long double")
 
         text = "1.5\n-0\n9007199254740993\n.5\n"
         with (mock.patch.object(report_io, "_EXTENDED", False),
-              mock.patch.object(report_io, "_plain_lines", refuse)):
+              mock.patch.object(report_io, "_plain_values", refuse)):
             got = np.concatenate(list(report_io._csv_pieces(io.StringIO(text), "src")))
         assert got.view(np.int64).tolist() == \
             np.array([1.5, -0.0, 9007199254740992.0, 0.5]).view(np.int64).tolist()
@@ -224,6 +235,24 @@ class TestBulkCsvReader:
         assert next(pieces).tolist() == [1.0, 2.5]
         with pytest.raises(InputFormatError, match=":4: not a number: '3x'"):
             next(pieces)
+
+    # A line outside the grammar and a line of too many digits, the first
+    # of them either way, in one read or in reads of a few characters.
+    @pytest.mark.parametrize("lines, bad, message", [
+        (["0.5", "3x", "1.5", "9" * 400, "2.5", "3x"], 1, ":2: not a number: '3x'"),
+        (["0.5", "1.5", "9" * 400, "2.5", "3x", "-7"], 2, ":3: non-finite sample '999"),
+    ])
+    @pytest.mark.parametrize("read_chars", [7, 1 << 20])
+    def test_the_first_bad_line_is_named_after_every_sample_before_it(
+        self, lines, bad, message, read_chars
+    ):
+        text = "".join(f"{line}\n" for line in lines)
+        got = []
+        with (mock.patch.object(report_io, "_READ_CHARS", read_chars),
+              pytest.raises(InputFormatError, match=message)):
+            for piece in report_io._csv_pieces(io.StringIO(text), "src"):
+                got += piece.tolist()
+        assert got == [float(line) for line in lines[:bad]]
 
     def test_an_overflowing_digit_string_is_named(self, tmp_path):
         p = tmp_path / "in.csv"
@@ -429,9 +458,10 @@ class TestReportLayout:
         f = np.concatenate([values, np.zeros(3)]).reshape(-1, 4)
         g = np.concatenate([codes, np.zeros(3, dtype=np.int64)]).reshape(-1, 4)
         layout = _ReportLayout(config, n)
+        total = _check_pair_budget(f, g)
         entries = [
-            layout.entries(0, f[:2], g[:2], _haar_error_rows(f[:2], g[:2])),
-            layout.entries(2, f[2:], g[2:], _haar_error_rows(f[2:], g[2:])),
+            layout.entries(0, total[:2], g[:2], _haar_error_rows(f[:2], g[:2])),
+            layout.entries(2, total[2:], g[2:], _haar_error_rows(f[2:], g[2:])),
         ]
         out = io.StringIO()
         layout.write(out, entries, 17, 3, 5, False)
