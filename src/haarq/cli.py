@@ -33,7 +33,6 @@ block failed.  quantize without --report decides nothing.
 
 import argparse
 import contextlib
-import functools
 import itertools
 import sys
 from pathlib import Path
@@ -58,7 +57,6 @@ from .report_io import (
     _SPECTRUM_HEADER,
     _encoded,
     _in_order,
-    _temporary_text,
     _write_lines,
     format_float,
     read_signal,
@@ -167,36 +165,12 @@ def _quantize_chunk(f: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
     return _quantize_rows(f, tie_break)
 
 
-def _report_layout(args):
-    """The layout of the run's report; None without --report."""
-    return _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
-
-
-def _entry_spill(layout):
-    """Where a run's report entries wait, as they are made, for the input
-    to end: the report's head gives the block count.  An unnamed
-    temporary file, or a null context without --report."""
-    if layout is None:
-        return contextlib.nullcontext()
-    return _temporary_text()
-
-
-def _write_report(outputs, args, layout, entries, length: int, passed: bool) -> None:
-    """Write the report of a run over length input samples, padded to
-    whole blocks, whose blocks' entries are the text of the file entries."""
-    size = 1 << args.block_exp
-    entries.seek(0)
-    with outputs.open(args.report, binary=False) as fh:
-        layout.write(fh, iter(functools.partial(entries.read, 1 << 16), ""),
-                     length, -length % size, -(-length // size), passed)
-
-
 def cmd_quantize(args) -> int:
     fmt = _FORMAT_BY_FLAG[args.format]
     binary = fmt == "raw_f64_le"
     # The spec checks N before the layout, whose size grows as 2**N, is made.
     spec = _input_spec(args)
-    layout = _report_layout(args)
+    layout = _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
 
     def compute(a, f, valid):
         g, total = _quantize_chunk(f, args)
@@ -210,19 +184,20 @@ def cmd_quantize(args) -> int:
 
     length, passed = 0, True
     with (
-        _entry_spill(layout) as entries,
+        layout or contextlib.nullcontext(),
         _Outputs() as outputs,
         outputs.open(args.output, binary=binary) as out,
         contextlib.closing(_in_order(compute, read_signal(spec))) as chunks,
     ):
-        for data, valid, chunk_entries, chunk_passed in chunks:
+        for data, valid, entries, chunk_passed in chunks:
             out.write(data)
             if layout is not None:
-                entries.write(chunk_entries)
+                layout.add(entries)
             length += valid
             passed &= chunk_passed
         if layout is not None:
-            _write_report(outputs, args, layout, entries, length, passed)
+            with outputs.open(args.report, binary=False) as fh:
+                layout.write(fh, length, passed)
     # Without --report no block was measured, and no block fails.
     return 0 if passed else 1
 
@@ -244,8 +219,6 @@ def _with_codes(chunks, args):
             raise InputFormatError(
                 f"quantized length {q_length} does not match input length {length}"
             )
-        if not np.all(q == np.rint(q)):
-            raise InputFormatError(f"{args.quantized}: values are not integers")
         total = _check_pair_budget(f, q)
         yield a, f, valid, q.astype(np.int64), total
         done += valid
@@ -257,7 +230,7 @@ def cmd_verify(args) -> int:
     chunks = read_signal(_input_spec(args))
     if args.quantized:
         chunks = _with_codes(chunks, args)
-    layout = _report_layout(args)
+    layout = _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
 
     def compute(a, f, valid, g=None, total=None):
         if g is None:
@@ -268,18 +241,18 @@ def cmd_verify(args) -> int:
 
     length, count, passed = 0, 0, True
     with (
-        _entry_spill(layout) as entries,
+        layout or contextlib.nullcontext(),
         contextlib.closing(_in_order(compute, chunks)) as measured,
     ):
-        for valid, rows, chunk_passed, chunk_entries in measured:
+        for valid, rows, chunk_passed, entries in measured:
             if layout is not None:
-                entries.write(chunk_entries)
+                layout.add(entries)
             length += valid
             count += rows
             passed &= chunk_passed
         if layout is not None:
-            with _Outputs() as outputs:
-                _write_report(outputs, args, layout, entries, length, passed)
+            with _Outputs() as outputs, outputs.open(args.report, binary=False) as fh:
+                layout.write(fh, length, passed)
     print(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)")
     return 0 if passed else 1
 

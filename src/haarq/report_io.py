@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -83,7 +84,8 @@ def _read_csv_values(lines, source: str, linenos,
                      codes: bool) -> tuple[list[float], Exception | None]:
     """The line parser: the value of each line, NaN for a blank or '#'
     line, up to the first bad line, and the error that names it (or None).
-    With codes, a line whose exact value float64 does not hold is bad."""
+    With codes, a line whose exact value float64 does not hold, or that is
+    not an integer, is bad."""
     values = []
     for lineno, line in zip(linenos, lines):
         text = line.strip()
@@ -104,6 +106,8 @@ def _read_csv_values(lines, source: str, linenos,
             if not exact:
                 return values, InputFormatError(
                     f"{source}:{lineno}: not exact in float64: {text!r}")
+            if not value.is_integer():
+                return values, InputFormatError(f"{source}:{lineno}: not an integer: {text!r}")
         values.append(value)
     return values, None
 
@@ -131,8 +135,9 @@ def _plain_values(buf, codes: bool):
     """The lines of ASCII bytes ending in '\\n': where each starts and
     ends (at its '\\n'), and the float64 of each plain line it decides;
     NaN for every other line and, with codes, for a line whose value
-    float64 may not hold.  Only '\\n', '.', '+', '-' and a few others are
-    below '0', and bytes above '9' make a line not plain."""
+    float64 may not hold or that is not an integer.  Only '\\n', '.',
+    '+', '-' and a few others are below '0', and bytes above '9' make a
+    line not plain."""
     special = np.flatnonzero(buf < 48)
     kinds = buf[special]
     nl = np.flatnonzero(kinds == 10)
@@ -170,8 +175,8 @@ def _plain_values(buf, codes: bool):
     z[near[2 * np.abs(d[near]) == gap]] = np.nan
     if codes:
         # Up to 18 digits, y == z for an integer z only where the line is z;
-        # a z that is not an integer fails the codes' own check.
-        z[d != 0] = np.nan
+        # the line parser names every other line.
+        z[(d != 0) | (z != np.rint(z))] = np.nan
     np.negative(z, out=z, where=(first == 45)[plain])
     values = np.full(ends.size, np.nan)
     values[plain] = z
@@ -182,7 +187,7 @@ def _csv_block(text: str, source: str, first_lineno: int, codes: bool):
     """The samples of a block of whole CSV lines, those before its first
     bad line; its number of lines; and the InputFormatError that names
     that line, or None.  With codes, a line whose exact value float64
-    does not hold is bad."""
+    does not hold, or that is not an integer, is bad."""
     if not text.endswith("\n"):
         text += "\n"
     count = text.count("\n")
@@ -236,9 +241,10 @@ def _csv_pieces(fh, source: str, codes: bool = False):
         first_lineno += lines
 
 
-def _raw_pieces(fh, source: str, count: int):
+def _raw_pieces(fh, source: str, count: int, codes: bool = False):
     """Samples of successive reads of `count` little-endian float64 values,
-    each read into an array of its own."""
+    each read into an array of its own.  With codes, a value that is not
+    an integer is bad."""
     done = 0
     while True:
         values = np.empty(count, dtype="<f8")
@@ -253,6 +259,9 @@ def _raw_pieces(fh, source: str, count: int):
         if not np.isfinite(values).all():
             bad = np.flatnonzero(~np.isfinite(values))[0]
             raise InputFormatError(f"{source}: non-finite sample at index {done + bad}")
+        if codes and not (values == np.rint(values)).all():
+            bad = np.flatnonzero(values != np.rint(values))[0]
+            raise InputFormatError(f"{source}: non-integer code at index {done + bad}")
         yield values
         done += values.size
 
@@ -295,15 +304,17 @@ def read_signal(spec: InputSpec, _codes: bool = False):
     input has ended.  An empty input yields nothing.  The input is opened
     when the first chunk is asked for, and a malformed sample raises
     InputFormatError when its chunk is read.  With _codes, for the
-    integer codes that verify reads, so does a CSV line whose exact
-    value float64 does not hold: every integer code is exact in float64.
+    integer codes that verify reads, so does a code that is not an
+    integer, and a CSV line whose exact value float64 does not hold:
+    every integer code is exact in float64.
     """
     size = 1 << spec.block_exponent
     count = max(1, CHUNK_SAMPLES >> spec.block_exponent) * size
     source = "<stdin>" if spec.path == "-" else spec.path
     binary = spec.format == "raw_f64_le"
     with _open_input(spec.path, binary) as fh:
-        pieces = _raw_pieces(fh, source, count) if binary else _csv_pieces(fh, source, _codes)
+        pieces = (_raw_pieces(fh, source, count, _codes) if binary
+                  else _csv_pieces(fh, source, _codes))
         first_block = length = 0
         for values in _exact_pieces(pieces, count):
             valid = values.size
@@ -411,39 +422,34 @@ _CONVERSIONS = {"float": "%r", "int": "%d", "flag": "%s", "str": '"%s"'}
 _FLAG_TEXT = {True: "true", False: "false"}
 _FLOAT_COLUMNS = ("dc_quantized", "dc_error", "sup_error")  # of _HaarRows
 _HAAR_FLAGS = ("dc_ok", "details_ok")
-# The run's own slots, in the order _ReportLayout._run takes them.
-_RUN_SLOTS = (("int", "original_length"), ("int", "pad_count"), ("int", "block_count"),
-              ("flag", "run_pass"))
-
-
-def _format(parts) -> tuple[str, list[str]]:
-    """A %-format string and the names of its slots, in order, from parts
-    of a layout split at its slots: text, kind, name, text, ..., text."""
-    texts = [text.replace("%", "%%") for text in parts[0::3]]
-    conversions = [_CONVERSIONS[kind] for kind in parts[1::3]]
-    return texts[0] + "".join(c + t for c, t in zip(conversions, texts[1:])), parts[2::3]
 
 
 class _ReportLayout:
-    """The text of a run report over blocks of 2**n samples, cut at the
-    values that vary.
+    """The report of a run over blocks of 2**n samples, made as it goes.
 
-    dumps_canonical renders the report once, with two blocks and a slot
-    for each varying value, so key order, indentation and every constant
-    are its own.  Each block's entry is then a %-format string that turns
-    the block's values into its text: floats by repr, as json does, ints,
-    flags as true or false, and the quoted SHA-256.
+    dumps_canonical renders one block with a slot for each varying value.
+    Each block's entry is then a %-format string, indented to its place
+    in the report, that turns the block's values into its text: floats by
+    repr, as json does, ints, flags as true or false, and the quoted
+    SHA-256.  add() appends entries to an unnamed temporary file, where
+    they wait for the input to end, since the report's head gives the
+    block count; write() renders the run itself with dumps_canonical, its
+    blocks being one tag, and copies the entries in the tag's place.  So
+    key order, indentation and every constant are dumps_canonical's.  The
+    temporary file is open inside a `with` block.
     """
 
     def __init__(self, config: dict, n: int):
         self.config = dict(config)
+        self.size = 1 << n
         self.levels = [f"max_error_{k}" for k in range(1, n + 1)]
         dc_bound, detail_bounds, sup_bound = _haar_bounds(n)
-        # A slot is the JSON string "<tag>kind:name", with a tag that no
-        # text of the config holds, so nothing else in the report matches.
+        # A tag that no text of the config holds, so nothing else in the
+        # report matches it.  A slot is the JSON string "<tag>kind:name".
         tag = "$"
         while tag in json.dumps(self.config):
             tag += "$"
+        self.tag = tag
 
         def slot(kind, name):
             return f"{tag}{kind}:{name}"
@@ -467,31 +473,32 @@ class _ReportLayout:
             "haar": haar,
             "pass": slot("flag", "pass"),
         }
-        text = dumps_canonical(self._run(
-            [block, block], *(slot(kind, name) for kind, name in _RUN_SLOTS)
-        ))
-        parts = re.split(f'"{re.escape(tag)}(float|int|flag|str):(\\w+)"', text)
-        # parts[3 * j + 2] names slot j.  The first block's m slots follow
-        # one another from the first slot that is not the run's, and the
-        # second block's follow them.
-        names = parts[2::3]
-        run_names = {name for _, name in _RUN_SLOTS}
-        m = len(set(names) - run_names)
-        i = 3 * next(j for j, name in enumerate(names) if name not in run_names)
-        self.head, self.head_names = _format(parts[: i + 1])
-        self.entry, self.entry_names = _format(["", *parts[i + 1 : i + 3 * m], ""])
-        self.join = parts[i + 3 * m]
-        self.tail, self.tail_names = _format(parts[i + 6 * m :])
+        # The text between two entries ends in the indent of an entry's lines.
+        self.join = self._frame([tag, tag], 0, True).split(f'"{tag}"')[1]
+        text = dumps_canonical(block).rstrip("\n").replace(
+            "\n", self.join[self.join.rindex("\n"):])
+        slots = f'"{re.escape(tag)}(float|int|flag|str):(\\w+)"'
+        self.entry = re.sub(slots, lambda m: _CONVERSIONS[m[1]], text.replace("%", "%%"))
+        self.entry_names = [name for _, name in re.findall(slots, text)]
 
-    def _run(self, blocks, original_length, pad_count, block_count, passed) -> dict:
-        return {
+    def __enter__(self):
+        self._spill = _temporary_text()
+        return self
+
+    def __exit__(self, *exc):
+        self._spill.close()
+
+    def _frame(self, blocks: list, length: int, passed: bool) -> str:
+        """The report of a run over length input samples, padded to whole
+        blocks, with the given blocks."""
+        return dumps_canonical({
             "config": self.config,
-            "original_length": original_length,
-            "pad_count": pad_count,
-            "block_count": block_count,
+            "original_length": length,
+            "pad_count": -length % self.size,
+            "block_count": -(-length // self.size),
             "blocks": blocks,
             "pass": passed,
-        }
+        })
 
     def entries(self, a: int, total: np.ndarray, g: np.ndarray, haar) -> str:
         """The text of the entries of the blocks a, a + 1, ..., led by the
@@ -519,22 +526,21 @@ class _ReportLayout:
             *(values[name] for name in self.entry_names))])
         return self.join + text if a else text
 
-    def write(self, fh, entries, original_length: int, pad_count: int,
-              block_count: int, passed: bool) -> None:
-        """Write the report of a run to the text stream fh, its blocks'
-        entries being the texts in entries, in order."""
-        if not block_count:
-            fh.write(dumps_canonical(self._run([], original_length, pad_count, 0, passed)))
+    def add(self, entries: str) -> None:
+        """Keep the text of entries, in order, until the report is written."""
+        self._spill.write(entries)
+
+    def write(self, fh, length: int, passed: bool) -> None:
+        """Write the report of a run over length input samples, whose
+        blocks' entries were added, to the text stream fh."""
+        if not length:
+            fh.write(self._frame([], 0, passed))
             return
-        run = {
-            "original_length": original_length,
-            "pad_count": pad_count,
-            "block_count": block_count,
-            "run_pass": _FLAG_TEXT[passed],
-        }
-        fh.write(self.head % tuple(run[name] for name in self.head_names))
-        fh.writelines(entries)
-        fh.write(self.tail % tuple(run[name] for name in self.tail_names))
+        head, tail = self._frame([self.tag], length, passed).split(f'"{self.tag}"')
+        fh.write(head)
+        self._spill.seek(0)
+        shutil.copyfileobj(self._spill, fh)
+        fh.write(tail)
 
 
 def _floats(column):
@@ -561,10 +567,20 @@ _DIGITS = 8
 _MINUS, _DOT, _ZERO, _E, _PLUS = range(1, 6)  # their bytes in a source row
 
 
-@functools.cache
-def _quads():
-    """The text of 0000 to 9999, four ASCII digits in each uint32."""
-    return np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), np.uint32)
+def _quad_texts(lead: bool) -> np.ndarray:
+    """The text of 0000 to 9999, four ASCII digits in each uint32; with
+    lead, the leading zeros as NULs, 0 being "\\0\\0\\00"."""
+    i = np.arange(10000)[:, None]
+    digits = i // [1000, 100, 10, 1] % 10 + ord("0")
+    if lead:
+        digits[i < [1000, 100, 10, 0]] = 0
+    return digits.astype(np.uint8).view(np.uint32).reshape(-1)
+
+
+_QUADS = _quad_texts(lead=False)
+# The texts of a base-10**4 group of an integer: _QUADS below its highest
+# group; then _quad_texts(lead=True) for its highest; then four NULs above it.
+_INT_QUADS = np.concatenate([_QUADS, _quad_texts(lead=True), np.zeros(1, np.uint32)])
 
 
 @functools.cache
@@ -736,15 +752,15 @@ def _float_texts(values) -> np.ndarray:
         sign = (part.view(np.uint64) >> 63).astype(np.intp)
         src = np.empty((part.size, 8), np.uint32)
         src.view(np.uint64)[:, 0] = _SYMBOLS
-        src[:, 7] = np.take(_quads(), np.abs(e))
+        src[:, 7] = np.take(_QUADS, np.abs(e))
         # The digits in five groups of four, d % 10**4 in column 6 up to
         # d // 10**16 in column 2.
         d = digits.astype(np.int64)
         for col in range(6, 2, -1):
             high = d // 10**4
-            src[:, col] = np.take(_quads(), d - high * 10**4)
+            src[:, col] = np.take(_QUADS, d - high * 10**4)
             d = high
-        src[:, 2] = np.take(_quads(), d)
+        src[:, 2] = np.take(_QUADS, d)
         template = (sign * 18 + nd) * 24 + layout
         # A third of each row's bytes at a time, so that the index is small.
         index = np.empty((part.size, 8), np.intp)
@@ -754,15 +770,6 @@ def _float_texts(values) -> np.ndarray:
             texts[a : a + _TEXT_PIECE, b : b + 8] = np.take(
                 src.view(np.uint8).reshape(-1), index, mode="clip")
     return texts
-
-
-@functools.cache
-def _int_quads():
-    """The texts of a base-10**4 group of an integer: _quads() below its
-    highest group; then, for its highest, the same with leading zeros as
-    NULs, 0 being "\\0\\0\\00" (the integer 0); then four NULs above it."""
-    lead = "".join(f"{i:4d}" for i in range(10000)).replace(" ", "\0").encode()
-    return np.concatenate([_quads(), np.frombuffer(lead, np.uint32), [0]]).astype(np.uint32)
 
 
 def _int_lines(values) -> np.ndarray:
@@ -783,7 +790,7 @@ def _int_lines(values) -> np.ndarray:
         index += (high == 0) * 10000  # the highest group, or one above it
         if col < groups - 1:
             index += (mag == 0) * 10000  # above the highest: NULs
-        np.take(_int_quads(), index, out=quads[:, col])
+        np.take(_INT_QUADS, index, out=quads[:, col])
         mag = high
     rows = np.empty((arr.size, 4 * groups + 2), np.uint8)
     rows[:, 0] = (arr < 0) * ord("-")

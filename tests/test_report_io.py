@@ -191,9 +191,14 @@ class TestBulkCsvReader:
     @pytest.mark.parametrize("extended", [True, False])
     @pytest.mark.parametrize("codes", [False, True])
     def test_values_are_those_of_float(self, extended, codes, lines, read_chars):
-        # As codes, the lines up to the first whose value float64 does not hold.
-        exact = [Decimal(line) == Decimal(float(line)) for line in lines]
-        stop = exact.index(False) if codes and not all(exact) else len(lines)
+        # As codes, the lines up to the first whose value float64 does not
+        # hold or that is not an integer, each refused as such.
+        refusals = [
+            "not exact in float64" if Decimal(line) != Decimal(float(line)) else
+            "not an integer" if not float(line).is_integer() else None
+            for line in lines
+        ] if codes else [None] * len(lines)
+        stop = next((i for i, refusal in enumerate(refusals) if refusal), len(lines))
         text = "".join(f"{line}\n" for line in lines)
         got = []
         with (mock.patch.object(report_io, "_EXTENDED", extended),
@@ -202,7 +207,7 @@ class TestBulkCsvReader:
                 for piece in report_io._csv_pieces(io.StringIO(text), "src", codes):
                     got += piece.tolist()
             except InputFormatError as exc:
-                assert str(exc) == f"src:{stop + 1}: not exact in float64: {lines[stop]!r}"
+                assert str(exc) == f"src:{stop + 1}: {refusals[stop]}: {lines[stop]!r}"
             else:
                 assert stop == len(lines)
         expected = np.array([float(line) for line in lines[:stop]])
@@ -457,14 +462,12 @@ class TestReportLayout:
         codes[5] += 1  # block 1
         f = np.concatenate([values, np.zeros(3)]).reshape(-1, 4)
         g = np.concatenate([codes, np.zeros(3, dtype=np.int64)]).reshape(-1, 4)
-        layout = _ReportLayout(config, n)
         total = _check_pair_budget(f, g)
-        entries = [
-            layout.entries(0, total[:2], g[:2], _haar_error_rows(f[:2], g[:2])),
-            layout.entries(2, total[2:], g[2:], _haar_error_rows(f[2:], g[2:])),
-        ]
         out = io.StringIO()
-        layout.write(out, entries, 17, 3, 5, False)
+        with _ReportLayout(config, n) as layout:
+            layout.add(layout.entries(0, total[:2], g[:2], _haar_error_rows(f[:2], g[:2])))
+            layout.add(layout.entries(2, total[2:], g[2:], _haar_error_rows(f[2:], g[2:])))
+            layout.write(out, 17, False)
         assert out.getvalue() == report_reference(values, n, config, codes)
         assert [b["pass"] for b in json.loads(out.getvalue())["blocks"]] == [
             True, False, True, True, True]
