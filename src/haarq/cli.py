@@ -7,8 +7,8 @@ read, scaled, quantized, measured and written, then dropped.  Chunks
 are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
 flight; an input of one chunk is computed on the calling thread.  A
-chunk's codes are encoded for output, as text or float64, where it is
-computed.  Each
+chunk's codes are float64 integers, written as they are for raw output
+and encoded as text, where they are computed, for CSV.  Each
 spectrum table is written on the calling thread by write_spectrum_csv,
 which formats it in chunks on a pool of its own, one thread per usable
 CPU.  The output does not depend on the number of CPUs.  Memory
@@ -158,7 +158,8 @@ def _config_echo(args) -> dict:
 
 
 def _quantize_chunk(f: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk's codes and the pairwise totals of its blocks' samples."""
+    """The chunk's codes, float64 integers, and the pairwise totals of its
+    blocks' samples."""
     tie_break = _tie_break(args)
     if args.baseline:
         return _round_rows(f, tie_break)
@@ -180,7 +181,7 @@ def cmd_quantize(args) -> int:
             entries = layout.entries(a, total, g, haar)
             passed = bool(haar.passed.all())
         # The codes are encoded here, off the writing thread.
-        return _encoded(g.reshape(-1)[:valid], fmt), valid, entries, passed
+        return _encoded(g.reshape(-1)[:valid], fmt, integers=True), valid, entries, passed
 
     length, passed = 0, True
     with (
@@ -195,6 +196,7 @@ def cmd_quantize(args) -> int:
                 layout.add(entries)
             length += valid
             passed &= chunk_passed
+            del data  # written: not held while the next chunk is awaited
         if layout is not None:
             with outputs.open(args.report, binary=False) as fh:
                 layout.write(fh, length, passed)
@@ -220,7 +222,7 @@ def _with_codes(chunks, args):
                 f"quantized length {q_length} does not match input length {length}"
             )
         total = _check_pair_budget(f, q)
-        yield a, f, valid, q.astype(np.int64), total
+        yield a, f, valid, q, total
         done += valid
 
 

@@ -105,28 +105,11 @@ class HaarErrorReport:
         return self.dc_ok and self.details_ok
 
 
-def _parity_round(target, parity, tie_break: str):
-    """Nearest int64 to target whose parity (0 even, 1 odd) is that of the
-    integer or int64 array parity.
-
-    The candidate base is floor(target) toward_positive and
-    ceil(target) - 1 toward_negative: the two differ only when target is
-    an integer, where the candidates at distance 1 tie.  Then base itself
-    when it has the parity, else base + 1.  Both roundings are exact and
-    the - 1 is taken in int64, so no float operation rounds, and the
-    choice is exact for every finite target in the int64 range.
-    """
+def _rounds_up(tie_break: str) -> bool:
+    """Whether tie_break sends an exact rounding tie toward positive infinity."""
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    if tie_break == "toward_positive":
-        base = np.floor(target).astype(np.int64)
-    else:
-        base = np.ceil(target).astype(np.int64)
-        base -= 1
-    step = np.bitwise_xor(base, parity)
-    step &= 1
-    step += base
-    return step
+    return tie_break == "toward_positive"
 
 
 def choose_parity_constrained(
@@ -142,7 +125,10 @@ def choose_parity_constrained(
         raise ValueError("target must be finite with |target| <= 2**60")
     if parent_parity not in PARITIES:
         raise ValueError(f"parent_parity must be one of {PARITIES}")
-    return int(_parity_round(target, PARITIES.index(parent_parity), tie_break))
+    # The two candidates are base and base + 2 when base has the parity,
+    # else base - 1 and base + 1; they tie only when target is an integer.
+    base = math.floor(target) if _rounds_up(tie_break) else math.ceil(target) - 1
+    return base + (base - PARITIES.index(parent_parity)) % 2
 
 
 def _check_budget(levels, what: str) -> tuple[np.ndarray, float]:
@@ -157,8 +143,8 @@ def _check_budget(levels, what: str) -> tuple[np.ndarray, float]:
 
 def _check_pair_budget(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reject (rows, 2**N) signal and code arrays with totals beyond the
-    budget, so their residual and block sums stay exact in int64; return
-    the signal's (rows,) pairwise totals."""
+    budget, so their block sums and exact settlements stay exact in int64;
+    return the signal's (rows,) pairwise totals."""
     total, _ = _check_budget(_pairwise_levels(f), "signal totals")
     _check_budget(_pairwise_levels(np.asarray(g, dtype=np.float64)), "quantized totals")
     return total
@@ -189,20 +175,22 @@ def _on_grid(values: np.ndarray, bound: float) -> bool:
 
 
 def _split_total(run: np.ndarray, split: int, g=0) -> tuple[int, list[float]]:
-    """The signed total sum(x[split:]) - sum(x[:split]) of x = run - g,
-    exactly: the integer total of the whole parts trunc(run) - g, and the
-    signed fractions run - trunc(run), which need no rounding.  Sums of
-    int64 wrap around, but each total is within the budget, so is exact."""
+    """The signed total sum(x[split:]) - sum(x[:split]) of x = run - g for
+    integer codes g, exactly: the integer total of the whole parts
+    trunc(run) - g, and the signed fractions run - trunc(run), which need
+    no rounding.  Sums of int64 wrap around, but each total is within the
+    budget, so is exact."""
     whole = np.trunc(run)
     parts = run - whole
     parts[:split] *= -1.0
     whole = whole.astype(np.int64)
-    whole -= g
+    whole -= np.asarray(g, dtype=np.int64)
     return int(whole[split:].sum()) - int(whole[:split].sum()), parts.tolist()
 
 
 def _exact_choice(run: np.ndarray, split: int, parity: int, tie_break: str) -> int:
-    """_parity_round of the exact signed total t of run (_split_total).
+    """choose_parity_constrained of the exact signed total t of run
+    (_split_total), parity 0 even and 1 odd.
 
     With q the floor of the fractions' correctly rounded sum, t is within
     an ulp below base = whole total + q, or less than 1 above it: base has
@@ -218,73 +206,116 @@ def _exact_choice(run: np.ndarray, split: int, parity: int, tie_break: str) -> i
     return base + 1 if above > 0 or (above == 0 and tie_break == "toward_positive") else base - 1
 
 
-def _choose(target, parity, tie_break: str, radius, samples, split: bool, exact) -> np.ndarray:
-    """_parity_round(target, parity, tie_break), decided exactly.
+def _round_in_doubt(gap, rounded, radius, up: bool, exact, settle) -> None:
+    """Make rounded = rint(x) the nearest integer to every x, ties toward
+    +inf if up else -inf, where gap = x - rounded and each float x is
+    within radius of its exact value, or exact if exact().
 
-    target (overwritten) holds the rounded totals of equal runs of the
-    samples, each within radius of its exact value, or exact if exact():
-    the right half's total less the left's when split, else twice the
-    run's total.  A choice is certain unless its target is within radius
-    of the integer halfway to the other candidate.
+    Only an x within radius of a half-integer is in doubt.  When x is
+    exact, rint is right there but at a tie, which goes by the rule; else
+    settle(*index) gives the entry from its exact value, one at a time.
     """
-    choice = _parity_round(target, parity, tie_break)
-    gap = np.subtract(target, choice, out=target)
-    np.abs(gap, out=gap)
-    if gap.max() >= 1.0 - radius and not exact():
-        width = samples.shape[-1] // choice.shape[-1]
-        parity = np.broadcast_to(parity, choice.shape)
-        for i, j in zip(*np.nonzero(gap >= 1.0 - radius)):
-            run = samples[i, j * width : (j + 1) * width]
-            if not split:
-                run = 2.0 * run
-            choice[i, j] = _exact_choice(run, width // 2 if split else 0, int(parity[i, j]),
-                                         tie_break)
-    return choice
+    edge = 0.5 - radius
+    if gap.max() < edge and gap.min() > -edge:
+        return
+    at = np.nonzero(np.abs(gap) >= edge)
+    if exact():
+        tie = gap[at] == (0.5 if up else -0.5)
+        rounded[tuple(i[tie] for i in at)] += 1.0 if up else -1.0
+        return
+    for index in zip(*(i.tolist() for i in at)):
+        rounded[index] = settle(*index)
 
 
-def _descend(parent: np.ndarray, totals: list, tie_break: str, samples, sup, exact) -> np.ndarray:
-    """Split the integer totals parent down through the float totals levels
-    of the (rows, width) samples below it, all at most sup in magnitude
-    and exact if exact(), one level at a time; returns the bottom level.
-    Each level is taken off the list totals and freed once it is split."""
+def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> np.ndarray:
+    """The codes, as float64 integers, of the (rows, 2**N) samples, each at
+    most sup in magnitude with 2**N * sup below _SAMPLES_BOUND, from their
+    float totals pyramid (_pairwise_levels, root level first).
+
+    The root is the total's nearest integer, ties per tie_break.  A parent
+    P whose children total a and b splits into L and P - L, L the nearest
+    integer to x = (P - (b - a))/2, ties mirrored: the parity-constrained
+    split D = P - 2L (README).  Each level is formed in place in the
+    level it splits, which then holds the next level's parents; the
+    samples' level goes to a new array.  No integer here reaches 2**53,
+    so each is exact.  No code is -0.0, which raw output would write as
+    other bytes: left children are added to +0.0, and a right child
+    P - L is -0.0 only when P is.
+    """
+    width = samples.shape[-1]
+    up = _rounds_up(tie_break)
+    # Whether the float totals are exact is asked only when a rounding is in doubt.
+    exact = functools.cache(lambda: _on_grid(samples, width * (sup + 1.0)))
+    total = totals.pop(0)
+    parent = np.rint(total)
+    _round_in_doubt(total - parent, parent, _radius(width.bit_length() - 1, sup), up, exact,
+                    lambda i, j: _exact_choice(2.0 * samples[i], 0, 0, tie_break) // 2)
+    parent += 0.0
     while totals:
         v = totals.pop(0)
-        d = (samples.shape[-1] // v.shape[-1]).bit_length()
-        diff = _choose(v[:, 1::2] - v[:, 0::2], parent, tie_break, _radius(d, sup), samples,
-                       True, exact)
-        child = np.empty(v.shape, dtype=np.int64)
-        # parent - diff is even by construction, so the shift halves it exactly.
-        np.subtract(parent, diff, out=diff)
-        diff >>= 1
-        child[:, 0::2] = diff
-        np.subtract(parent, diff, out=child[:, 1::2])
-        parent = child
+        out = v if totals else np.empty_like(v)
+        run = width // parent.shape[-1]
+        d = run.bit_length() - 1
+        left, right = out[:, 0::2], out[:, 1::2]
+        np.subtract(v[:, 1::2], v[:, 0::2], out=left)
+        np.subtract(parent, left, out=left)
+        left *= 0.5
+        np.rint(left, out=right)
+        np.subtract(left, right, out=left)
+
+        def settle(i, j):
+            p = int(parent[i, j])
+            t = _exact_choice(samples[i, j * run : (j + 1) * run], run // 2, p & 1, tie_break)
+            return (p - t) // 2
+
+        # Forming P - (b - a) adds at most 2**(d-52) * (sup + 1) to its radius.
+        radius = 0.5 * (_radius(d, sup) + 2.0 ** (d - 52) * (sup + 1.0))
+        _round_in_doubt(left, right, radius, not up, exact, settle)
+        np.add(right, 0.0, out=left)
+        np.subtract(parent, right, out=right)
+        parent = out
     return parent
+
+
+# A bound on every total of a block: 2**N times its largest sample.  Below
+# it the samples are descended as they are, with fewer than 0.2 roundings
+# in doubt expected in a block of 2**20; at or above it, their fractions,
+# whose radius is that of samples below 1, at the cost of a second
+# pyramid (README).
+_SAMPLES_BOUND = 2.0**42
 
 
 def _quantize_rows(values: np.ndarray, tie_break: str) -> tuple[np.ndarray, np.ndarray]:
     """Parity-constrained pyramid rounding of every row of a (rows, 2**N) array.
 
-    Returns the int64 codes, one row per block, and the rows' (rows,)
-    pairwise totals.  Every rounding is decided exactly (_choose),
-    although the totals it rounds are float sums.
+    Returns the codes as float64 integers, one row per block, and the
+    rows' (rows,) pairwise totals.  Every rounding is decided exactly
+    (_descend), although the totals it rounds are float sums.  A block
+    with large samples is quantized as floor(f) + g(f - floor(f)): the
+    construction commutes with adding integers, so the codes are the
+    same, and both terms and their sum are exact.
     """
     totals = _pairwise_levels(values)
     total, sup = _check_budget(totals, "signal totals")
-    # Whether the float totals are exact is asked only when a rounding is in doubt.
-    exact = functools.cache(lambda: _on_grid(values, values.shape[-1] * sup))
-    # As in _round_rows: the root is half the even integer nearest twice the total.
-    d = values.shape[-1].bit_length()
-    root = _choose(2.0 * totals.pop(0), 0, tie_break, _radius(d, sup), values, False, exact) >> 1
-    return _descend(root, totals, tie_break, values, sup, exact), total
+    if values.shape[-1] * sup < _SAMPLES_BOUND:
+        return _descend(values, totals, sup, tie_break), total
+    del totals
+    fractions = np.floor(values)
+    np.subtract(values, fractions, out=fractions)
+    codes = _descend(fractions, _pairwise_levels(fractions), 1.0, tie_break)
+    codes += np.subtract(values, fractions, out=fractions)
+    return codes, total
 
 
 def _round_rows(values: np.ndarray, tie_break: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample rounding to the nearest integer, half-ties per tie_break,
-    and the pairwise totals of the last axis."""
+    as float64, and the pairwise totals of the last axis."""
     total, _ = _check_budget(_pairwise_levels(values), "signal totals")
-    # m is nearest to x, ties per tie_break, iff 2m is the even integer nearest 2x.
-    return _parity_round(2.0 * values, 0, tie_break) >> 1, total
+    codes = np.rint(values)
+    # values - rint(values) is exact, so only exact ties need the rule.
+    _round_in_doubt(values - codes, codes, 0.0, _rounds_up(tie_break), lambda: True, None)
+    codes += 0.0
+    return codes, total
 
 
 def quantize_haar_optimal(
@@ -301,7 +332,7 @@ def quantize_haar_optimal(
     Returns the quantized signal and its integer pyramid: read-only int64
     levels[0..N], levels[k] with 2**k entries, equal to totals_pyramid(g).
     """
-    codes = _quantize_rows(f.values[None, :], tie_break)[0][0]
+    codes = _quantize_rows(f.values[None, :], tie_break)[0][0].astype(np.int64)
     # Integer pairwise sums are exact, so these are the levels of the descent.
     levels = tuple(_readonly(v) for v in _pairwise_levels(codes))
     return QuantizedSignal(f.grid, levels[-1]), levels
@@ -313,14 +344,14 @@ def quantize_simple(f: Signal, tie_break: str = "toward_negative") -> QuantizedS
 
 
 def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """f - g for float samples and int64 codes within the budget, accurate
-    to a few ulps of 1 + |f - g| however large f is: floor(f) - g is exact
-    in int64 and f - floor(f) lies in [0, 1].  Only the fraction and the
-    integer part are held."""
+    """f - g for float samples and integer codes within the budget, float64
+    or int64, accurate to a few ulps of 1 + |f - g| however large f is:
+    f - floor(f) lies in [0, 1], and floor(f) - g, taken in the codes'
+    dtype, is exact in int64, and in float64 wherever it is below 2**53.
+    Only the fraction and the integer part are held."""
     r = np.floor(f)
-    whole = r.astype(np.int64)
+    whole = np.subtract(r, g, dtype=g.dtype, casting="unsafe")
     np.subtract(f, r, out=r)
-    whole -= g
     r += whole
     return r
 
@@ -417,7 +448,7 @@ def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) 
     total = np.abs(levels[0])
     dc_ok = _certified(total, total[:, 0], 0.5, _radius(n, sup_error), f, g, False, exact)
     return _HaarRows(
-        dc_quantized=g.sum(axis=1) * np.exp2(-n),
+        dc_quantized=g.sum(axis=1, dtype=np.int64) * np.exp2(-n),
         dc_error=total[:, 0] * np.exp2(-n),
         sup_error=sup_error,
         dc_ok=dc_ok,

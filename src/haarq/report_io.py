@@ -391,6 +391,8 @@ def _in_order(compute, chunks, spare=0):
                 yield result
         else:
             pending.append(pool.submit(compute, *first))
+            # Only the pool holds a submitted chunk, so it is freed once computed.
+            del first
         while pending:
             while ahead is not None and len(pending) < workers + spare:
                 ahead = submit(ahead)
@@ -398,6 +400,8 @@ def _in_order(compute, chunks, spare=0):
             if ahead is not None:
                 ahead = submit(ahead)
             yield result
+            # A result handed out is not held while the next one is awaited.
+            del result
     if failure is not None:
         raise failure
 
@@ -410,11 +414,6 @@ def format_float(x: float) -> str:
 def dumps_canonical(obj) -> str:
     """Key-sorted JSON, 2-space indent, shortest round-trip floats; NaN raises."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _codes_sha256(codes) -> str:
-    """The SHA-256 of a block's codes as little-endian int64."""
-    return sha256(np.ascontiguousarray(codes, dtype="<i8")).hexdigest()
 
 
 # How the text of a slot's value is made, by the slot's kind.
@@ -505,17 +504,19 @@ class _ReportLayout:
         separator from the entry before unless a is 0.
 
         total holds the pairwise totals of the blocks' samples, as the
-        quantizer sums them, g their codes, a row each, and haar is their
-        _HaarRows, whose verdict is the block's.  A non-finite float
-        raises ValueError.
+        quantizer sums them, g their integer codes, a row each, and haar is
+        their _HaarRows, whose verdict is the block's.  The digest and the
+        total of the codes are those of little-endian int64.  A non-finite
+        float raises ValueError.
         """
         rows = g.shape[0]
+        codes = np.ascontiguousarray(g, dtype="<i8")
         flags = {name: getattr(haar, name) for name in _HAAR_FLAGS}
         flags["haar_pass"] = flags["pass"] = haar.passed
         values = {
             "index": range(a, a + rows),
-            "quantized_sha256": [_codes_sha256(row) for row in g],
-            "dc_total": g.sum(axis=1).tolist(),
+            "quantized_sha256": [sha256(row).hexdigest() for row in codes],
+            "dc_total": codes.sum(axis=1).tolist(),
             "dc_input": _floats(total / g.shape[-1]),
             **{name: _floats(getattr(haar, name)) for name in _FLOAT_COLUMNS},
             **dict(zip(self.levels, _floats(haar.detail_max.T))),
@@ -866,12 +867,14 @@ def _write_lines(out, lines) -> None:
         fh.writelines(lines)
 
 
-def _encoded(values, format: str):
-    """values as write_values writes them: float64 for raw, else text."""
+def _encoded(values, format: str, integers: bool = False):
+    """values as write_values writes them: float64 for raw, else text, in
+    which integer arrays, and any values when integers is true, are
+    written as integers."""
     arr = np.asarray(values)
     if format == "raw_f64_le":
         return arr.astype("<f8", copy=False)
-    if np.issubdtype(arr.dtype, np.integer):
+    if integers or np.issubdtype(arr.dtype, np.integer):
         return _text(_int_lines(arr))
     lines = np.empty((arr.size, _TEXT_WIDTH + 1), np.uint8)
     lines[:, :-1] = _float_texts(arr)

@@ -323,6 +323,37 @@ def read_codes(path, fmt):
     return np.array(read_int_csv(path), dtype=np.int64)
 
 
+class TestZeroCodes:
+    """Codes that reach 0 from negative targets, as rint(-0.4) does, are
+    +0.0: raw output would write -0.0 as other bytes."""
+
+    SIGNAL = [-0.3, -0.2, -0.1, 0.4]
+
+    def run(self, tmp_path, fmt, flags):
+        src, out, rep = tmp_path / f"in.{fmt}", tmp_path / f"out.{fmt}", tmp_path / "rep.json"
+        (write_raw if fmt == "raw" else write_csv)(src, self.SIGNAL)
+        code = main(["quantize", "--format", fmt, "--block-exp", "2", *flags,
+                     "--input", str(src), "--output", str(out), "--report", str(rep)])
+        assert code == 0
+        return out, json.loads(rep.read_text())["blocks"][0]
+
+    @pytest.mark.parametrize("flags", [[], ["--baseline"]], ids=["pyramid", "baseline"])
+    def test_raw_codes_are_the_bytes_of_the_integers(self, tmp_path, flags):
+        expected = [0, 0, 0, 0]
+        if not flags:
+            assert quantize_per_block(np.array(self.SIGNAL), 2).tolist() == expected
+        out, block = self.run(tmp_path, "raw", flags)
+        assert out.read_bytes() == np.array(expected, "<f8").tobytes()
+        assert block["quantized_sha256"] == codes_sha256(expected)
+        assert block["dc_total"] == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--baseline"]], ids=["pyramid", "baseline"])
+    def test_csv_prints_zero_never_minus_zero(self, tmp_path, flags):
+        out, block = self.run(tmp_path, "csv", flags)
+        assert out.read_text() == "0\n0\n0\n0\n"
+        assert block["quantized_sha256"] == codes_sha256([0, 0, 0, 0])
+
+
 class TestChunkBoundaries:
     """Inputs of one chunk plus a partial block must match per-block quantizing."""
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from haarq import (
     QuantizedSignal,
@@ -20,11 +21,11 @@ from haarq import (
     verify_haar_bounds,
 )
 
+from haarq import quantizer
 from haarq.cli import main as cli_main
 from haarq.quantizer import (
     _check_pair_budget,
     _haar_error_rows,
-    _parity_round,
     _quantize_rows,
     _residual,
 )
@@ -98,11 +99,9 @@ class TestParityChoice:
 
 
     @pytest.mark.parametrize("tie", ["toward_negative", "toward_positive"])
-    def test_int64_parity_array_near_large_targets(self, tie):
-        # The descent passes each parent total itself as the parity of its
-        # children's difference, negative parents included.  Below 2**52
-        # the neighbours step by 1/2, above 2**60 by 256, so the targets
-        # hold integers, half-integers and ties of both parities.
+    def test_parity_choice_near_large_targets(self, tie):
+        # Below 2**52 the neighbours step by 1/2, above 2**60 by 256, so the
+        # targets hold integers, half-integers and ties of both parities.
         targets = []
         for base in (2.0**52, 2.0**60):
             for direction in (-np.inf, np.inf):
@@ -111,17 +110,12 @@ class TestParityChoice:
                     targets.append(t)
                     t = float(np.nextafter(t, direction))
         targets = sorted(set(targets + [-t for t in targets]))
-        parents = [-(2**61) - 1, -(2**61), -3, -2, 2, 3, 2**61, 2**61 + 1]
-        t = np.repeat(np.array(targets), len(parents)).reshape(len(targets), -1)
-        p = np.tile(np.array(parents, dtype=np.int64), (len(targets), 1))
-        got = _parity_round(t, p, tie)
-        assert got.dtype == np.int64 and got.shape == t.shape
-        expected = [
-            [parity_choice_oracle(target, "odd" if parent & 1 else "even", tie)
-             for parent in parents]
-            for target in targets
-        ]
-        assert got.tolist() == expected
+        for target in targets:
+            if abs(target) > 2.0**60:
+                continue
+            for parity in ("even", "odd"):
+                got = choose_parity_constrained(target, parity, tie)
+                assert got == parity_choice_oracle(target, parity, tie)
 
 
 class TestQuantizeOptimal:
@@ -224,7 +218,7 @@ class TestLargeBlockDescent:
     def test_codes_match_the_whole_block_descent(self, n, kind, tie):
         values = self.rows(kind, n)
         codes, _ = _quantize_rows(values, tie)
-        assert codes.dtype == np.int64
+        assert codes.dtype == np.float64
         assert np.array_equal(codes, quantize_rows_reference(values, tie))
 
     @pytest.mark.parametrize("n", [12, 15, 16, 17, 18])
@@ -584,3 +578,110 @@ def test_the_exact_verdicts_imply_the_sup_and_spectral_bounds(case):
     assert report.sup_error <= report.sup_bound * (1 + 2 * U)
     table = _residual_tables(_residual(f[None, :], g[None, :]))[0]
     assert np.all(table.measured_half <= table.bound_exact_half * (1 + 8 * n * U))
+
+
+TIES = ["toward_negative", "toward_positive"]
+SWAPPED = dict(zip(TIES, reversed(TIES)))
+
+
+def block_codes(values, tie):
+    """The codes of one block, as _quantize_rows gives them."""
+    return _quantize_rows(np.asarray(values, dtype=np.float64)[None, :], tie)[0][0]
+
+
+def switch_block(n, ulps, parts, sign):
+    """A block of 2**n samples, sign * (top - parts), whose first sample is
+    sign * top: top is _SAMPLES_BOUND / 2**n moved by ulps, so 2**n times
+    the largest sample is below the bound for ulps < 0, the bound itself
+    for 0, and above it for ulps > 0."""
+    top = nudged(quantizer._SAMPLES_BOUND / (1 << n), ulps)
+    values = sign * (top - np.asarray(parts, dtype=np.float64))
+    values[0] = sign * top
+    return values
+
+
+@st.composite
+def blocks_at_the_switch(draw):
+    n = draw(st.integers(0, 6))
+    part = (st.integers(0, 32).map(lambda i: i / 4) if draw(st.booleans())
+            else st.floats(0.0, 8.0, allow_nan=False))
+    parts = draw(st.lists(part, min_size=1 << n, max_size=1 << n))
+    values = switch_block(n, draw(st.integers(-2, 2)), parts, draw(st.sampled_from([1.0, -1.0])))
+    return values, draw(st.sampled_from(TIES))
+
+
+QUARTERS = [0.0, 0.25, 0.5, 0.75, 1.5, 2.25, 0.5, 0.5]
+FRACTIONS = [0.0, 0.1, 3.3, 5.9, 0.7, 7.1, 2.2, 4.4]
+
+
+class TestSamplesBound:
+    """Blocks are descended as they are while 2**N times their largest
+    sample is below _SAMPLES_BOUND, and as integers plus fractions from it
+    on; the codes must be the reference's on both sides."""
+
+    @given(blocks_at_the_switch())
+    @settings(max_examples=120, deadline=None)
+    @example((switch_block(0, -1, [0.0], 1.0), "toward_negative"))
+    @example((switch_block(0, 0, [0.0], -1.0), "toward_positive"))
+    @example((switch_block(3, -1, QUARTERS, 1.0), "toward_negative"))
+    @example((switch_block(3, 0, QUARTERS, 1.0), "toward_positive"))
+    @example((switch_block(3, 1, QUARTERS, -1.0), "toward_negative"))
+    @example((switch_block(3, -2, FRACTIONS, -1.0), "toward_positive"))
+    @example((switch_block(3, 0, FRACTIONS, 1.0), "toward_negative"))
+    @example((switch_block(3, 2, FRACTIONS, 1.0), "toward_positive"))
+    def test_codes_on_both_sides_of_the_bound(self, case):
+        values, tie = case
+        assert np.array_equal(block_codes(values, tie),
+                              quantize_rows_reference(values[None, :], tie)[0])
+
+    @pytest.mark.parametrize("ulps, fractions", [(-1, False), (0, True), (1, True)])
+    def test_the_bound_picks_the_path(self, monkeypatch, ulps, fractions):
+        sups = []
+        descend = quantizer._descend
+        monkeypatch.setattr(quantizer, "_descend",
+                            lambda samples, totals, sup, tie: sups.append(sup)
+                            or descend(samples, totals, sup, tie))
+        block_codes(switch_block(3, ulps, QUARTERS, 1.0), "toward_negative")
+        assert (sups == [1.0]) == fractions
+
+    def test_large_samples_are_settled_a_handful_of_times(self, monkeypatch):
+        # The fractions' radius is that of samples below 1, so a block of
+        # 2**39 + uniform(-1/2, 1/2) has almost no rounding in doubt; the
+        # samples' radius, about 2**18 times larger, put its top levels in doubt.
+        values = 2.0**39 + np.random.default_rng(39).uniform(-0.5, 0.5, (1, 1 << 16))
+        calls = []
+        exact_choice = quantizer._exact_choice
+        monkeypatch.setattr(quantizer, "_exact_choice",
+                            lambda *args: calls.append(args[1:]) or exact_choice(*args))
+        codes = _quantize_rows(values, "toward_negative")[0]
+        assert len(calls) <= 4
+        assert np.array_equal(codes, quantize_rows_reference(values, "toward_negative"))
+
+
+@st.composite
+def signals_and_integers(draw):
+    """(f, m): a block of at most 2**10 samples, on a quarter grid or a
+    2**-10 grid with |f| <= 8, and integers m with |m| <= 2**e, e <= 40, so
+    that f + m, at most 51 bits, is exact."""
+    n = draw(st.integers(0, 10))
+    scale = 4.0 if draw(st.booleans()) else 2.0**10
+    f = draw(arrays(np.int64, 1 << n, elements=st.integers(-(2**13), 2**13))) / scale
+    bound = 2 ** draw(st.integers(0, 40))
+    m = draw(arrays(np.int64, 1 << n, elements=st.integers(-bound, bound)))
+    return f, m.astype(np.float64)
+
+
+class TestDescentIdentities:
+    """The relations the integers-plus-fractions path rests on."""
+
+    @given(signals_and_integers(), st.sampled_from(TIES))
+    @settings(max_examples=80, deadline=None)
+    def test_adding_integers_adds_them_to_the_codes(self, case, tie):
+        f, m = case
+        assert np.array_equal(block_codes(f + m, tie), block_codes(f, tie) + m)
+
+    @given(signals_and_integers(), st.sampled_from(TIES))
+    @settings(max_examples=80, deadline=None)
+    def test_negating_the_signal_negates_the_codes_under_the_other_rule(self, case, tie):
+        f, m = case
+        assert np.array_equal(block_codes(-(f + m), SWAPPED[tie]), -block_codes(f + m, tie))
