@@ -55,8 +55,9 @@ from .report_io import (
     _Outputs,
     _ReportLayout,
     _SPECTRUM_HEADER,
-    _encoded,
     _in_order,
+    _int_lines,
+    _text,
     _write_lines,
     format_float,
     read_signal,
@@ -180,8 +181,11 @@ def cmd_quantize(args) -> int:
             haar = _haar_error_rows(f, g)
             entries = layout.entries(a, total, g, haar)
             passed = bool(haar.passed.all())
-        # The codes are encoded here, off the writing thread.
-        return _encoded(g.reshape(-1)[:valid], fmt, integers=True), valid, entries, passed
+        codes = g.reshape(-1)[:valid]
+        # Raw codes are written as they are; CSV ones are encoded here, off
+        # the writing thread.
+        data = codes.astype("<f8", copy=False) if binary else _text(_int_lines(codes))
+        return data, valid, entries, passed
 
     length, passed = 0, True
     with (

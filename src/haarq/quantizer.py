@@ -278,10 +278,11 @@ def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> n
 
 
 # A bound on every total of a block: 2**N times its largest sample.  Below
-# it the samples are descended as they are, with fewer than 0.2 roundings
-# in doubt expected in a block of 2**20; at or above it, their fractions,
-# whose radius is that of samples below 1, at the cost of a second
-# pyramid (README).
+# it the samples are descended as they are; at or above it, their
+# fractions, whose radius is that of samples below 1, at the cost of a
+# second pyramid (README).  A block of 2**20 samples just below it has
+# about 0.15 roundings in doubt, each settled in Python, where the two
+# paths take about as long; above it the samples' path soon costs more.
 _SAMPLES_BOUND = 2.0**42
 
 
@@ -291,16 +292,17 @@ def _quantize_rows(values: np.ndarray, tie_break: str) -> tuple[np.ndarray, np.n
     Returns the codes as float64 integers, one row per block, and the
     rows' (rows,) pairwise totals.  Every rounding is decided exactly
     (_descend), although the totals it rounds are float sums.  A block
-    with large samples is quantized as floor(f) + g(f - floor(f)): the
+    with large samples is quantized as trunc(f) + g(f - trunc(f)): the
     construction commutes with adding integers, so the codes are the
-    same, and both terms and their sum are exact.
+    same, and both terms and their sum are exact.  f - floor(f) would
+    not be: -1e-20 - floor(-1e-20) rounds to 1.
     """
     totals = _pairwise_levels(values)
     total, sup = _check_budget(totals, "signal totals")
     if values.shape[-1] * sup < _SAMPLES_BOUND:
         return _descend(values, totals, sup, tie_break), total
     del totals
-    fractions = np.floor(values)
+    fractions = np.trunc(values)
     np.subtract(values, fractions, out=fractions)
     codes = _descend(fractions, _pairwise_levels(fractions), 1.0, tie_break)
     codes += np.subtract(values, fractions, out=fractions)

@@ -867,14 +867,12 @@ def _write_lines(out, lines) -> None:
         fh.writelines(lines)
 
 
-def _encoded(values, format: str, integers: bool = False):
-    """values as write_values writes them: float64 for raw, else text, in
-    which integer arrays, and any values when integers is true, are
-    written as integers."""
+def _encoded(values, format: str):
+    """values as write_values writes them: float64 for raw, else text."""
     arr = np.asarray(values)
     if format == "raw_f64_le":
         return arr.astype("<f8", copy=False)
-    if integers or np.issubdtype(arr.dtype, np.integer):
+    if np.issubdtype(arr.dtype, np.integer):
         return _text(_int_lines(arr))
     lines = np.empty((arr.size, _TEXT_WIDTH + 1), np.uint8)
     lines[:, :-1] = _float_texts(arr)

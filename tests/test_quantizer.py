@@ -600,13 +600,21 @@ def switch_block(n, ulps, parts, sign):
     return values
 
 
+# Small samples of either sign, whose fractions f - floor(f) would round.
+SMALL = [-1e-300, -1e-20, -0.1, -0.5, -0.75, 1e-20, 0.1, 0.5]
+
+
 @st.composite
 def blocks_at_the_switch(draw):
+    """A switch_block with some of its samples after the first replaced
+    by small ones."""
     n = draw(st.integers(0, 6))
     part = (st.integers(0, 32).map(lambda i: i / 4) if draw(st.booleans())
             else st.floats(0.0, 8.0, allow_nan=False))
     parts = draw(st.lists(part, min_size=1 << n, max_size=1 << n))
     values = switch_block(n, draw(st.integers(-2, 2)), parts, draw(st.sampled_from([1.0, -1.0])))
+    for i in draw(st.lists(st.integers(1, max(1, len(values) - 1)), max_size=len(values) - 1)):
+        values[i] = draw(st.sampled_from(SMALL))
     return values, draw(st.sampled_from(TIES))
 
 
@@ -629,6 +637,10 @@ class TestSamplesBound:
     @example((switch_block(3, -2, FRACTIONS, -1.0), "toward_positive"))
     @example((switch_block(3, 0, FRACTIONS, 1.0), "toward_negative"))
     @example((switch_block(3, 2, FRACTIONS, 1.0), "toward_positive"))
+    # A small negative sample in a block on the fractions' path.
+    @example((np.array([2.0**45 + 0.5, -1e-20]), "toward_negative"))
+    @example((np.array([2.0**45 + 0.5, -1e-20]), "toward_positive"))
+    @example((np.array([2.0**45 + 0.5, -0.1]), "toward_positive"))
     def test_codes_on_both_sides_of_the_bound(self, case):
         values, tie = case
         assert np.array_equal(block_codes(values, tie),
