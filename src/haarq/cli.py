@@ -17,10 +17,11 @@ length: `--report` entries wait in an unnamed temporary file until the
 input has ended and the report's head, which gives the block count, can
 be written.
 verify --quantized reads its two inputs in step, and refuses --baseline
-and --tie-break, which could not act on the codes it is given.  Each
-output file, the report too, is written to a temporary file beside it,
-and all are renamed into place once the run succeeds, so a run that
-fails leaves no output file; output to '-' (stdout) is written as it is
+and --tie-break, which could not act on the codes it is given, and '-'
+for both inputs.  Each output file, the report too, is written to a
+temporary file beside it, and all are renamed into place once the run
+succeeds, so a run that fails leaves no output file, and two outputs
+that name one file are refused; output to '-' (stdout) is written as it is
 made, and an input error found after some of it was written still
 exits 3.
 
@@ -192,6 +193,8 @@ def cmd_quantize(args) -> int:
         layout or contextlib.nullcontext(),
         _Outputs() as outputs,
         outputs.open(args.output, binary=binary) as out,
+        # Opened before any input is read, so one file named twice is refused first.
+        outputs.open(args.report, binary=False) if layout else contextlib.nullcontext() as fh,
         contextlib.closing(_in_order(compute, read_signal(spec))) as chunks,
     ):
         for data, valid, entries, chunk_passed in chunks:
@@ -202,8 +205,7 @@ def cmd_quantize(args) -> int:
             passed &= chunk_passed
             del data  # written: not held while the next chunk is awaited
         if layout is not None:
-            with outputs.open(args.report, binary=False) as fh:
-                layout.write(fh, length, passed)
+            layout.write(fh, length, passed)
     # Without --report no block was measured, and no block fails.
     return 0 if passed else 1
 
@@ -233,6 +235,8 @@ def _with_codes(chunks, args):
 def cmd_verify(args) -> int:
     if args.quantized and (args.baseline or args.tie_break):
         raise ValueError("--baseline and --tie-break do not apply to --quantized codes")
+    if args.quantized == "-" and args.input == "-":
+        raise ValueError("--input and --quantized cannot both read stdin")
     chunks = read_signal(_input_spec(args))
     if args.quantized:
         chunks = _with_codes(chunks, args)

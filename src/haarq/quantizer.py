@@ -176,10 +176,10 @@ def _on_grid(values: np.ndarray, bound: float) -> bool:
 
 def _split_total(run: np.ndarray, split: int, g=0) -> tuple[int, list[float]]:
     """The signed total sum(x[split:]) - sum(x[:split]) of x = run - g for
-    integer codes g, exactly: the integer total of the whole parts
-    trunc(run) - g, and the signed fractions run - trunc(run), which need
-    no rounding.  Sums of int64 wrap around, but each total is within the
-    budget, so is exact."""
+    integer codes g, in the terms _exact_signs adds: the integer total of
+    the whole parts trunc(run) - g, and the signed fractions run - trunc(run),
+    which need no rounding.  Sums of int64 wrap around, but each total is
+    within the budget, so is exact."""
     whole = np.trunc(run)
     parts = run - whole
     parts[:split] *= -1.0
@@ -188,43 +188,39 @@ def _split_total(run: np.ndarray, split: int, g=0) -> tuple[int, list[float]]:
     return int(whole[split:].sum()) - int(whole[:split].sum()), parts.tolist()
 
 
-def _exact_choice(run: np.ndarray, split: int, parity: int, tie_break: str) -> int:
-    """choose_parity_constrained of the exact signed total t of run
-    (_split_total), parity 0 even and 1 odd.
-
-    With q the floor of the fractions' correctly rounded sum, t is within
-    an ulp below base = whole total + q, or less than 1 above it: base has
-    the parity, or the sign of t - base, exact from math.fsum, picks
-    base + 1 or base - 1.
-    """
-    whole, parts = _split_total(run, split)
-    q = math.floor(math.fsum(parts))
-    base = whole + q
-    if (base - parity) % 2 == 0:
-        return base
-    above = math.fsum([*parts, -q])
-    return base + 1 if above > 0 or (above == 0 and tie_break == "toward_positive") else base - 1
+def _exact_signs(run: np.ndarray, split: int, g, *c: float) -> list[float]:
+    """A float of the exact sign of t - c for each float c, t the signed
+    total of run - g (_split_total): two floats hold its integer part, as
+    |whole| < 2**63, and math.fsum rounds the exact sum correctly (Shewchuk
+    1997), so its result has the exact sum's sign."""
+    whole, parts = _split_total(run, split, g)
+    terms = [*parts, float(whole), float(whole - int(float(whole)))]
+    return [math.fsum([*terms, -x]) for x in c]
 
 
-def _round_in_doubt(gap, rounded, radius, up: bool, exact, settle) -> None:
+def _round_in_doubt(gap, rounded, radius, up: bool, exact, sign) -> None:
     """Make rounded = rint(x) the nearest integer to every x, ties toward
     +inf if up else -inf, where gap = x - rounded and each float x is
-    within radius of its exact value, or exact if exact().
+    within radius < 1/4 of its exact value, or exact if exact().
 
-    Only an x within radius of a half-integer is in doubt.  When x is
-    exact, rint is right there but at a tie, which goes by the rule; else
-    settle(*index) gives the entry from its exact value, one at a time.
+    Only an x within radius of a half-integer h is in doubt, and h, the
+    one next to rounded on gap's side, is unique as radius < 1/4: the
+    exact sign of x - h, the float's own if exact() and else that of
+    sign(*index, h), picks h + 1/2 or h - 1/2, and a tie goes by the rule.
     """
     edge = 0.5 - radius
     if gap.max() < edge and gap.min() > -edge:
         return
     at = np.nonzero(np.abs(gap) >= edge)
+    half = np.copysign(0.5, gap[at])
+    h = rounded[at] + half
     if exact():
-        tie = gap[at] == (0.5 if up else -0.5)
-        rounded[tuple(i[tie] for i in at)] += 1.0 if up else -1.0
-        return
-    for index in zip(*(i.tolist() for i in at)):
-        rounded[index] = settle(*index)
+        s = np.sign(gap[at] - half)
+    else:
+        index = zip(*(a.tolist() for a in at))
+        s = np.sign([sign(*i, c) for i, c in zip(index, h.tolist())])
+    s[s == 0] = 1 if up else -1
+    rounded[at] = h + 0.5 * s
 
 
 def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> np.ndarray:
@@ -249,7 +245,7 @@ def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> n
     total = totals.pop(0)
     parent = np.rint(total)
     _round_in_doubt(total - parent, parent, _radius(width.bit_length() - 1, sup), up, exact,
-                    lambda i, j: _exact_choice(2.0 * samples[i], 0, 0, tie_break) // 2)
+                    lambda i, j, h: _exact_signs(samples[i], 0, 0, h)[0])
     parent += 0.0
     while totals:
         v = totals.pop(0)
@@ -263,14 +259,14 @@ def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> n
         np.rint(left, out=right)
         np.subtract(left, right, out=left)
 
-        def settle(i, j):
-            p = int(parent[i, j])
-            t = _exact_choice(samples[i, j * run : (j + 1) * run], run // 2, p & 1, tie_break)
-            return (p - t) // 2
+        def sign(i, j, h):
+            # x - h is (P - 2h - t)/2 for the run's exact signed total t.
+            c = parent.item(i, j) - 2.0 * h
+            return -_exact_signs(samples[i, j * run : (j + 1) * run], run // 2, 0, c)[0]
 
         # Forming P - (b - a) adds at most 2**(d-52) * (sup + 1) to its radius.
         radius = 0.5 * (_radius(d, sup) + 2.0 ** (d - 52) * (sup + 1.0))
-        _round_in_doubt(left, right, radius, not up, exact, settle)
+        _round_in_doubt(left, right, radius, not up, exact, sign)
         np.add(right, 0.0, out=left)
         np.subtract(parent, right, out=right)
         parent = out
@@ -393,8 +389,9 @@ def _certified(err, worst, bound: float, radius, f, g, split: bool, exact) -> np
     over m equal runs of its samples, the right half's less the left's
     when split, and worst their row maxima; they are exact if exact().
     An entry passes when err + radius <= bound, fails when
-    err - radius > bound, and is settled exactly otherwise: math.fsum
-    rounds the exact sum correctly, so the sign of its result is exact.
+    err - radius > bound, and is settled otherwise by the exact signs of
+    t - bound and t + bound, t its signed total (_exact_signs), from one
+    split of its run.
     """
     width = f.shape[-1] // err.shape[-1]
     ok = worst + radius <= bound
@@ -405,10 +402,9 @@ def _certified(err, worst, bound: float, radius, f, g, split: bool, exact) -> np
     for i in undecided:
         for j in np.flatnonzero(err[i] + radius[i] > bound):
             run = slice(j * width, (j + 1) * width)
-            whole, parts = _split_total(f[i, run], width // 2 if split else 0, g[i, run])
-            # Two floats hold the integer total exactly: |whole| < 2**63.
-            terms = [*parts, float(whole), float(whole - int(float(whole)))]
-            if not math.fsum([*terms, -bound]) <= 0.0 <= math.fsum([*terms, bound]):
+            above, below = _exact_signs(f[i, run], width // 2 if split else 0, g[i, run],
+                                        bound, -bound)
+            if above > 0 or below < 0:
                 break
         else:
             ok[i] = True

@@ -812,9 +812,10 @@ class _Outputs:
     new temporary file beside its target.  When the `with` block ends
     without error, every temporary file is renamed onto its target; when
     it raises, they are all removed, so a failed run leaves no output
-    file, and an output may replace the input it was made from.  Path '-'
-    is standard output, written as the data is made.  A device or a pipe
-    is written in place.
+    file, and an output may replace the input it was made from.  Two
+    outputs that resolve to one file are refused.  Path '-' is standard
+    output, written as the data is made.  A device or a pipe is written
+    in place.
     """
 
     def __init__(self):
@@ -840,6 +841,8 @@ class _Outputs:
         # not a regular file, such as a device or a pipe, is written in place.
         target = os.path.realpath(path)
         in_place = os.path.exists(target) and not os.path.isfile(target)
+        if not in_place and any(target == t for _, t in self._pending):
+            raise ValueError(f"two outputs name one file: {path}")
         head, name = os.path.split(target)
         tmp = target if in_place else os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
         mode = ("w" if in_place else "x") + ("b" if binary else "")

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -29,3 +30,19 @@ def test_readme_library_example_runs():
     example = re.match(r"\s*```python\n(.*?)^```", library, re.S | re.M)
     assert example is not None
     exec(compile(example[1], f"{README}:Library", "exec"), {})
+
+
+def test_every_private_helper_is_used():
+    # A helper that a change replaced goes with it.
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(haarq.__file__).parent.glob("*.py")]
+    helpers = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert sorted(helpers - used) == []

@@ -580,6 +580,16 @@ def test_the_exact_verdicts_imply_the_sup_and_spectral_bounds(case):
     assert np.all(table.measured_half <= table.bound_exact_half * (1 + 8 * n * U))
 
 
+@pytest.fixture
+def exact_sign_calls(monkeypatch):
+    """The arguments of every call to quantizer._exact_signs, as it is made."""
+    calls = []
+    exact_signs = quantizer._exact_signs
+    monkeypatch.setattr(quantizer, "_exact_signs",
+                        lambda *args: calls.append(args) or exact_signs(*args))
+    return calls
+
+
 TIES = ["toward_negative", "toward_positive"]
 SWAPPED = dict(zip(TIES, reversed(TIES)))
 
@@ -656,18 +666,50 @@ class TestSamplesBound:
         block_codes(switch_block(3, ulps, QUARTERS, 1.0), "toward_negative")
         assert (sups == [1.0]) == fractions
 
-    def test_large_samples_are_settled_a_handful_of_times(self, monkeypatch):
+    def test_large_samples_are_settled_a_handful_of_times(self, exact_sign_calls):
         # The fractions' radius is that of samples below 1, so a block of
         # 2**39 + uniform(-1/2, 1/2) has almost no rounding in doubt; the
         # samples' radius, about 2**18 times larger, put its top levels in doubt.
         values = 2.0**39 + np.random.default_rng(39).uniform(-0.5, 0.5, (1, 1 << 16))
-        calls = []
-        exact_choice = quantizer._exact_choice
-        monkeypatch.setattr(quantizer, "_exact_choice",
-                            lambda *args: calls.append(args[1:]) or exact_choice(*args))
         codes = _quantize_rows(values, "toward_negative")[0]
-        assert len(calls) <= 4
+        assert len(exact_sign_calls) <= 4
         assert np.array_equal(codes, quantize_rows_reference(values, "toward_negative"))
+
+
+class TestDecisionsInDoubt:
+    """Each decision in doubt off a grid, in a block of two samples, takes
+    the exact sign once: the root's rounding and the level's split over
+    the whole block (split 0) and its halves (split 1), and likewise the
+    DC verdict and the level verdict."""
+
+    @pytest.mark.parametrize("values, tie, codes, split", [
+        # The float total is exactly 1/2, and the exact total 1/2 + 2.8e-17.
+        ([0.1, 0.4], "toward_negative", [0, 1], 0),
+        ([0.1, 0.4], "toward_positive", [0, 1], 0),
+        # An exact tie off the grid: the level's rule mirrors the root's.
+        ([0.3, 0.3], "toward_negative", [1, 0], 1),
+        ([0.3, 0.3], "toward_positive", [0, 1], 1),
+        # The float x is exactly 1/2, and the exact x 1/2 - 2.8e-17.
+        ([0.3, 1.3], "toward_negative", [0, 2], 1),
+        ([0.3, 1.3], "toward_positive", [0, 2], 1),
+    ])
+    def test_roundings(self, exact_sign_calls, values, tie, codes, split):
+        values = np.array(values)
+        assert np.array_equal(block_codes(values, tie), codes)
+        assert np.array_equal(quantize_rows_reference(values[None, :], tie)[0], codes)
+        assert [args[1] for args in exact_sign_calls] == [split]
+
+    @pytest.mark.parametrize("f, g, verdicts, split", [
+        ([0.1, 0.4], [0, 0], (False, True), 0),
+        ([-0.1, -0.4], [0, 0], (False, True), 0),
+        # |right - left| is 1 exactly.
+        ([0.3, 0.3], [1, 0], (True, True), 1),
+    ])
+    def test_verdicts(self, exact_sign_calls, f, g, verdicts, split):
+        f, g = np.array([f]), np.array([g], dtype=np.int64)
+        rows = _haar_error_rows(f, g)
+        assert (rows.dc_ok[0], rows.details_ok[0]) == verdicts == exact_haar_verdicts(f[0], g[0])
+        assert [args[1] for args in exact_sign_calls] == [split]
 
 
 @st.composite
