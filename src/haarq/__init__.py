@@ -14,25 +14,17 @@ deterministic reporting and a CLI.
 
 from .haar import (
     MAX_EXPONENT,
-    HaarCoefficients,
-    HaarIndex,
     Signal,
     TimeGrid,
     check_index,
-    haar_analyze,
     haar_basis,
-    haar_synthesize,
-    inner_product,
     make_grid,
     totals_pyramid,
 )
 from .quantizer import (
     HaarErrorReport,
     QuantizedSignal,
-    check_range,
-    choose_parity_constrained,
     quantize_haar_optimal,
-    quantize_simple,
     verify_haar_bounds,
 )
 from .report_io import (
@@ -53,10 +45,8 @@ from .spectral import (
 
 __all__ = [
     "MAX_EXPONENT",
-    "HaarIndex",
     "TimeGrid",
     "Signal",
-    "HaarCoefficients",
     "QuantizedSignal",
     "HaarErrorReport",
     "NoiseBoundTable",
@@ -64,16 +54,10 @@ __all__ = [
     "InputFormatError",
     "make_grid",
     "check_index",
-    "inner_product",
     "haar_basis",
     "totals_pyramid",
-    "haar_analyze",
-    "haar_synthesize",
-    "choose_parity_constrained",
     "quantize_haar_optimal",
-    "quantize_simple",
     "verify_haar_bounds",
-    "check_range",
     "dft",
     "haar_fourier_coefficient",
     "spectrum_error",

@@ -1,33 +1,28 @@
 """Dyadic midpoint grid, Haar step basis, and pairwise totals pyramids.
 
-Signals live on the 2**N midpoints of [-1/2, 1/2].  Everything here runs
-through the totals pyramid, the tuple of level arrays holding the sums of
-the signal over the dyadic interval tree: each transform coefficient is a
-scaled difference of two adjacent totals, which gives O(2**N) analysis
-and synthesis and keeps all summation pairwise.  Values are immutable
-after construction and safe to share across threads.
+Signals live on the 2**N midpoints of [-1/2, 1/2].  The totals pyramid is
+the tuple of level arrays holding the sums of the signal over the dyadic
+interval tree, summed pairwise: the orthonormal Haar DC coefficient is
+the scaled grand total and each level's coefficient a scaled difference
+of two adjacent totals, so the quantizer and its verifier work on totals
+and never on a transform.  Values are immutable after construction and
+safe to share across threads.
 """
 
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "MAX_EXPONENT",
-    "HaarIndex",
     "TimeGrid",
     "Signal",
-    "HaarCoefficients",
     "make_grid",
     "check_index",
-    "inner_product",
     "haar_basis",
     "totals_pyramid",
-    "haar_analyze",
-    "haar_synthesize",
 ]
 
 MAX_EXPONENT = 24
@@ -46,25 +41,17 @@ def _check_exponent(n, name: str = "n_exponent") -> int:
     return n
 
 
-class HaarIndex(NamedTuple):
-    """Level/position pair (k, j); (0, 1) is the constant (DC) function."""
-
-    level: int
-    position: int
+IndexLike = tuple[int, int]
 
 
-IndexLike = HaarIndex | tuple[int, int]
-
-
-def check_index(index: IndexLike, n_exponent: int) -> HaarIndex:
-    """Validate (k, j) against the index set for a size-2**n_exponent grid."""
+def check_index(index: IndexLike, n_exponent: int) -> IndexLike:
+    """Validate the level/position pair (k, j) against the index set for a
+    size-2**n_exponent grid; (0, 1) is the constant (DC) function."""
     k, j = index
     k = operator.index(k)
     j = operator.index(j)
-    if (k, j) == (0, 1):
-        return HaarIndex(0, 1)
-    if 1 <= k <= n_exponent and 1 <= j <= 1 << (k - 1):
-        return HaarIndex(k, j)
+    if (k, j) == (0, 1) or 1 <= k <= n_exponent and 1 <= j <= 1 << (k - 1):
+        return k, j
     raise ValueError(f"invalid Haar index {(k, j)} for n_exponent={n_exponent}")
 
 
@@ -115,42 +102,6 @@ class Signal:
         return self.grid.n_exponent
 
 
-@dataclass(frozen=True, eq=False)
-class HaarCoefficients:
-    """Expansion coefficients: one DC value plus detail arrays per level.
-
-    ``details[k - 1]`` holds the 2**(k-1) coefficients of level k.
-    """
-
-    n_exponent: int
-    dc: float
-    details: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        n = operator.index(self.n_exponent)
-        object.__setattr__(self, "n_exponent", n)
-        object.__setattr__(self, "dc", float(self.dc))
-        fixed = []
-        if len(self.details) != n:
-            raise ValueError(f"expected {n} detail levels, got {len(self.details)}")
-        for k, level in enumerate(self.details, start=1):
-            arr = np.array(level, dtype=np.float64, copy=True)
-            if arr.shape != (1 << (k - 1),):
-                raise ValueError(f"level {k} must hold {1 << (k - 1)} coefficients")
-            fixed.append(_readonly(arr))
-        object.__setattr__(self, "details", tuple(fixed))
-
-    def __getitem__(self, index: IndexLike) -> float:
-        k, j = check_index(index, self.n_exponent)
-        if k == 0:
-            return self.dc
-        return float(self.details[k - 1][j - 1])
-
-    def as_array(self) -> np.ndarray:
-        """Flatten to a length-2**N vector: DC first, then by level, then position."""
-        return np.concatenate([[self.dc], *self.details])
-
-
 def _pairwise_levels(values: np.ndarray) -> list[np.ndarray]:
     """Bottom-up pairwise sums along the last axis.
 
@@ -165,13 +116,6 @@ def _pairwise_levels(values: np.ndarray) -> list[np.ndarray]:
             levels.append(v[..., 0::2] + v[..., 1::2])
     levels.reverse()
     return levels
-
-
-def inner_product(f: Signal, g: Signal) -> float:
-    """Normalized dot product (1/2**N) * sum(f * g)."""
-    if f.grid != g.grid:
-        raise ValueError("signals live on different grids")
-    return float(f.values @ g.values) / f.grid.size
 
 
 def haar_basis(index: IndexLike, grid: TimeGrid) -> Signal:
@@ -201,30 +145,3 @@ def totals_pyramid(x) -> tuple[np.ndarray, ...]:
     children one level down.
     """
     return tuple(_readonly(level) for level in _pairwise_levels(x.values))
-
-
-def haar_analyze(f: Signal) -> HaarCoefficients:
-    """Haar transform via the totals pyramid in O(2**N).
-
-    The DC coefficient is the grand total scaled by 2**-N; the level-k
-    coefficient at position j is 2**(-N+(k-1)/2) times the difference of
-    the right and left child totals.
-    """
-    n = f.n_exponent
-    levels = _pairwise_levels(f.values)
-    details = ((v[1::2] - v[0::2]) * np.exp2(-n + 0.5 * (k - 1))
-               for k, v in enumerate(levels[1:], start=1))
-    return HaarCoefficients(n, levels[0][0] * np.exp2(-n), tuple(details))
-
-
-def haar_synthesize(coefficients: HaarCoefficients) -> Signal:
-    """Invert haar_analyze by rebuilding the totals pyramid top-down."""
-    n = coefficients.n_exponent
-    total = np.array([coefficients.dc * np.exp2(n)])
-    for k in range(1, n + 1):
-        diff = coefficients.details[k - 1] * np.exp2(n - 0.5 * (k - 1))
-        child = np.empty(1 << k)
-        child[0::2] = (total - diff) / 2.0
-        child[1::2] = (total + diff) / 2.0
-        total = child
-    return Signal(make_grid(n), total)

@@ -12,17 +12,16 @@ satisfies, for a grid of size 2**N,
     sup |f - g|                    <= 1 - 2**(-N-1)
 
 where dc/detail_k are the orthonormal Haar coefficients.  Both pyramids
-are tuples of level arrays.  The per-sample rounding baseline is provided
-for contrast, together with a report type that decides the DC and level
+are tuples of level arrays.  A report type decides the DC and level
 bounds exactly for any (signal, quantized) pair.  The uniform bound, and
 the spectral envelopes, are sums of the coefficient bounds by the
 triangle inequality, so they hold whenever these do, and the report
-gives the uniform error as a measurement only.
+gives the uniform error as a measurement only.  The CLI's per-sample
+rounding baseline, `--baseline`, is _round_rows.
 """
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,15 +32,11 @@ from .haar import Signal, TimeGrid, _pairwise_levels, _readonly
 __all__ = [
     "QuantizedSignal",
     "HaarErrorReport",
-    "choose_parity_constrained",
     "quantize_haar_optimal",
-    "quantize_simple",
     "verify_haar_bounds",
-    "check_range",
 ]
 
 TIE_BREAKS = ("toward_negative", "toward_positive")
-PARITIES = ("even", "odd")
 
 # Totals beyond this magnitude risk int64 trouble downstream; reject early.
 _INT_BUDGET = float(2**60)
@@ -110,25 +105,6 @@ def _rounds_up(tie_break: str) -> bool:
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     return tie_break == "toward_positive"
-
-
-def choose_parity_constrained(
-    target: float, parent_parity: str, tie_break: str = "toward_negative"
-) -> int:
-    """Nearest integer to target with the given parity.
-
-    Integers of one parity are spaced 2 apart, so the result D always
-    satisfies |target - D| <= 1; an exact distance-1 tie on both sides is
-    resolved by tie_break.
-    """
-    if not abs(target) <= _INT_BUDGET:
-        raise ValueError("target must be finite with |target| <= 2**60")
-    if parent_parity not in PARITIES:
-        raise ValueError(f"parent_parity must be one of {PARITIES}")
-    # The two candidates are base and base + 2 when base has the parity,
-    # else base - 1 and base + 1; they tie only when target is an integer.
-    base = math.floor(target) if _rounds_up(tie_break) else math.ceil(target) - 1
-    return base + (base - PARITIES.index(parent_parity)) % 2
 
 
 def _check_budget(levels, what: str) -> tuple[np.ndarray, float]:
@@ -336,11 +312,6 @@ def quantize_haar_optimal(
     return QuantizedSignal(f.grid, levels[-1]), levels
 
 
-def quantize_simple(f: Signal, tie_break: str = "toward_negative") -> QuantizedSignal:
-    """Per-sample rounding to the nearest integer, half-ties per tie_break."""
-    return QuantizedSignal(f.grid, _round_rows(f.values, tie_break)[0])
-
-
 def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f - g for float samples and integer codes within the budget, float64
     or int64, accurate to a few ulps of 1 + |f - g| however large f is:
@@ -479,21 +450,3 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
         sup_bound=sup_bound,
         **{name: getattr(rows, name)[0].item() for name in columns},
     )
-
-
-def check_range(f: Signal, lower: int, upper: int, g: QuantizedSignal) -> bool:
-    """True iff f stays within [lower+1, upper-1] and g within [lower, upper].
-
-    Whenever the input condition holds and g came from
-    quantize_haar_optimal, the uniform error bound forces the output
-    condition, so this returns True.
-    """
-    lo = operator.index(lower)
-    hi = operator.index(upper)
-    if lo + 2 >= hi:
-        raise ValueError(f"need lower + 2 < upper, got ({lo}, {hi})")
-    if f.grid != g.grid:
-        raise ValueError("signal and quantized signal live on different grids")
-    f_in = bool(np.all((f.values >= lo + 1) & (f.values <= hi - 1)))
-    g_in = bool(np.all((g.values >= lo) & (g.values <= hi)))
-    return f_in and g_in

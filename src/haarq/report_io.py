@@ -348,15 +348,16 @@ def _in_order(compute, chunks, spare=0):
 
     Chunks are read on the calling thread and computed on a pool of
     threads, one per usable CPU: workers + spare chunks are submitted and
-    one more is read ahead.  When the oldest is done, the next chunk is
-    read and the one before it submitted before the result is handed
-    out, so no worker waits for a result to be written, and a spare lets
-    a worker go on while an earlier chunk is late.  With one worker and
-    no spare, no read runs beside a computation: peak memory does not
-    depend on thread timing.  A lone chunk is computed on the calling
-    thread; on a worker thread, the memory it frees would stay in that
-    thread's malloc arena.  An error is raised after the results of
-    every chunk before it: a read error, of every chunk read before it.
+    one more is read ahead.  The oldest result is handed out before the
+    next chunk is read and submitted: the caller that writes it takes a
+    CPU of its own, so workers + spare - 1 chunks are computed beside the
+    write, and a spare lets a worker go on while an earlier chunk is
+    late.  With one worker and no spare, no read or write runs beside a
+    computation: peak memory does not depend on thread timing.  A lone
+    chunk is computed on the calling thread; on a worker thread, the
+    memory it frees would stay in that thread's malloc arena.  An error
+    is raised after the results of every chunk before it: a read error,
+    of every chunk read before it.
     """
     workers = _usable_cpus()
     chunks = iter(chunks)
@@ -393,15 +394,11 @@ def _in_order(compute, chunks, spare=0):
             pending.append(pool.submit(compute, *first))
             # Only the pool holds a submitted chunk, so it is freed once computed.
             del first
-        while pending:
+        while pending or ahead is not None:
             while ahead is not None and len(pending) < workers + spare:
                 ahead = submit(ahead)
-            result = pending.popleft().result()
-            if ahead is not None:
-                ahead = submit(ahead)
-            yield result
             # A result handed out is not held while the next one is awaited.
-            del result
+            yield pending.popleft().result()
     if failure is not None:
         raise failure
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from haarq import (
     QuantizedSignal, Signal, dumps_canonical, make_grid, quantize_haar_optimal,
-    quantize_simple, verify_haar_bounds,
+    verify_haar_bounds,
 )
 
 
@@ -57,23 +57,6 @@ def all_indices(n: int):
     for k in range(1, n + 1):
         for j in range(1, 2 ** (k - 1) + 1):
             yield (k, j)
-
-
-def parity_choice_oracle(target: float, parity: str, tie_break: str) -> int:
-    """Enumerate nearby integers of the right parity and pick the closest.
-
-    Distances are exact rationals, so near-ties are never decided by float
-    rounding.
-    """
-    p = 0 if parity == "even" else 1
-    t = Fraction(target)
-    lo = math.floor(t) - 2
-    hi = math.ceil(t) + 2
-    distance = {c: abs(c - t) for c in range(lo, hi + 1) if (c - p) % 2 == 0}
-    candidates = [c for c, d in distance.items() if d <= 1]
-    best = min(distance[c] for c in candidates)
-    tied = [c for c in candidates if distance[c] == best]
-    return min(tied) if tie_break == "toward_negative" else max(tied)
 
 
 def spectrum_csv_reference(table) -> str:
@@ -164,6 +147,15 @@ def _exact_levels(num: np.ndarray, bound: int) -> list[np.ndarray]:
         levels.insert(0, levels[0][..., 0::2] + levels[0][..., 1::2])
         levels[0] = levels[0].astype(np.int64 if bound < 2**61 else object)
     return levels
+
+
+def round_rows_reference(values, tie_break="toward_negative") -> np.ndarray:
+    """The nearest integer to each sample, ties per tie_break, in exact
+    rationals: m is nearest to x iff 2m is the even integer nearest to 2x."""
+    num, den = _as_integers(values)
+    if den >= 2**62:
+        num = num.astype(object)  # int64 cannot be divided by den
+    return (_nearest_of_parity(2 * num, den, 0, tie_break) >> 1).astype(np.int64)
 
 
 def quantize_rows_reference(values, tie_break="toward_negative") -> np.ndarray:
@@ -281,7 +273,7 @@ def report_reference(values, n: int, config: dict, codes=None) -> str:
         if codes is not None:
             g = QuantizedSignal(grid, codes[i * size : (i + 1) * size])
         elif config["baseline"]:
-            g = quantize_simple(f, config["tie_break"])
+            g = QuantizedSignal(grid, round_rows_reference(row, config["tie_break"]))
         else:
             g, _ = quantize_haar_optimal(f, config["tie_break"])
         blocks.append(report_block(i, f, g))

@@ -8,6 +8,12 @@ from haarq import haar, quantizer, report_io, spectral
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def library_section() -> str:
+    """The README's `## Library` section, up to the next `## ` heading."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_every_public_name_resolves():
     for name in haarq.__all__:
         assert hasattr(haarq, name), name
@@ -26,10 +32,16 @@ def test_public_names_are_the_submodules():
 
 def test_readme_library_example_runs():
     # The documented API is the one the package exports.
-    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    example = re.match(r"\s*```python\n(.*?)^```", library, re.S | re.M)
+    example = re.match(r"\s*```python\n(.*?)^```", library_section(), re.S | re.M)
     assert example is not None
     exec(compile(example[1], f"{README}:Library", "exec"), {})
+
+
+def test_readme_documents_every_public_name():
+    # A public name that the Library section does not mention is either
+    # undocumented or has no reason to be public.
+    library = library_section()
+    assert [name for name in haarq.__all__ if not re.search(rf"\b{name}\b", library)] == []
 
 
 def test_every_private_helper_is_used():

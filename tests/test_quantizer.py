@@ -11,12 +11,8 @@ from hypothesis.extra.numpy import arrays
 from haarq import (
     QuantizedSignal,
     Signal,
-    check_range,
-    choose_parity_constrained,
-    haar_analyze,
     make_grid,
     quantize_haar_optimal,
-    quantize_simple,
     totals_pyramid,
     verify_haar_bounds,
 )
@@ -28,6 +24,7 @@ from haarq.quantizer import (
     _haar_error_rows,
     _quantize_rows,
     _residual,
+    _round_rows,
 )
 from haarq.report_io import CHUNK_SAMPLES
 from haarq.spectral import _residual_tables
@@ -37,8 +34,8 @@ from oracles import (
     dc_error_fraction,
     exact_haar_verdicts,
     naive_coefficient,
-    parity_choice_oracle,
     quantize_rows_reference,
+    round_rows_reference,
 )
 
 WORKED = [0.3, -0.2, 0.4, 0.1]
@@ -48,74 +45,9 @@ def random_signal(n, rng, lo=-0.5, hi=0.5):
     return Signal(make_grid(n), rng.uniform(lo, hi, 1 << n))
 
 
-class TestParityChoice:
-    def test_examples(self):
-        # candidates for 0.4/odd are -1 (dist 1.4) and 1 (dist 0.6)
-        assert choose_parity_constrained(0.4, "odd") == 1
-        assert choose_parity_constrained(0.0, "even") == 0
-        assert choose_parity_constrained(0.0, "odd", "toward_negative") == -1
-        assert choose_parity_constrained(0.0, "odd", "toward_positive") == 1
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            choose_parity_constrained(float("inf"), "even")
-        with pytest.raises(ValueError):
-            choose_parity_constrained(float("nan"), "odd")
-
-    def test_target_beyond_int_budget_rejected(self):
-        assert choose_parity_constrained(2.0**60, "odd") == 2**60 - 1
-        with pytest.raises(ValueError):
-            choose_parity_constrained(1e300, "even")
-
-    def test_bad_enums_rejected(self):
-        with pytest.raises(ValueError):
-            choose_parity_constrained(0.0, "mixed")
-        with pytest.raises(ValueError):
-            choose_parity_constrained(0.0, "even", "sideways")
-
-    @given(
-        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-        st.sampled_from(["even", "odd"]),
-        st.sampled_from(["toward_negative", "toward_positive"]),
-    )
-    @settings(max_examples=400, deadline=None)
-    @example(8.9e-17, "odd", "toward_negative")
-    @example(4e-17, "odd", "toward_negative")
-    @example(-4e-17, "odd", "toward_positive")
-    def test_matches_enumeration_oracle(self, target, parity, tie):
-        got = choose_parity_constrained(target, parity, tie)
-        assert got == parity_choice_oracle(target, parity, tie)
-        assert abs(got - target) <= 1.0
-        assert (got - (0 if parity == "even" else 1)) % 2 == 0
-
-    @pytest.mark.parametrize("scale", [1.0, 3.0, 17.5])
-    def test_half_integer_grid_sweep(self, scale):
-        targets = np.arange(-8, 8.5, 0.5) * scale
-        for t in targets:
-            for parity in ("even", "odd"):
-                for tie in ("toward_negative", "toward_positive"):
-                    got = choose_parity_constrained(float(t), parity, tie)
-                    assert got == parity_choice_oracle(float(t), parity, tie)
-
-
-    @pytest.mark.parametrize("tie", ["toward_negative", "toward_positive"])
-    def test_parity_choice_near_large_targets(self, tie):
-        # Below 2**52 the neighbours step by 1/2, above 2**60 by 256, so the
-        # targets hold integers, half-integers and ties of both parities.
-        targets = []
-        for base in (2.0**52, 2.0**60):
-            for direction in (-np.inf, np.inf):
-                t = base
-                for _ in range(5):
-                    targets.append(t)
-                    t = float(np.nextafter(t, direction))
-        targets = sorted(set(targets + [-t for t in targets]))
-        for target in targets:
-            if abs(target) > 2.0**60:
-                continue
-            for parity in ("even", "odd"):
-                got = choose_parity_constrained(target, parity, tie)
-                assert got == parity_choice_oracle(target, parity, tie)
+def rounded(values, tie="toward_negative"):
+    """The per-sample codes of one block, as _round_rows gives them to --baseline."""
+    return _round_rows(np.asarray(values, dtype=np.float64)[None, :], tie)[0][0]
 
 
 class TestQuantizeOptimal:
@@ -184,13 +116,12 @@ class TestQuantizeOptimal:
             quantize_haar_optimal(f)
 
     def test_config_validation(self):
-        # One check, in the rounding helper, serves every public entry point.
+        # One check, in the rounding helper, serves every entry point.
         f = Signal(make_grid(2), WORKED)
         message = r"tie_break must be one of \('toward_negative', 'toward_positive'\)"
         for call in (
             lambda: quantize_haar_optimal(f, tie_break="closest"),
-            lambda: quantize_simple(f, tie_break="closest"),
-            lambda: choose_parity_constrained(0.0, "even", "closest"),
+            lambda: rounded(WORKED, "closest"),
         ):
             with pytest.raises(ValueError, match=message):
                 call()
@@ -245,42 +176,51 @@ class TestLargeBlockDescent:
             _quantize_rows(values, "toward_negative")
 
 
-class TestQuantizeSimple:
+class TestRoundRows:
+    """Per-sample rounding, the --baseline quantizer."""
+
     def test_rounds_to_nearest(self):
-        f = Signal(make_grid(2), WORKED)
-        assert quantize_simple(f).values.tolist() == [0, 0, 0, 0]
+        assert rounded(WORKED).tolist() == [0, 0, 0, 0]
 
     def test_nearest_integers(self):
-        f = Signal(make_grid(1), [0.6, -0.7])
-        assert quantize_simple(f).values.tolist() == [1, -1]
+        assert rounded([0.6, -0.7]).tolist() == [1, -1]
 
     def test_half_tie_goes_down(self):
-        f = Signal(make_grid(0), [0.5])
-        assert quantize_simple(f).values.tolist() == [0]
+        assert rounded([0.5]).tolist() == [0]
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_per_sample_and_coefficient_bounds(self, n):
         rng = np.random.default_rng(700 + n)
         f = random_signal(n, rng, lo=-3.0, hi=3.0)
-        g = quantize_simple(f)
+        g = Signal(f.grid, rounded(f.values))
         assert np.abs(f.values - g.values).max() <= 0.5
-        cf = haar_analyze(f)
-        cg = haar_analyze(g.to_signal())
-        assert abs(cf.dc - cg.dc) <= 0.5 + 1e-12
-        for k in range(1, n + 1):
-            err = np.abs(cf.details[k - 1] - cg.details[k - 1]).max()
-            assert err <= 0.5 * 2.0 ** (-(k - 1) / 2) + 1e-12
+        for k, j in all_indices(n):
+            err = abs(naive_coefficient(f, k, j) - naive_coefficient(g, k, j))
+            bound = 0.5 if k == 0 else 0.5 * 2.0 ** (-(k - 1) / 2)
+            assert err <= bound + 1e-12
 
     def test_overflow_guard(self):
-        f = Signal(make_grid(0), [2.0**61])
         with pytest.raises(OverflowError):
-            quantize_simple(f)
+            rounded([2.0**61])
 
     def test_block_total_overflow_guard(self):
         # Each sample is inside the budget, their int64 block sum is not.
-        f = Signal(make_grid(1), [2.0**60, 2.0**60])
         with pytest.raises(OverflowError):
-            quantize_simple(f)
+            rounded([2.0**60, 2.0**60])
+
+    @given(st.integers(0, 6).flatmap(lambda n: arrays(np.float64, 1 << n, elements=st.one_of(
+               st.integers(-64, 64).map(lambda i: i / 2),
+               st.floats(-4.0, 4.0, allow_nan=False),
+               st.floats(-(2.0**53), 2.0**53, allow_nan=False)))),
+           st.sampled_from(["toward_negative", "toward_positive"]))
+    @settings(max_examples=150, deadline=None)
+    @example(np.array([0.5, -0.5, 1.5, -2.5]), "toward_negative")
+    @example(np.array([0.5, -0.5, 1.5, -2.5]), "toward_positive")
+    @example(np.array([0.49999999999999994, -0.49999999999999994]), "toward_positive")
+    def test_matches_the_exact_reference(self, values, tie):
+        codes = rounded(values, tie)
+        assert codes.dtype == np.float64
+        assert np.array_equal(codes, round_rows_reference(values, tie))
 
 
 @pytest.mark.parametrize(
@@ -296,9 +236,8 @@ class TestQuantizeSimple:
     ],
 )
 def test_nearest_integer_rounding_is_exact(value, tie, expected):
-    f = Signal(make_grid(0), [value])
-    assert quantize_simple(f, tie).values.tolist() == [expected]
-    g, _ = quantize_haar_optimal(f, tie_break=tie)
+    assert rounded([value], tie).tolist() == [expected]
+    g, _ = quantize_haar_optimal(Signal(make_grid(0), [value]), tie_break=tie)
     assert g.values.tolist() == [expected]
 
 
@@ -363,7 +302,7 @@ class TestVerify:
         # Half-period square wave: per-sample rounding kills the level-1
         # coefficient entirely while the pyramid quantizer tracks it.
         f = Signal(make_grid(3), [-0.49] * 4 + [0.49] * 4)
-        baseline = quantize_simple(f)
+        baseline = QuantizedSignal(f.grid, rounded(f.values))
         report = verify_haar_bounds(f, baseline)
         assert np.all(baseline.values == 0)
         err_11 = report.detail_errors[0][0]
@@ -415,36 +354,6 @@ class TestVerify:
             for k, (a, b) in enumerate(zip(rows.detail_errors, one.detail_errors)):
                 assert np.array_equal(a[i], b)
                 assert rows.detail_max[i, k] == b.max()
-
-
-class TestCheckRange:
-    def test_small_amplitude_fits_unit_band(self):
-        rng = np.random.default_rng(23)
-        f = Signal(make_grid(4), rng.uniform(-0.4, 0.4, 16))
-        g, _ = quantize_haar_optimal(f)
-        # [-0.4, 0.4] lies inside [lower+1, upper-1] = [-1, 1]
-        assert check_range(f, -2, 2, g)
-        # with (-1, 2) the input condition f >= 0 already fails
-        assert not check_range(f, -1, 2, g)
-
-    def test_shifted_band(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            n = int(rng.integers(0, 11))
-            f = Signal(make_grid(n), rng.uniform(1.0, 3.0, 1 << n))
-            g, _ = quantize_haar_optimal(f)
-            assert check_range(f, 0, 4, g)
-
-    def test_out_of_band_input_returns_false(self):
-        f = Signal(make_grid(1), [3.5, 1.0])
-        g, _ = quantize_haar_optimal(f)
-        assert not check_range(f, 0, 4, g)
-
-    def test_interval_must_have_width(self):
-        f = Signal(make_grid(1), [0.0, 0.0])
-        g, _ = quantize_haar_optimal(f)
-        with pytest.raises(ValueError):
-            check_range(f, 0, 2, g)
 
 
 @st.composite
