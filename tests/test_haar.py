@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarq import Signal, haar_basis, make_grid, totals_pyramid
 
@@ -12,6 +14,19 @@ SQRT2 = math.sqrt(2.0)
 
 def random_signal(n, rng):
     return Signal(make_grid(n), rng.uniform(-0.5, 0.5, 1 << n))
+
+
+@st.composite
+def signals(draw, max_exponent=6, lo=-4.0, hi=4.0):
+    n = draw(st.integers(min_value=0, max_value=max_exponent))
+    values = draw(
+        st.lists(
+            st.floats(min_value=lo, max_value=hi, allow_nan=False),
+            min_size=1 << n,
+            max_size=1 << n,
+        )
+    )
+    return Signal(make_grid(n), values)
 
 
 class TestGrid:
@@ -122,3 +137,30 @@ class TestUnitarity:
         family = [haar_basis((k, j), g) for k, j in all_indices(n)]
         gram = np.array([[a.values @ b.values / g.size for b in family] for a in family])
         assert np.abs(gram - np.eye(len(family))).max() <= 1e-12
+
+
+def expanded(rows: np.ndarray, grid) -> np.ndarray:
+    """Each row of a (rows, 2**N) array rebuilt as the sum over the basis of
+    its coefficient <f, h> = mean(f h) times h."""
+    back = np.zeros_like(rows)
+    for index in all_indices(grid.n_exponent):
+        h = haar_basis(index, grid).values
+        back += np.outer(rows @ h / grid.size, h)
+    return back
+
+
+class TestExpansion:
+    """The basis is complete: with the Gram matrix above, every signal is
+    the sum of its coefficients times the basis."""
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_round_trip_random(self, n):
+        rng = np.random.default_rng(300 + n)
+        rows = rng.uniform(-0.5, 0.5, (20, 1 << n))
+        assert np.abs(expanded(rows, make_grid(n)) - rows).max() <= 1e-12
+
+    @given(signals())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_property(self, f):
+        back = expanded(f.values[None, :], f.grid)[0]
+        assert np.abs(back - f.values).max() <= 1e-10

@@ -1,5 +1,6 @@
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from haarq import (
     QuantizedSignal,
     Signal,
+    haar_basis,
     make_grid,
     quantize_haar_optimal,
     totals_pyramid,
@@ -30,6 +32,8 @@ from haarq.report_io import CHUNK_SAMPLES
 from haarq.spectral import _residual_tables
 
 from oracles import (
+    _as_integers,
+    _nearest_of_parity,
     all_indices,
     dc_error_fraction,
     exact_haar_verdicts,
@@ -354,6 +358,199 @@ class TestVerify:
             for k, (a, b) in enumerate(zip(rows.detail_errors, one.detail_errors)):
                 assert np.array_equal(a[i], b)
                 assert rows.detail_max[i, k] == b.max()
+
+
+def zero_codes(grid):
+    return QuantizedSignal(grid, np.zeros(grid.size))
+
+
+def measured(report, k: int, j: int) -> float:
+    """The report's measured error of coefficient (k, j)."""
+    return report.dc_error if k == 0 else report.detail_errors[k - 1][j - 1]
+
+
+class TestMeasuredCoefficients:
+    """verify_haar_bounds reads each coefficient error off the totals of the
+    residual f - g; against zero codes the residual is f itself, so the
+    errors are the magnitudes of f's own coefficients <f, h> = mean(f h)."""
+
+    def test_constant_signal(self):
+        f = Signal(make_grid(3), np.full(8, 2.5))
+        report = verify_haar_bounds(f, zero_codes(f.grid))
+        assert report.dc_input == 2.5 and report.dc_error == 2.5
+        assert all(np.all(err == 0) for err in report.detail_errors)
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_basis_signals_give_unit_coefficient(self, n):
+        g = make_grid(n)
+        for k, j in all_indices(n):
+            report = verify_haar_bounds(haar_basis((k, j), g), zero_codes(g))
+            for k2, j2 in all_indices(n):
+                expected = 1.0 if (k2, j2) == (k, j) else 0.0
+                assert measured(report, k2, j2) == pytest.approx(expected, abs=1e-12)
+
+    def test_fraction_example(self):
+        f = Signal(make_grid(2), WORKED)
+        report = verify_haar_bounds(f, zero_codes(f.grid))
+        assert report.dc_input == pytest.approx(0.15, abs=1e-15)
+        assert report.dc_error == pytest.approx(0.15, abs=1e-15)
+        assert report.detail_errors[0] == pytest.approx([0.1], abs=1e-15)
+        assert report.detail_errors[1] == pytest.approx([0.5 / 2**1.5, 0.3 / 2**1.5], abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_agrees_with_naive_dot_products(self, n):
+        rng = np.random.default_rng(200 + n)
+        f = random_signal(n, rng)
+        report = verify_haar_bounds(f, zero_codes(f.grid))
+        assert report.dc_input == pytest.approx(naive_coefficient(f, 0, 1), abs=1e-12)
+        for k, j in all_indices(n):
+            assert measured(report, k, j) == pytest.approx(abs(naive_coefficient(f, k, j)),
+                                                           abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_residual_agrees_with_naive_dot_products(self, n):
+        rng = np.random.default_rng(250 + n)
+        f = random_signal(n, rng, lo=-3.0, hi=3.0)
+        g = QuantizedSignal(f.grid, rng.integers(-3, 4, f.grid.size))
+        report = verify_haar_bounds(f, g)
+        assert report.dc_quantized == pytest.approx(naive_coefficient(g.to_signal(), 0, 1),
+                                                    abs=1e-12)
+        for k, j in all_indices(n):
+            expected = abs(naive_coefficient(f, k, j) - naive_coefficient(g.to_signal(), k, j))
+            assert measured(report, k, j) == pytest.approx(expected, abs=1e-12)
+
+    def test_coefficient_count(self):
+        for n in range(0, 8):
+            report = verify_haar_bounds(Signal(make_grid(n), np.zeros(1 << n)),
+                                        zero_codes(make_grid(n)))
+            sizes = [err.size for err in report.detail_errors]
+            assert sizes == [1 << (k - 1) for k in range(1, n + 1)]
+            assert 1 + sum(sizes) == len(list(all_indices(n))) == 1 << n
+            assert report.detail_bounds.shape == (n,)
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_parseval(self, n):
+        # The energy of the residual is the sum of its squared coefficients.
+        rng = np.random.default_rng(400 + n)
+        f = random_signal(n, rng, lo=-3.0, hi=3.0)
+        g, _ = quantize_haar_optimal(f)
+        report = verify_haar_bounds(f, g)
+        energy_time = float(np.mean((f.values - g.values) ** 2))
+        energy_haar = report.dc_error**2 + sum(float(np.sum(e**2)) for e in report.detail_errors)
+        assert abs(energy_time - energy_haar) <= 1e-12
+
+
+def split(a: float, b: float, tie: str = "toward_negative") -> np.ndarray:
+    """The codes the descent gives the two-sample block [a, b]."""
+    return _quantize_rows(np.array([[a, b]]), tie)[0][0]
+
+
+def parity_choice(a: float, b: float, tie: str) -> tuple[int, int]:
+    """P, the integer nearest a + b, and D, the integer of P's parity nearest
+    b - a, in exact rationals, ties per tie."""
+    num, den = _as_integers([a, b])
+    left, right = int(num[0]), int(num[1])
+    total = int(_nearest_of_parity(2 * (left + right), den, 0, tie)) >> 1
+    return total, int(_nearest_of_parity(right - left, den, total & 1, tie))
+
+
+class TestParityChoice:
+    """Below the root the descent splits a parent P into children whose
+    difference D = right - left is the integer of P's parity nearest the
+    difference of their totals, ties per the tie rule; in a two-sample
+    block [a, b] those totals are the samples."""
+
+    def assert_choice(self, a, b, tie):
+        codes = split(a, b, tie)
+        total, diff = parity_choice(a, b, tie)
+        assert codes.sum() == total and codes[1] - codes[0] == diff
+        assert (diff - total) % 2 == 0
+        assert abs(diff - (Fraction(b) - Fraction(a))) <= 1
+
+    def test_examples(self):
+        # P = 1: the odd candidates for 0.4 are -1 (distance 1.4) and 1 (0.6).
+        assert split(0.3, 0.7).tolist() == [0, 1]
+        assert split(0.0, 0.0).tolist() == [0, 0]
+        # P = 1 and a target of 0: -1 and 1 tie.
+        assert split(0.5, 0.5, "toward_negative").tolist() == [1, 0]
+        assert split(0.5, 0.5, "toward_positive").tolist() == [0, 1]
+
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        st.sampled_from(["toward_negative", "toward_positive"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(0.5, 0.5 + 2**-53, "toward_negative")
+    @example(0.5 - 2**-54, 0.5, "toward_positive")
+    @example(0.5, 0.5 + 8.9e-17, "toward_negative")
+    @example(0.5 + 4e-17, 0.5, "toward_positive")
+    def test_matches_the_exact_choice(self, a, b, tie):
+        self.assert_choice(a, b, tie)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 17.5])
+    def test_half_integer_grid_sweep(self, scale):
+        # a + b = p and b - a = t exactly, so every parity meets every target.
+        for t in np.arange(-8, 8.5, 0.5) * scale:
+            for p in (0, 1):
+                for tie in ("toward_negative", "toward_positive"):
+                    a, b = (p - t) / 2, (p + t) / 2
+                    assert split(a, b, tie).sum() == p
+                    self.assert_choice(a, b, tie)
+
+    @pytest.mark.parametrize("tie", ["toward_negative", "toward_positive"])
+    def test_parity_choice_near_large_targets(self, tie):
+        # Below 2**52 the neighbours step by 1/2, above 2**60 by 256, so the
+        # targets hold integers, half-integers and ties of both parities.
+        targets = []
+        for base in (2.0**52, 2.0**60):
+            for direction in (-np.inf, np.inf):
+                t = base
+                for _ in range(5):
+                    targets.append(t)
+                    t = float(np.nextafter(t, direction))
+        targets = sorted(set(targets + [-t for t in targets]))
+        for t in targets:
+            if abs(t) > 2.0**60:
+                continue
+            for a, b in ((0.0, t), (t, 0.0), (-t / 2, t / 2)):
+                self.assert_choice(a, b, tie)
+
+    def test_target_beyond_int_budget_rejected(self):
+        assert split(-(2.0**60), 2.0**60).tolist() == [-(2.0**60), 2.0**60]
+        with pytest.raises(OverflowError):
+            split(0.0, float(np.nextafter(2.0**60, np.inf)))
+
+
+class TestRangeCorollary:
+    """|f - g| < 1 for integer codes g, so a signal inside [lo + 1, hi - 1]
+    has codes inside [lo, hi], and one inside integer edges [lo, hi] too."""
+
+    def test_small_amplitude_fits_unit_band(self):
+        rng = np.random.default_rng(23)
+        f = Signal(make_grid(4), rng.uniform(-0.4, 0.4, 16))
+        g, _ = quantize_haar_optimal(f)
+        assert np.all((g.values >= -1) & (g.values <= 1))
+        assert np.abs(f.values - g.values).max() <= 1.0 - 2.0**-5
+
+    def test_shifted_band(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            n = int(rng.integers(0, 11))
+            f = Signal(make_grid(n), rng.uniform(1.0, 3.0, 1 << n))
+            g, _ = quantize_haar_optimal(f)
+            assert np.all((g.values >= 0) & (g.values <= 4))
+
+    @pytest.mark.parametrize("tie", ["toward_negative", "toward_positive"])
+    def test_integer_edges_hold_their_codes(self, tie):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            n = int(rng.integers(0, 11))
+            values = rng.uniform(-2.0, 3.0, 1 << n)
+            edges = rng.random(1 << n) < 0.25
+            values[edges] = rng.choice([-2.0, 3.0], int(edges.sum()))
+            g, _ = quantize_haar_optimal(Signal(make_grid(n), values), tie)
+            assert np.all((g.values >= -2) & (g.values <= 3))
 
 
 @st.composite
