@@ -59,7 +59,6 @@ from .report_io import (
     _in_order,
     _int_lines,
     _text,
-    _write_lines,
     format_float,
     read_signal,
     write_spectrum_csv,
@@ -327,7 +326,9 @@ def cmd_basis(args) -> int:
         header = "n,t,value\n"
         samples = zip(grid.samples.tolist(), haar_basis(index, grid).values.tolist())
         rows = (f"{i},{t!r},{v!r}\n" for i, (t, v) in enumerate(samples, start=1))
-    _write_lines(args.output, itertools.chain([header], rows))
+    with _Outputs() as outputs, outputs.open(args.output, binary=False) as out:
+        out.write(header)
+        out.writelines(rows)
     return 0
 
 

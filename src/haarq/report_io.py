@@ -551,7 +551,8 @@ def _floats(column):
 
 # Bulk float text: the digits of Ryū's d2s (Adams, "Ryū: fast float-to-string
 # conversion", PLDI 2018), which are repr's, computed for a whole array in
-# uint64 NumPy, and laid out as repr lays them out.
+# uint64 NumPy, and laid out as repr lays them out.  The kernel takes zero
+# and Ryū's general case; repr itself writes the few other floats.
 
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 _TEXT_WIDTH = 24  # len(repr(-2.2250738585072014e-308))
@@ -560,9 +561,9 @@ _TEXT_WIDTH = 24  # len(repr(-2.2250738585072014e-308))
 _TEXT_PIECE = 3 * CHUNK_SAMPLES // 8
 # A source row of _float_texts: these symbols, then a 20-digit field, bytes
 # 8 to 27, holding the digits right aligned, then |exponent| in 4 digits.
-_SYMBOLS = np.frombuffer(b"\0-.0e+\0\0", np.uint64)[0]
+_SYMBOLS = np.frombuffer(b"\0-.0e\0\0\0", np.uint64)[0]
 _DIGITS = 8
-_MINUS, _DOT, _ZERO, _E, _PLUS = range(1, 6)  # their bytes in a source row
+_MINUS, _DOT, _ZERO, _E = range(1, 5)  # their bytes in a source row
 
 
 def _quad_texts(lead: bool) -> np.ndarray:
@@ -583,30 +584,23 @@ _INT_QUADS = np.concatenate([_QUADS, _quad_texts(lead=True), np.zeros(1, np.uint
 
 @functools.cache
 def _ryu_tables():
-    """Ryū's constants by biased exponent: the 128-bit multiplier in four
-    rows of 32-bit limbs, its shift less 96, the power of ten e10 of vr's
-    last digit, a mask of mv's bits that must be zero for vr to be exact
-    (0: always exact, all ones: never), 5**q where vr, vp or vm may be a
-    multiple of 10**q for e2 >= 0 (else 0), and where e2 < 0 and q <= 1."""
-    be = np.arange(2047)
+    """Ryū's constants by biased exponent below 2**52's, where e2 <= -3:
+    the 128-bit multiplier in four rows of 32-bit limbs, its shift less
+    96 and the power of ten e10 of vr's last digit; and, by every biased
+    exponent, a mask of mv's bits one of which is set where vr cannot be
+    exact (all ones: always; zero from 2**52 up)."""
+    be = np.arange(1075)
     e2 = np.maximum(be, 1) - 1077  # the value is m2 * 2**e2 / 4
-    pos = e2 >= 0
-    # Ryū's log10Pow2, log10Pow5 and pow5bits, exact over this range.
-    q = np.where(pos, (e2 * 78913 >> 18) - (e2 > 3), (-e2 * 732923 >> 20) - (-e2 > 1))
-    k = np.where(pos, q, -e2 - q)
+    # Ryū's log10Pow5 and pow5bits, exact over this range.
+    q = (-e2 * 732923 >> 20) - 1
+    k = -e2 - q
     bits = (k * 1217359 >> 19) + 1  # of 5**k
-    shift = np.where(pos, q - e2 + 124 + bits, q - bits + 125)
-    muls = [(1 << b + 124) // 5**j + 1 if p else 5**j << 125 >> b
-            for p, j, b in zip(pos.tolist(), k.tolist(), bits.tolist())]
+    muls = [5**j << 125 >> b for j, b in zip(k.tolist(), bits.tolist())]
     limbs = np.array([[m >> 32 * t & 0xFFFFFFFF for m in muls] for t in range(4)],
                      dtype=np.uint64)
-    near = ~pos & (q <= 1)
-    exact = np.where(~pos & (q < 63), (1 << np.minimum(q, 63).astype(np.uint64)) - 1,
-                     2**64 - 1)
-    exact[near] = 0
-    five = np.where(pos & (q <= 21), 5 ** np.minimum(q, 21).astype(np.uint64), 0)
-    e10 = q + np.where(pos, 0, e2)
-    return limbs, (shift - 96).astype(np.uint64), e10, exact, five, near
+    exact = np.zeros(2047, np.uint64)
+    exact[be] = np.where(q < 63, (1 << np.minimum(q, 63).astype(np.uint64)) - 1, 2**64 - 1)
+    return limbs, (q - bits + 125 - 96).astype(np.uint64), q + e2, exact
 
 
 def _products(mv, mm, be):
@@ -633,120 +627,88 @@ def _products(mv, mm, be):
 
 
 def _shortest(v):
-    """The shortest digits that read back as v, for finite nonzero
-    float64s, as an integer, and the power of ten of its last digit: Ryū's
-    d2s, with the digit count of its common case found directly."""
-    e10, exact, five, near = _ryu_tables()[2:]
+    """Ryū's d2s for the finite float64s of its general case, those with
+    1e-99 <= |v| < 2**52 whose vr cannot be exact: the shortest digits
+    that read back as v, as an integer, and the power of ten of its last
+    digit, with the digit count found directly; 0 digits for every other
+    float.  There e2 <= -3 and q >= 2, so vm is not exact either, and vp
+    needs no adjustment."""
+    e10, exact = _ryu_tables()[2:]
     bits = v.view(np.uint64)
     be = (bits >> 52 & 0x7FF).astype(np.intp)
-    mv = bits & (1 << 52) - 1  # the mantissa field, made 4 * m2 in place
-    mm = ((mv != 0) | (be <= 1)).astype(np.int64)  # Ryū's mmShift
-    mv |= (be > 0).astype(np.uint64) << 52
-    mv <<= 2
-    even = (mv & 4) == 0  # the interval's bounds read back as v
-    vr, vp, vm = _products(mv, mm, be)
-    vr_exact = (mv & np.take(exact, be)) == 0
-    vm_exact = np.zeros(v.shape, bool)
-    s = np.flatnonzero(np.take(near, be))
-    if s.size:
-        vm_exact[s] = even[s] & (mm[s] == 1)
-        vp[s] -= ~even[s]
-    s = np.flatnonzero(np.take(five, be))
-    if s.size:
-        m, p = mv[s], five[be[s]]
-        by_five = m % 5 == 0
-        vr_exact[s] = by_five & (m % p == 0)
-        vm_exact[s] = ~by_five & even[s] & ((m - 1 - mm[s].view(np.uint64)) % p == 0)
-        vp[s] -= ~by_five & ~even[s] & ((m + 2) % p == 0)
-    # Common case: remove the most digits k that leave vp above vm.  Any k
-    # with 10**k <= vp - vm (which is at least 3) does; larger k are tried
-    # on fewer and fewer.
+    mv = (bits & (1 << 52) - 1 | 1 << 52) << 2  # 4 * m2
+    s = np.flatnonzero(((mv & np.take(exact, be)) != 0) & (np.abs(v) >= 1e-99))
+    be = be[s]
+    mm = ((bits[s] & (1 << 52) - 1) != 0).astype(np.int64)  # Ryū's mmShift
+    vr, vp, vm = _products(mv[s], mm, be)
+    # Remove the most digits k that leave vp above vm.  Any k with
+    # 10**k <= vp - vm (which is at least 3) does; larger k are tried on
+    # fewer and fewer.
     k = np.searchsorted(_POW10, vp - vm, side="right") - 1
     p10 = np.take(_POW10, k + 1)
-    s = np.flatnonzero(vp // p10 > vm // p10)
-    while s.size:
-        k[s] += 1
-        p10 = np.take(_POW10, k[s] + 1)
-        s = s[vp[s] // p10 > vm[s] // p10]
-    # The last removed digit rounds half up (vr is not exact), and vm may
-    # not be the result.
+    t = np.flatnonzero(vp // p10 > vm // p10)
+    while t.size:
+        k[t] += 1
+        p10 = np.take(_POW10, k[t] + 1)
+        t = t[vp[t] // p10 > vm[t] // p10]
+    # The last removed digit rounds half up (vr is not exact), and vm is
+    # not the result.
     head = vr // np.take(_POW10, np.maximum(k - 1, 0))
     out = np.where(k > 0, head // 10, vr)
-    digits = out + ((k > 0) & (head - out * 10 >= 5) | (out == vm // np.take(_POW10, k)))
-    g = np.flatnonzero(vr_exact | vm_exact)
-    if g.size:
-        digits[g], k[g] = _shortest_exact(vr[g], vp[g], vm[g], vr_exact[g], vm_exact[g])
-    return digits, np.take(e10, be) + k
-
-
-def _shortest_exact(vr, vp, vm, vr_exact, vm_exact):
-    """Ryū's digit loop for the elements whose vr or vm may be exact,
-    with round half to even: (digits, digits removed).  vm may be exact
-    only where the bounds read back as the value, so where it is, it may
-    be the result."""
-    last = np.zeros_like(vr)
-    removed = np.zeros(vr.shape, np.int64)
-
-    def remove(cut):
-        """Drop the last digit of vr, vp and vm where cut is true."""
-        nonlocal vr, vp, vm, vr_exact, last
-        vr_exact &= ~cut | (last == 0)
-        last = np.where(cut, vr % 10, last)
-        vr, vp, vm = (np.where(cut, x // 10, x) for x in (vr, vp, vm))
-        removed[cut] += 1
-
-    while (cut := vp // 10 > vm // 10).any():
-        vm_exact &= ~cut | (vm % 10 == 0)
-        remove(cut)
-    while (cut := vm_exact & (vm % 10 == 0)).any():
-        remove(cut)
-    last[vr_exact & (last == 5) & (vr % 2 == 0)] = 4
-    return vr + (((vr == vm) & ~vm_exact) | (last >= 5)), removed
+    digits = np.zeros(v.shape, np.uint64)
+    last = np.zeros(v.shape, np.int64)
+    digits[s] = out + ((k > 0) & (head - out * 10 >= 5) | (out == vm // np.take(_POW10, k)))
+    last[s] = np.take(e10, be) + k
+    return digits, last
 
 
 @functools.cache
 def _templates():
     """For each (sign, digit count, layout), the byte of a source row that
     makes each byte of repr's text.  Layout e + 4 is fixed notation with
-    a first digit worth 10**e, -4 <= e < 16; 20 to 23 are scientific with
-    exponent -99..-5, <= -100, 16..99 and >= 100.  No digits is zero."""
-    table = np.zeros((2, 18, 24, _TEXT_WIDTH), np.intp)
-    exponent = _DIGITS + 20
-    for sign, nd, layout in itertools.product(range(2), range(18), range(24)):
+    a first digit worth 10**e, -4 <= e < 16; 20 is scientific with
+    exponent -99..-5.  No digits is zero."""
+    table = np.zeros((2, 18, 21, _TEXT_WIDTH), np.intp)
+    for sign, nd, layout in itertools.product(range(2), range(18), range(21)):
         digits = [_DIGITS + 20 - nd + t for t in range(nd)]
         e = layout - 4
         text = [_MINUS] * sign
         if not nd:
             text += [_ZERO, _DOT, _ZERO]
+        elif layout == 20:
+            text += digits[:1] + [_DOT] * (nd > 1) + digits[1:]
+            text += [_E, _MINUS, _DIGITS + 22, _DIGITS + 23]
         elif e < 0:
             text += [_ZERO, _DOT] + [_ZERO] * (-e - 1) + digits
-        elif e < 16 and nd > e + 1:
+        elif nd > e + 1:
             text += digits[: e + 1] + [_DOT] + digits[e + 1 :]
-        elif e < 16:
-            text += digits + [_ZERO] * (e + 1 - nd) + [_DOT, _ZERO]
         else:
-            text += digits[:1] + [_DOT] * (nd > 1) + digits[1:]
-            text += [_E, _MINUS if layout < 22 else _PLUS]
-            text += range(exponent + 2 - layout % 2, exponent + 4)
+            text += digits + [_ZERO] * (e + 1 - nd) + [_DOT, _ZERO]
         table[sign, nd, layout, : len(text)] = text
     return table.reshape(-1, _TEXT_WIDTH)
 
 
+def _repr_texts(values) -> np.ndarray:
+    """repr's own text of each float64, as rows like _float_texts'."""
+    texts = np.array(list(map(repr, values.tolist())), f"S{_TEXT_WIDTH}")
+    return texts.view(np.uint8).reshape(-1, _TEXT_WIDTH)
+
+
 def _float_texts(values) -> np.ndarray:
     """repr's text of each finite float64, as the rows of an (n, 24) uint8
-    array padded with NULs.  A non-finite value raises ValueError."""
+    array padded with NULs: the kernel's for zero and the floats that
+    _shortest takes, _repr_texts' for the others.  A non-finite value
+    raises ValueError."""
     v = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
     if not np.isfinite(v).all():
         raise ValueError("cannot render non-finite value")
     texts = np.empty((v.size, _TEXT_WIDTH), np.uint8)
     for a in range(0, v.size, _TEXT_PIECE):
         part = v[a : a + _TEXT_PIECE]
-        zero = part == 0
-        digits, last = _shortest(np.where(zero, 1.0, part))
-        nd = np.where(zero, 0, np.searchsorted(_POW10, digits, side="right"))
+        digits, last = _shortest(part)
+        nd = np.searchsorted(_POW10, digits, side="right")
         e = last + nd - 1  # the power of ten of the first digit
-        layout = np.where((e >= -4) & (e < 16), e + 4,
-                          np.where(e < 0, 20, 22) + (np.abs(e) >= 100))
+        layout = np.where(e < -4, 20, e + 4)
         sign = (part.view(np.uint64) >> 63).astype(np.intp)
         src = np.empty((part.size, 8), np.uint32)
         src.view(np.uint64)[:, 0] = _SYMBOLS
@@ -759,7 +721,7 @@ def _float_texts(values) -> np.ndarray:
             src[:, col] = np.take(_QUADS, d - high * 10**4)
             d = high
         src[:, 2] = np.take(_QUADS, d)
-        template = (sign * 18 + nd) * 24 + layout
+        template = (sign * 18 + nd) * 21 + layout
         # A third of each row's bytes at a time, so that the index is small.
         index = np.empty((part.size, 8), np.intp)
         for b in range(0, _TEXT_WIDTH, 8):
@@ -767,6 +729,9 @@ def _float_texts(values) -> np.ndarray:
             index += np.arange(0, 32 * part.size, 32)[:, None]
             texts[a : a + _TEXT_PIECE, b : b + 8] = np.take(
                 src.view(np.uint8).reshape(-1), index, mode="clip")
+        other = np.flatnonzero((nd == 0) & (part != 0))
+        if other.size:
+            texts[a + other] = _repr_texts(part[other])
     return texts
 
 
@@ -816,7 +781,7 @@ class _Outputs:
     """
 
     def __init__(self):
-        self._pending = []
+        self._pending = {}  # the temporary file of each target, in the order opened
 
     def __enter__(self):
         return self
@@ -824,9 +789,10 @@ class _Outputs:
     def __exit__(self, exc_type, exc, tb):
         try:
             while exc_type is None and self._pending:
-                os.replace(*self._pending.pop())
+                target, tmp = self._pending.popitem()
+                os.replace(tmp, target)
         finally:
-            for tmp, _ in self._pending:
+            for tmp in self._pending.values():
                 Path(tmp).unlink(missing_ok=True)
 
     @contextlib.contextmanager
@@ -838,7 +804,7 @@ class _Outputs:
         # not a regular file, such as a device or a pipe, is written in place.
         target = os.path.realpath(path)
         in_place = os.path.exists(target) and not os.path.isfile(target)
-        if not in_place and any(target == t for _, t in self._pending):
+        if not in_place and target in self._pending:
             raise ValueError(f"two outputs name one file: {path}")
         head, name = os.path.split(target)
         tmp = target if in_place else os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
@@ -846,7 +812,7 @@ class _Outputs:
         text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
         with open(tmp, mode, **text) as fh:
             if not in_place:
-                self._pending.append((tmp, target))
+                self._pending[target] = tmp
             yield fh
 
 
@@ -859,12 +825,6 @@ def _opened(out, binary: bool):
             yield fh
     else:
         yield out
-
-
-def _write_lines(out, lines) -> None:
-    """Write an iterable of text lines to a path ('-' for stdout) or stream."""
-    with _opened(out, binary=False) as fh:
-        fh.writelines(lines)
 
 
 def _encoded(values, format: str):

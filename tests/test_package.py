@@ -44,16 +44,27 @@ def test_readme_documents_every_public_name():
     assert [name for name in haarq.__all__ if not re.search(rf"\b{name}\b", library)] == []
 
 
+def private_names(node) -> list[str]:
+    """The private names that a module-level statement defines: a
+    function's, or each name an assignment binds, tuple targets included."""
+    if isinstance(node, ast.FunctionDef):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
 def test_every_private_helper_is_used():
-    # A helper that a change replaced goes with it.
+    # A helper or constant that a change replaced goes with it.
     trees = [ast.parse(p.read_text(encoding="utf-8"))
              for p in Path(haarq.__file__).parent.glob("*.py")]
-    helpers = {node.name for tree in trees for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-               and not node.name.startswith("__")}
+    helpers = {name for tree in trees for node in tree.body for name in private_names(node)}
     used = set()
     for node in (node for tree in trees for node in ast.walk(tree)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)

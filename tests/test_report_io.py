@@ -304,10 +304,13 @@ class TestInputSpecValidation:
 # Floats whose text is at an edge of repr's rules or of the digit search:
 # the zeros, the smallest subnormal and normal, the largest, both sides of
 # the fixed/scientific switches, 1e23 (whose nearest double is below it),
-# and 2**-21, the DC bound of an N=20 spectrum.
+# both sides of the kernel's domain edges 1e-99 and 2**52, and three floats
+# whose digits may be exact, which repr writes: 2**-21 and 2**-11, the DC
+# bounds of N=20 and N=10 spectra, and 0.5, the Nyquist row's exact envelope.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 1e22, 1e23,
-               0.1, 0.3, 2.0**-21]
+               0.1, 0.3, 1e-99, math.nextafter(1e-99, 0), 2.0**52,
+               math.nextafter(2.0**52, 0), 2.0**-21, 0.5, 2.0**-11]
 
 
 def repr_texts(values):
@@ -382,7 +385,13 @@ class TestFloatTexts:
     @example([1e23])
     @example([0.1])
     @example([0.3])
+    @example([1e-99])
+    @example([math.nextafter(1e-99, 0)])
+    @example([2.0**52])
+    @example([math.nextafter(2.0**52, 0)])
     @example([2.0**-21])
+    @example([0.5])
+    @example([2.0**-11])
     @example(EDGE_FLOATS + [-x for x in EDGE_FLOATS])
     def test_floats_match_repr(self, values):
         rows = _float_texts(np.array(values, dtype=np.float64))
@@ -409,6 +418,35 @@ class TestFloatTexts:
     def test_non_finite_raises(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             _float_texts([1.0, bad])
+
+    @pytest.fixture
+    def reprs(self, monkeypatch):
+        """Every value that the kernel leaves to repr, in order."""
+        seen = []
+        fallback = report_io._repr_texts
+
+        def recording(values):
+            seen.extend(values.tolist())
+            return fallback(values)
+
+        monkeypatch.setattr(report_io, "_repr_texts", recording)
+        return seen
+
+    def test_a_spectrum_table_leaves_three_values_to_repr(self, reprs):
+        # The DC row's two bounds, 2**-(N+1), and the exact envelope at
+        # xi = 2**(N-1), 1/2.  repr is about twice as slow as the kernel,
+        # so a table must not reach it row by row.
+        n = 12
+        f = Signal(make_grid(n), np.random.default_rng(4512).normal(0.0, 300.0, 1 << n))
+        table = spectrum_error(f, quantize_haar_optimal(f)[0])
+        write_spectrum_csv(table, io.StringIO())
+        assert reprs == [2.0 ** -(n + 1), 2.0 ** -(n + 1), 0.5]
+        assert table.bound_exact_half[1 << (n - 1)] == 0.5
+
+    @pytest.mark.parametrize("law, params", [("normal", (0.0, 1e3)), ("uniform", (-1.0, 1.0))])
+    def test_ordinary_floats_never_reach_repr(self, reprs, law, params):
+        _float_texts(getattr(np.random.default_rng(3700), law)(*params, 1 << 16))
+        assert reprs == []
 
 
 class TestIntegerCsv:
@@ -663,3 +701,16 @@ class TestSpectrumCsvAgainstReference:
         with open(p, "w+", encoding="utf-16") as fh:
             write_spectrum_csv(table, fh)
         assert p.read_text(encoding="utf-16") == expected
+
+
+class TestOutputs:
+    def test_a_target_named_again_after_many_outputs_is_refused(self, tmp_path):
+        # The repeat names the first of 300 targets by another spelling;
+        # the refusal removes every temporary file, so no output is left.
+        paths = [str(tmp_path / f"out{i}.csv") for i in range(300)]
+        with pytest.raises(ValueError, match="two outputs name one file: .*out0.csv"):
+            with report_io._Outputs() as outputs:
+                for path in [*paths, f"{tmp_path}/./out0.csv"]:
+                    with outputs.open(path, binary=False) as fh:
+                        fh.write("1\n")
+        assert list(tmp_path.iterdir()) == []
