@@ -12,60 +12,13 @@ errors are reported as measurements.  Also file ingestion,
 deterministic reporting and a CLI.
 """
 
-from .haar import (
-    MAX_EXPONENT,
-    Signal,
-    TimeGrid,
-    check_index,
-    haar_basis,
-    make_grid,
-    totals_pyramid,
-)
-from .quantizer import (
-    HaarErrorReport,
-    QuantizedSignal,
-    quantize_haar_optimal,
-    verify_haar_bounds,
-)
-from .report_io import (
-    InputFormatError,
-    InputSpec,
-    dumps_canonical,
-    format_float,
-    read_signal,
-    write_spectrum_csv,
-    write_values,
-)
-from .spectral import (
-    NoiseBoundTable,
-    dft,
-    haar_fourier_coefficient,
-    spectrum_error,
-)
+# Each module's __all__ is its part of the package's API.
+from . import haar, quantizer, report_io, spectral
+from .haar import *
+from .quantizer import *
+from .report_io import *
+from .spectral import *
 
-__all__ = [
-    "MAX_EXPONENT",
-    "TimeGrid",
-    "Signal",
-    "QuantizedSignal",
-    "HaarErrorReport",
-    "NoiseBoundTable",
-    "InputSpec",
-    "InputFormatError",
-    "make_grid",
-    "check_index",
-    "haar_basis",
-    "totals_pyramid",
-    "quantize_haar_optimal",
-    "verify_haar_bounds",
-    "dft",
-    "haar_fourier_coefficient",
-    "spectrum_error",
-    "read_signal",
-    "write_values",
-    "write_spectrum_csv",
-    "format_float",
-    "dumps_canonical",
-]
+__all__ = [*haar.__all__, *quantizer.__all__, *report_io.__all__, *spectral.__all__]
 
 __version__ = "0.1.0"

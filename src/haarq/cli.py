@@ -49,7 +49,6 @@ from .quantizer import (
     _round_rows,
 )
 from .report_io import (
-    CHUNK_SAMPLES,
     PAD_POLICIES,
     InputFormatError,
     InputSpec,
@@ -210,8 +209,7 @@ def cmd_quantize(args) -> int:
 
 
 def _with_codes(chunks, args):
-    """Each input chunk with the matching chunk of the --quantized codes
-    and the pairwise totals of its blocks' samples.
+    """Each input chunk with the matching chunk of the --quantized codes.
 
     The two files are read in step.  When their lengths differ, both are
     read to the end, so the error gives both lengths.
@@ -226,8 +224,7 @@ def _with_codes(chunks, args):
             raise InputFormatError(
                 f"quantized length {q_length} does not match input length {length}"
             )
-        total = _check_pair_budget(f, q)
-        yield a, f, valid, q, total
+        yield a, f, valid, q
         done += valid
 
 
@@ -241,9 +238,8 @@ def cmd_verify(args) -> int:
         chunks = _with_codes(chunks, args)
     layout = _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
 
-    def compute(a, f, valid, g=None, total=None):
-        if g is None:
-            g, total = _quantize_chunk(f, args)
+    def compute(a, f, valid, g=None):
+        g, total = _quantize_chunk(f, args) if g is None else (g, _check_pair_budget(f, g))
         haar = _haar_error_rows(f, g)
         entries = layout.entries(a, total, g, haar) if layout is not None else ""
         return valid, f.shape[0], bool(haar.passed.all()), entries
@@ -251,6 +247,8 @@ def cmd_verify(args) -> int:
     length, count, passed = 0, 0, True
     with (
         layout or contextlib.nullcontext(),
+        _Outputs() as outputs,
+        outputs.open(args.report, binary=False) if layout else contextlib.nullcontext() as fh,
         contextlib.closing(_in_order(compute, chunks)) as measured,
     ):
         for valid, rows, chunk_passed, entries in measured:
@@ -260,8 +258,7 @@ def cmd_verify(args) -> int:
             count += rows
             passed &= chunk_passed
         if layout is not None:
-            with _Outputs() as outputs, outputs.open(args.report, binary=False) as fh:
-                layout.write(fh, length, passed)
+            layout.write(fh, length, passed)
     print(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)")
     return 0 if passed else 1
 
@@ -336,7 +333,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, OSError) as exc:
+    # Undecodable stdin text is bad input, though a ValueError.
+    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:

@@ -141,9 +141,10 @@ def _radius(d: int, sup):
 def _on_grid(values: np.ndarray, bound: float) -> bool:
     """Whether float sums of the samples values, of magnitude at most bound,
     are exact: they are when every sample is a multiple of a power of two
-    q <= 1 with bound < 2**53 * q, as quarter steps or integers are."""
+    2**-1023 <= q <= 1 with bound < 2**53 * q, as quarter steps or
+    integers are."""
     e = math.frexp(bound)[1] - 53
-    if not -1074 <= e <= 0:
+    if not -1023 <= e <= 0:
         return False
     # Scaling by 1/q is exact and stays below 2**53.
     scaled = values * math.ldexp(1.0, -e)

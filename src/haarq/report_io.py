@@ -135,10 +135,11 @@ def _plain_values(buf, codes: bool):
     """The lines of ASCII bytes ending in '\\n': where each starts and
     ends (at its '\\n'), and the float64 of each plain line it decides;
     NaN for every other line and, with codes, for a line whose value
-    float64 may not hold or that is not an integer.  Only '\\n', '.',
-    '+', '-' and a few others are below '0', and bytes above '9' make a
-    line not plain."""
-    special = np.flatnonzero(buf < 48)
+    float64 may not hold or that is not an integer.  Every byte that is
+    not a digit is special; a plain line's are its newline, its sign and
+    its dot."""
+    # uint8 wraps every byte below '0' above 9.
+    special = np.flatnonzero(np.subtract(buf, 48, dtype=np.uint8) > 9)
     kinds = buf[special]
     nl = np.flatnonzero(kinds == 10)
     ends = special[nl]
@@ -155,8 +156,6 @@ def _plain_values(buf, codes: bool):
     # Up to 18 digits, w < 2**63 and fromstring does not saturate; a line
     # has no fewer digits than it has after its dot.
     plain = (count - dotted - signed == 0) & (digits > 0) & (digits <= 18)
-    if buf.max() > 57:
-        plain[np.searchsorted(ends, np.flatnonzero(buf > 57))] = False
     keep = buf != 46
     if not plain.all():
         keep &= np.repeat(plain, ends - starts + 1)
@@ -289,7 +288,9 @@ def _open_input(path: str, binary: bool):
         return contextlib.nullcontext(sys.stdin.buffer if binary else sys.stdin)
     if binary:
         return open(path, "rb")
-    return open(path, "r", encoding="utf-8")
+    # A byte-order mark is dropped, and a byte that is not UTF-8 becomes a
+    # lone surrogate, which no number holds and a '#' line may.
+    return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
 
 
 def read_signal(spec: InputSpec, _codes: bool = False):

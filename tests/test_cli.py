@@ -14,7 +14,8 @@ import pytest
 from haarq import (
     Signal, cli, make_grid, quantize_haar_optimal, report_io, spectral, spectrum_error,
 )
-from haarq.cli import CHUNK_SAMPLES, main
+from haarq.cli import main
+from haarq.report_io import CHUNK_SAMPLES
 
 from oracles import (
     codes_sha256, dc_error_fraction, quantize_per_block, report_reference,
@@ -700,6 +701,86 @@ class TestExitCodes:
         src = tmp_path / "in.csv"
         src.write_text("0.5\noops\n")
         assert main(["quantize", "--input", str(src), "--block-exp", "1"]) == 3
+
+
+class TestCsvDecoding:
+    """A CSV file is UTF-8 text after an optional byte-order mark; a byte
+    that is not UTF-8 is bad only on a value line, as on stdin."""
+
+    LINES = [b"0.3\n", b"-0.2\n", b"0.4\n", b"0.1\n"]
+
+    def run(self, tmp_path, src_bytes, codes_bytes=None):
+        src, q = tmp_path / "in.csv", tmp_path / "q.csv"
+        src.write_bytes(src_bytes)
+        args = ["--input", str(src), "--block-exp", "2"]
+        if codes_bytes is None:
+            return main(["quantize", *args, "--output", str(q)]), q
+        q.write_bytes(codes_bytes)
+        return main(["verify", *args, "--quantized", str(q)]), q
+
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, b"\xef\xbb\xbf" + b"".join(self.LINES))
+        assert code == 0
+        assert read_int_csv(out) == [0, 0, 1, 0]
+        code, _ = self.run(tmp_path, b"".join(self.LINES), b"\xef\xbb\xbf0\n0\n1\n0\n")
+        assert code == 0
+        assert capsys.readouterr().out == "verify: PASS (1 blocks)\n"
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        code, _ = self.run(tmp_path, b"0.3\n-0.2\xe9\n0.4\n0.1\n")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'in.csv'}:2: not a number: '-0.2\\udce9'\n")
+
+    def test_a_code_byte_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        code, q = self.run(tmp_path, b"".join(self.LINES), b"0\n0\xe9\n1\n0\n")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {q}:2: not a number: '0\\udce9'\n"
+
+    def test_a_byte_that_is_not_utf8_in_a_comment_is_ignored(self, tmp_path):
+        code, out = self.run(tmp_path, b"# caf\xe9\n" + b"".join(self.LINES))
+        assert code == 0
+        assert read_int_csv(out) == [0, 0, 1, 0]
+
+    def test_strictly_decoded_stdin_is_an_input_error(self, monkeypatch, capsys):
+        import io
+
+        data = io.BytesIO(b"0.3\n-0.2\xe9\n0.4\n0.1\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(data, "utf-8", errors="strict"))
+        assert main(["quantize", "--block-exp", "2"]) == 3
+        assert "can't decode byte 0xe9" in capsys.readouterr().err
+
+
+class TestVerifyPipeline:
+    @pytest.mark.parametrize("command", ["quantize", "verify"])
+    def test_the_report_is_opened_before_the_input_is_read(self, tmp_path, monkeypatch,
+                                                           capsys, command):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"1\n2\n")))
+        report = tmp_path / "missing" / "report.json"
+        assert main([command, "--block-exp", "1", "--report", str(report)]) == 3
+        assert "report.json" in capsys.readouterr().err
+        assert sys.stdin.buffer.tell() == 0
+
+    def test_quantized_codes_are_checked_on_the_compute_threads(self, tmp_path, monkeypatch,
+                                                                capsys):
+        src, q = tmp_path / "in.raw", tmp_path / "q.raw"
+        write_raw(src, np.random.default_rng(3).uniform(-8, 8, 3 * CHUNK_SAMPLES))
+        flags = ["--format", "raw", "--input", str(src)]
+        assert main(["quantize", *flags, "--output", str(q)]) == 0
+        threads = []
+
+        def check(f, g):
+            threads.append(threading.current_thread())
+            return check_pair_budget(f, g)
+
+        check_pair_budget = cli._check_pair_budget
+        monkeypatch.setattr(cli, "_check_pair_budget", check)
+        use_cpus(monkeypatch, 2)
+        assert main(["verify", *flags, "--quantized", str(q)]) == 0
+        assert capsys.readouterr().out == "verify: PASS (192 blocks)\n"
+        assert len(threads) == 3 and threading.main_thread() not in threads
 
 
 class TestEveryFlagActs:

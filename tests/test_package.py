@@ -69,3 +69,22 @@ def test_every_private_helper_is_used():
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert sorted(helpers - used) == []
+
+
+def test_every_import_is_read():
+    # A name imported only so that another module can take it from here
+    # is taken from the module that defines it instead.  Star imports, and
+    # the names that a module's __all__ lists, re-export and are exempt.
+    unread = []
+    for path in Path(haarq.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for a in node.names if a.name != "*"}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = {node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
+    assert unread == []

@@ -272,6 +272,29 @@ class TestQuantizedSignal:
             with pytest.raises(ValueError, match="must be integers"):
                 QuantizedSignal(make_grid(1), np.array(values))
 
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((1, 2))], ids=["length", "2-D"])
+    def test_wrong_shape_rejected(self, values):
+        with pytest.raises(ValueError, match="expected 2 samples"):
+            QuantizedSignal(make_grid(1), values)
+
+    def test_n_exponent_is_the_grid_exponent(self):
+        assert QuantizedSignal(make_grid(3), np.zeros(8)).n_exponent == 3
+
+
+class TestOnGrid:
+    def test_a_step_above_one_is_not_a_grid(self):
+        # Multiples of 2**9 below 2**61 sum exactly, but on a step q > 1
+        # that integer codes do not lie on.
+        assert not quantizer._on_grid(np.array([2.0**61, 512.0, -1024.0]), 2.0**61)
+        assert quantizer._on_grid(np.array([2.0**52, 1.0, -3.0]), 2.0**52)
+
+    def test_a_step_whose_inverse_is_beyond_the_float_range_is_not_a_grid(self):
+        # Bound 2**-971 has the step 2**-1023, and 1/q = 2**1023 is a float;
+        # at half that bound, 1/q overflowed.
+        assert quantizer._on_grid(np.array([2.0**-971, 0.0]), 2.0**-971)
+        assert not quantizer._on_grid(np.array([2.0**-972, 0.0]), 2.0**-972)
+        assert not quantizer._on_grid(np.array([5e-324, 0.0]), 5e-324)
+
 
 class TestVerify:
     def test_worked_example_report(self):

@@ -300,6 +300,23 @@ class TestInputSpecValidation:
         with pytest.raises(ValueError):
             InputSpec("x.csv", 3, format="wav")
 
+    def test_bad_pad_policy(self):
+        with pytest.raises(ValueError, match="pad_policy"):
+            InputSpec("x.csv", 3, pad_policy="truncate")
+
+
+def test_write_values_refuses_an_unknown_format_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="format"):
+        write_values(tmp_path / "x.wav", np.zeros(2), "wav")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpu_count, expected", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_call(monkeypatch, cpu_count, expected):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert report_io._usable_cpus() == expected
+
 
 # Floats whose text is at an edge of repr's rules or of the digit search:
 # the zeros, the smallest subnormal and normal, the largest, both sides of
