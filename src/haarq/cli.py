@@ -333,8 +333,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # Undecodable stdin text is bad input, though a ValueError.
-    except (InputFormatError, OSError, UnicodeDecodeError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OverflowError) as exc:

@@ -10,6 +10,7 @@ They take a path, whose file is replaced only once it is written whole,
 or an open stream to append one chunk to.
 """
 
+import codecs
 import collections
 import contextlib
 import functools
@@ -122,7 +123,11 @@ def _read_csv_values(lines, source: str, linenos,
 # no p-bit rounding carries a value across one.  Every other line takes
 # the line path.
 
-_READ_CHARS = 1 << 20  # characters of CSV text read at a time
+# Bytes of CSV read at a time.  The kernel's temporaries, about 7 times
+# the read, then stay in the heap that glibc keeps between reads; from
+# 2**18 on, glibc may give them back after a read, and the next read
+# faults them in again.
+_READ_BYTES = 1 << 17
 # Whether np.longdouble is x87 extended (64-bit significand) or IEEE quad
 # (113-bit): the formats whose division the argument above holds for.
 # Elsewhere, such as IBM double-double, every line takes the line path.
@@ -182,25 +187,37 @@ def _plain_values(buf, codes: bool):
     return starts, ends, values
 
 
-def _csv_block(text: str, source: str, first_lineno: int, codes: bool):
+def _csv_block(buf: bytes, source: str, first_lineno: int, codes: bool):
     """The samples of a block of whole CSV lines, those before its first
     bad line; its number of lines; and the InputFormatError that names
     that line, or None.  With codes, a line whose exact value float64
-    does not hold, or that is not an integer, is bad."""
-    if not text.endswith("\n"):
-        text += "\n"
-    count = text.count("\n")
-    if _EXTENDED and text.isascii():
-        starts, ends, values = _plain_values(np.frombuffer(text.encode("ascii"), np.uint8),
-                                             codes)
+    does not hold, or that is not an integer, is bad.
+
+    Lines end as in text mode: '\\r\\n' and a lone '\\r' are newlines.
+    The lines the kernel does not decide are decoded once, as UTF-8 with
+    every byte that is not UTF-8 a lone surrogate, which no number holds
+    and a '#' line may.
+    """
+    if b"\r" in buf:
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not buf.endswith(b"\n"):
+        buf += b"\n"
+    if _EXTENDED and buf.isascii():
+        starts, ends, values = _plain_values(np.frombuffer(buf, np.uint8), codes)
+        count = ends.size
         other = np.flatnonzero(np.isnan(values))
     else:
+        count = buf.count(b"\n")
         values, other = np.empty(count), np.arange(count)
     # The line path.  NumPy converts each line with float(), to the same
     # bits; lines that this rejects or that hold a non-finite value, and
     # codes, go through the line parser instead.
-    texts = (text.split("\n")[:-1] if other.size == count else
-             [text[a:b] for a, b in zip(starts[other].tolist(), ends[other].tolist())])
+    texts = []
+    if other.size:
+        text = buf.decode("utf-8", "surrogateescape")
+        # Where the kernel ran the block is ASCII: a byte offset is a character's.
+        texts = (text.split("\n")[:-1] if other.size == count else
+                 [text[a:b] for a, b in zip(starts[other].tolist(), ends[other].tolist())])
     error = None
     try:
         parsed = np.array(texts, dtype=np.float64)
@@ -215,22 +232,27 @@ def _csv_block(text: str, source: str, first_lineno: int, codes: bool):
 
 
 def _csv_pieces(fh, source: str, codes: bool = False):
-    """Samples of successive blocks of CSV lines read from fh (_csv_block).
+    """Samples of successive blocks of CSV lines read from the binary
+    stream fh (_csv_block), after a UTF-8 byte-order mark that starts it.
 
-    Each read of _READ_CHARS characters ends at its last newline; the
-    rest starts the next block.  Every sample before a bad line is
+    Each read of _READ_BYTES bytes ends at its last line end; the rest
+    starts the next block.  A '\\r' that ends a read may begin a '\\r\\n',
+    so it starts the next block too.  Every sample before a bad line is
     yielded before its error is raised.
     """
     first_lineno = 1
-    pending = []  # text read since the last newline
+    pending = []  # bytes read since the last line end
     while True:
-        text = fh.read(_READ_CHARS)
-        cut = text.rfind("\n") + 1
-        if text and not cut:
-            pending.append(text)
+        data = fh.read(_READ_BYTES)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if data and not cut:
+            pending.append(data)
             continue
-        block = "".join([*pending, text[:cut]] if text else pending)
-        pending = [text[cut:]]
+        block = b"".join([*pending, memoryview(data)[:cut]] if data else pending)
+        pending = [data[cut:]]
+        if first_lineno == 1:
+            # No line ends in a byte-order mark, so a whole one is in the first block.
+            block = block.removeprefix(codecs.BOM_UTF8)
         if not block:
             return
         values, lines, error = _csv_block(block, source, first_lineno, codes)
@@ -283,14 +305,10 @@ def _exact_pieces(pieces, count: int):
         yield np.concatenate(held)
 
 
-def _open_input(path: str, binary: bool):
+def _open_input(path: str):
     if path == "-":
-        return contextlib.nullcontext(sys.stdin.buffer if binary else sys.stdin)
-    if binary:
-        return open(path, "rb")
-    # A byte-order mark is dropped, and a byte that is not UTF-8 becomes a
-    # lone surrogate, which no number holds and a '#' line may.
-    return open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
+        return contextlib.nullcontext(sys.stdin.buffer)
+    return open(path, "rb")
 
 
 def read_signal(spec: InputSpec, _codes: bool = False):
@@ -312,9 +330,8 @@ def read_signal(spec: InputSpec, _codes: bool = False):
     size = 1 << spec.block_exponent
     count = max(1, CHUNK_SAMPLES >> spec.block_exponent) * size
     source = "<stdin>" if spec.path == "-" else spec.path
-    binary = spec.format == "raw_f64_le"
-    with _open_input(spec.path, binary) as fh:
-        pieces = (_raw_pieces(fh, source, count, _codes) if binary
+    with _open_input(spec.path) as fh:
+        pieces = (_raw_pieces(fh, source, count, _codes) if spec.format == "raw_f64_le"
                   else _csv_pieces(fh, source, _codes))
         first_block = length = 0
         for values in _exact_pieces(pieces, count):

@@ -154,7 +154,7 @@ class TestQuantize:
     def test_stdin_input(self, capsys, monkeypatch):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("0.3\n-0.2\n0.4\n0.1\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"0.3\n-0.2\n0.4\n0.1\n")))
         code = main(["quantize", "--block-exp", "2"])
         assert code == 0
         assert capsys.readouterr().out.splitlines() == ["0", "0", "1", "0"]
@@ -247,7 +247,7 @@ class TestVerify:
     @pytest.mark.parametrize("fmt, code", [("csv", 3.5), ("raw", 0.5)])
     def test_non_integer_quantized_rejected(self, tmp_path, monkeypatch, capsys, fmt, code,
                                             at):
-        monkeypatch.setattr(report_io, "_READ_CHARS", 1000)
+        monkeypatch.setattr(report_io, "_READ_BYTES", 1000)
         src, q = tmp_path / f"in.{fmt}", tmp_path / f"q.{fmt}"
         values = np.zeros(CHUNK_SAMPLES + 4)
         codes = values.copy()
@@ -464,7 +464,7 @@ class TestLargeMagnitudes:
     ):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO(samples))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(samples.encode())))
         code = main(["quantize", "--block-exp", "1", "--output", str(tmp_path / "q.csv"),
                      *flags])
         assert code == 2
@@ -704,8 +704,9 @@ class TestExitCodes:
 
 
 class TestCsvDecoding:
-    """A CSV file is UTF-8 text after an optional byte-order mark; a byte
-    that is not UTF-8 is bad only on a value line, as on stdin."""
+    """CSV input, a file or stdin, is UTF-8 text after an optional
+    byte-order mark; a byte that is not UTF-8 is bad only on a value line.
+    '\\r\\n' and a lone '\\r' end a line, as '\\n' does."""
 
     LINES = [b"0.3\n", b"-0.2\n", b"0.4\n", b"0.1\n"]
 
@@ -742,13 +743,35 @@ class TestCsvDecoding:
         assert code == 0
         assert read_int_csv(out) == [0, 0, 1, 0]
 
-    def test_strictly_decoded_stdin_is_an_input_error(self, monkeypatch, capsys):
+    def run_stdin(self, monkeypatch, data):
         import io
 
-        data = io.BytesIO(b"0.3\n-0.2\xe9\n0.4\n0.1\n")
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(data, "utf-8", errors="strict"))
-        assert main(["quantize", "--block-exp", "2"]) == 3
-        assert "can't decode byte 0xe9" in capsys.readouterr().err
+        # However Python decodes stdin, its bytes are read.
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(data), "utf-8", errors="strict"))
+        return main(["quantize", "--block-exp", "2"])
+
+    def test_strictly_decoded_stdin_is_an_input_error(self, monkeypatch, capsys):
+        assert self.run_stdin(monkeypatch, b"0.3\n-0.2\xe9\n0.4\n0.1\n") == 3
+        assert capsys.readouterr().err == "error: <stdin>:2: not a number: '-0.2\\udce9'\n"
+
+    def test_a_byte_order_mark_on_stdin_is_dropped(self, monkeypatch, capsys):
+        assert self.run_stdin(monkeypatch, b"\xef\xbb\xbf" + b"".join(self.LINES)) == 0
+        assert capsys.readouterr().out == "0\n0\n1\n0\n"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_carriage_returns_end_lines(self, tmp_path, monkeypatch, capsys, newline):
+        lines = [line.replace(b"\n", newline) for line in self.LINES]
+        code, out = self.run(tmp_path, b"".join(lines))
+        assert code == 0
+        assert read_int_csv(out) == [0, 0, 1, 0]
+        assert self.run_stdin(monkeypatch, b"".join(lines)) == 0
+        assert capsys.readouterr().out == "0\n0\n1\n0\n"
+        # The line a bad value is on, and its text without the line end.
+        lines[2] = b"0.4x" + newline
+        code, _ = self.run(tmp_path, b"# c" + newline + b"".join(lines))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {tmp_path / 'in.csv'}:4: not a number: '0.4x'\n"
 
 
 class TestVerifyPipeline:

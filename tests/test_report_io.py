@@ -176,21 +176,21 @@ class TestBulkCsvReader:
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(CSV_LINES, min_size=1, max_size=60),
-           read_chars=st.integers(1, 200))
+           read_bytes=st.integers(1, 200))
     # Float64 midpoints, exact, and lines whose 64-bit quotient is one while
     # they are not: rounding that again to float64 would get them wrong.
     @example(lines=["9007199254740993", "4503599627370496.5", "9992.5850355856428",
-                    "-0.14118613576402427", "9007199254740993.0001"], read_chars=200)
+                    "-0.14118613576402427", "9007199254740993.0001"], read_bytes=200)
     # Digit strings above 2**53, where float64 division would be inexact, 18
     # digits all after the dot, and digit strings beyond int64.
     @example(lines=["14637558675684.521", "-16404167252770.369", ".123456789012345678"],
-             read_chars=200)
+             read_bytes=200)
     @example(lines=["9999999999999999999", "-9999999999999999999", "9223372036854775808",
                     "-9223372036854775809", "92233720368547758080",
-                    "-92233720368547758080", "18446744073709551616.5"], read_chars=200)
+                    "-92233720368547758080", "18446744073709551616.5"], read_bytes=200)
     @pytest.mark.parametrize("extended", [True, False])
     @pytest.mark.parametrize("codes", [False, True])
-    def test_values_are_those_of_float(self, extended, codes, lines, read_chars):
+    def test_values_are_those_of_float(self, extended, codes, lines, read_bytes):
         # As codes, the lines up to the first whose value float64 does not
         # hold or that is not an integer, each refused as such.
         refusals = [
@@ -202,9 +202,9 @@ class TestBulkCsvReader:
         text = "".join(f"{line}\n" for line in lines)
         got = []
         with (mock.patch.object(report_io, "_EXTENDED", extended),
-              mock.patch.object(report_io, "_READ_CHARS", read_chars)):
+              mock.patch.object(report_io, "_READ_BYTES", read_bytes)):
             try:
-                for piece in report_io._csv_pieces(io.StringIO(text), "src", codes):
+                for piece in report_io._csv_pieces(io.BytesIO(text.encode()), "src", codes):
                     got += piece.tolist()
             except InputFormatError as exc:
                 assert str(exc) == f"src:{stop + 1}: {refusals[stop]}: {lines[stop]!r}"
@@ -220,23 +220,22 @@ class TestBulkCsvReader:
         text = "1.5\n-0\n9007199254740993\n.5\n"
         with (mock.patch.object(report_io, "_EXTENDED", False),
               mock.patch.object(report_io, "_plain_values", refuse)):
-            got = np.concatenate(list(report_io._csv_pieces(io.StringIO(text), "src")))
+            got = np.concatenate(list(report_io._csv_pieces(io.BytesIO(text.encode()), "src")))
         assert got.view(np.int64).tolist() == \
             np.array([1.5, -0.0, 9007199254740992.0, 0.5]).view(np.int64).tolist()
 
     def test_the_last_line_may_lack_its_newline(self):
-        pieces = report_io._csv_pieces(io.StringIO("1.5\n-2\n0.25"), "src")
+        pieces = report_io._csv_pieces(io.BytesIO(b"1.5\n-2\n0.25"), "src")
         assert np.concatenate(list(pieces)).tolist() == [1.5, -2.0, 0.25]
 
     def test_a_block_that_is_not_ascii_goes_to_the_line_parser(self):
         # float() reads other scripts' digits; so does the line parser.
-        text = "# café\n1.5\n١٢\n-3\n"
-        assert np.concatenate(list(report_io._csv_pieces(io.StringIO(text), "src"))).tolist() \
-            == [1.5, 12.0, -3.0]
+        pieces = report_io._csv_pieces(io.BytesIO("# café\n1.5\n١٢\n-3\n".encode()), "src")
+        assert np.concatenate(list(pieces)).tolist() == [1.5, 12.0, -3.0]
 
     def test_every_sample_before_a_bad_line_is_yielded(self):
         # The bad line is in the same read as the samples before it.
-        pieces = report_io._csv_pieces(io.StringIO("1\n# c\n2.5\n3x\n4\n"), "src")
+        pieces = report_io._csv_pieces(io.BytesIO(b"1\n# c\n2.5\n3x\n4\n"), "src")
         assert next(pieces).tolist() == [1.0, 2.5]
         with pytest.raises(InputFormatError, match=":4: not a number: '3x'"):
             next(pieces)
@@ -247,17 +246,58 @@ class TestBulkCsvReader:
         (["0.5", "3x", "1.5", "9" * 400, "2.5", "3x"], 1, ":2: not a number: '3x'"),
         (["0.5", "1.5", "9" * 400, "2.5", "3x", "-7"], 2, ":3: non-finite sample '999"),
     ])
-    @pytest.mark.parametrize("read_chars", [7, 1 << 20])
+    @pytest.mark.parametrize("read_bytes", [7, 1 << 17])
     def test_the_first_bad_line_is_named_after_every_sample_before_it(
-        self, lines, bad, message, read_chars
+        self, lines, bad, message, read_bytes
     ):
         text = "".join(f"{line}\n" for line in lines)
         got = []
-        with (mock.patch.object(report_io, "_READ_CHARS", read_chars),
+        with (mock.patch.object(report_io, "_READ_BYTES", read_bytes),
               pytest.raises(InputFormatError, match=message)):
-            for piece in report_io._csv_pieces(io.StringIO(text), "src"):
+            for piece in report_io._csv_pieces(io.BytesIO(text.encode()), "src"):
                 got += piece.tolist()
         assert got == [float(line) for line in lines[:bad]]
+
+    # '\r\n' cut by a read, in every place: one line end, so every line
+    # keeps its number.
+    @pytest.mark.parametrize("read_bytes", range(1, 12))
+    def test_a_line_end_split_by_a_read_is_one_line_end(self, read_bytes):
+        data = b"# c\r\n1\r\n\r\n2\r3\n4x\r\n5\r\n"
+        got = []
+        with (mock.patch.object(report_io, "_READ_BYTES", read_bytes),
+              pytest.raises(InputFormatError, match="^src:6: not a number: '4x'$")):
+            for piece in report_io._csv_pieces(io.BytesIO(data), "src"):
+                got += piece.tolist()
+        assert got == [1.0, 2.0, 3.0]
+
+    def test_a_line_longer_than_a_read(self):
+        data = b"1\n" + b"0" * report_io._READ_BYTES + b"1.5\n2\n"
+        assert np.concatenate(list(report_io._csv_pieces(io.BytesIO(data), "src"))).tolist() \
+            == [1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 1 << 17])
+    def test_a_byte_order_mark_starts_the_stream_only(self, read_bytes):
+        bom = b"\xef\xbb\xbf"
+        with mock.patch.object(report_io, "_READ_BYTES", read_bytes):
+            pieces = report_io._csv_pieces(io.BytesIO(bom + b"1\n2\n"), "src")
+            assert np.concatenate(list(pieces)).tolist() == [1.0, 2.0]
+            with pytest.raises(InputFormatError, match=r"^src:2: not a number: '\\ufeff2'$"):
+                list(report_io._csv_pieces(io.BytesIO(b"1\n" + bom + b"2\n"), "src"))
+
+    def test_a_block_that_is_not_ascii_leaves_the_others_to_the_kernel(self):
+        kernel = []
+
+        def plain_values(buf, codes):
+            kernel.append(buf.tobytes())
+            return real(buf, codes)
+
+        real = report_io._plain_values
+        data = b"1.5\n-2\n# caf\xe9\n0.25\n3\n"
+        with (mock.patch.object(report_io, "_READ_BYTES", 8),
+              mock.patch.object(report_io, "_plain_values", plain_values)):
+            got = np.concatenate(list(report_io._csv_pieces(io.BytesIO(data), "src")))
+        assert got.tolist() == [1.5, -2.0, 0.25, 3.0]
+        assert kernel == [b"1.5\n-2\n", b"0.25\n3\n"]
 
     def test_an_overflowing_digit_string_is_named(self, tmp_path):
         p = tmp_path / "in.csv"
