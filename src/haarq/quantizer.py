@@ -151,28 +151,27 @@ def _on_grid(values: np.ndarray, bound: float) -> bool:
     return bool(np.all(scaled == np.trunc(scaled)))
 
 
-def _split_total(run: np.ndarray, split: int, g=0) -> tuple[int, list[float]]:
-    """The signed total sum(x[split:]) - sum(x[:split]) of x = run - g for
-    integer codes g, in the terms _exact_signs adds: the integer total of
-    the whole parts trunc(run) - g, and the signed fractions run - trunc(run),
-    which need no rounding.  Sums of int64 wrap around, but each total is
-    within the budget, so is exact."""
+def _exact_signs(f: np.ndarray, g, width: int, split: int, at, c) -> np.ndarray:
+    """The exact signs of t - c for the entries at = (rows, runs) of f and
+    their (entries, k) float thresholds c, t the signed total
+    sum(x[split:]) - sum(x[:split]) of the run x = f - g of width samples,
+    g integer codes or 0.  Each run is split once: into int64 whole parts
+    trunc(f) - g, whose sums wrap around but are exact, as each total is
+    within the budget and far below 2**63, so two floats hold it, and
+    signed fractions f - trunc(f), which need no rounding.  math.fsum
+    rounds the exact sum correctly (Shewchuk 1997), so keeps its sign."""
+    run = f.reshape(len(f), -1, width)[at]
     whole = np.trunc(run)
-    parts = run - whole
-    parts[:split] *= -1.0
+    parts = np.subtract(run, whole, out=run)
+    parts[:, :split] *= -1.0
     whole = whole.astype(np.int64)
-    whole -= np.asarray(g, dtype=np.int64)
-    return int(whole[split:].sum()) - int(whole[:split].sum()), parts.tolist()
-
-
-def _exact_signs(run: np.ndarray, split: int, g, *c: float) -> list[float]:
-    """A float of the exact sign of t - c for each float c, t the signed
-    total of run - g (_split_total): two floats hold its integer part, as
-    |whole| < 2**63, and math.fsum rounds the exact sum correctly (Shewchuk
-    1997), so its result has the exact sum's sign."""
-    whole, parts = _split_total(run, split, g)
-    terms = [*parts, float(whole), float(whole - int(float(whole)))]
-    return [math.fsum([*terms, -x]) for x in c]
+    if np.ndim(g):
+        whole -= g.reshape(len(g), -1, width)[at].astype(np.int64)
+    total = whole[:, split:].sum(axis=1) - whole[:, :split].sum(axis=1)
+    high = total.astype(np.float64)
+    low = (total - high.astype(np.int64)).astype(np.float64)
+    return np.sign([[math.fsum([*p, a, b, -x]) for x in cs]
+                    for p, a, b, cs in zip(parts.tolist(), high.tolist(), low.tolist(), c.tolist())])
 
 
 def _round_in_doubt(gap, rounded, radius, up: bool, exact, sign) -> None:
@@ -182,8 +181,9 @@ def _round_in_doubt(gap, rounded, radius, up: bool, exact, sign) -> None:
 
     Only an x within radius of a half-integer h is in doubt, and h, the
     one next to rounded on gap's side, is unique as radius < 1/4: the
-    exact sign of x - h, the float's own if exact() and else that of
-    sign(*index, h), picks h + 1/2 or h - 1/2, and a tie goes by the rule.
+    exact sign of x - h, the float's own if exact() and else sign(at, h),
+    one call for all entries at in doubt with h an (entries, 1) array,
+    picks h + 1/2 or h - 1/2, and a tie goes by the rule.
     """
     edge = 0.5 - radius
     if gap.max() < edge and gap.min() > -edge:
@@ -191,13 +191,16 @@ def _round_in_doubt(gap, rounded, radius, up: bool, exact, sign) -> None:
     at = np.nonzero(np.abs(gap) >= edge)
     half = np.copysign(0.5, gap[at])
     h = rounded[at] + half
-    if exact():
-        s = np.sign(gap[at] - half)
-    else:
-        index = zip(*(a.tolist() for a in at))
-        s = np.sign([sign(*i, c) for i, c in zip(index, h.tolist())])
+    s = np.sign(gap[at] - half) if exact() else sign(at, h[:, None])[:, 0]
     s[s == 0] = 1 if up else -1
     rounded[at] = h + 0.5 * s
+
+
+def _split_signs(samples: np.ndarray, parent: np.ndarray, at, h) -> np.ndarray:
+    """The exact signs of x - h for one level's splits in doubt (_descend):
+    (P - 2h - t)/2 for the parents P and their runs' signed totals t."""
+    run = samples.shape[-1] // parent.shape[-1]
+    return -_exact_signs(samples, 0, run, run // 2, at, parent[at][:, None] - 2.0 * h)
 
 
 def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> np.ndarray:
@@ -222,7 +225,7 @@ def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> n
     total = totals.pop(0)
     parent = np.rint(total)
     _round_in_doubt(total - parent, parent, _radius(width.bit_length() - 1, sup), up, exact,
-                    lambda i, j, h: _exact_signs(samples[i], 0, 0, h)[0])
+                    functools.partial(_exact_signs, samples, 0, width, 0))
     parent += 0.0
     while totals:
         v = totals.pop(0)
@@ -235,15 +238,10 @@ def _descend(samples: np.ndarray, totals: list, sup: float, tie_break: str) -> n
         left *= 0.5
         np.rint(left, out=right)
         np.subtract(left, right, out=left)
-
-        def sign(i, j, h):
-            # x - h is (P - 2h - t)/2 for the run's exact signed total t.
-            c = parent.item(i, j) - 2.0 * h
-            return -_exact_signs(samples[i, j * run : (j + 1) * run], run // 2, 0, c)[0]
-
         # Forming P - (b - a) adds at most 2**(d-52) * (sup + 1) to its radius.
         radius = 0.5 * (_radius(d, sup) + 2.0 ** (d - 52) * (sup + 1.0))
-        _round_in_doubt(left, right, radius, not up, exact, sign)
+        _round_in_doubt(left, right, radius, not up, exact,
+                        functools.partial(_split_signs, samples, parent))
         np.add(right, 0.0, out=left)
         np.subtract(parent, right, out=right)
         parent = out
@@ -328,8 +326,7 @@ def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 class _HaarRows(NamedTuple):
     """The Haar measurements of a chunk's blocks, one entry per row: (rows,)
-    columns, the (rows, N) maxima of every level's errors, and those errors
-    themselves, one (rows, 2**(k-1)) array per level k.  dc_ok and
+    columns and the (rows, N) maxima of every level's errors.  dc_ok and
     details_ok are exact verdicts.  The input's own DC coefficient is its
     pairwise total, which _quantize_rows and _check_pair_budget return,
     times 2**-N."""
@@ -340,7 +337,6 @@ class _HaarRows(NamedTuple):
     dc_ok: np.ndarray
     details_ok: np.ndarray
     detail_max: np.ndarray
-    detail_errors: tuple[np.ndarray, ...]
 
     @property
     def passed(self) -> np.ndarray:
@@ -362,24 +358,22 @@ def _certified(err, worst, bound: float, radius, f, g, split: bool, exact) -> np
     when split, and worst their row maxima; they are exact if exact().
     An entry passes when err + radius <= bound, fails when
     err - radius > bound, and is settled otherwise by the exact signs of
-    t - bound and t + bound, t its signed total (_exact_signs), from one
-    split of its run.
+    t - bound and t + bound, t its signed total: those of every entry in
+    doubt, in the rows whose maxima leave them in doubt, come from one
+    call to _exact_signs.
     """
     width = f.shape[-1] // err.shape[-1]
     ok = worst + radius <= bound
     undecided = np.flatnonzero(~ok & (worst - radius <= bound))
-    if undecided.size and exact():
+    if not undecided.size or exact():
         ok[undecided] = worst[undecided] <= bound
         return ok
-    for i in undecided:
-        for j in np.flatnonzero(err[i] + radius[i] > bound):
-            run = slice(j * width, (j + 1) * width)
-            above, below = _exact_signs(f[i, run], width // 2 if split else 0, g[i, run],
-                                        bound, -bound)
-            if above > 0 or below < 0:
-                break
-        else:
-            ok[i] = True
+    rows, runs = np.nonzero(err[undecided] + radius[undecided, None] > bound)
+    rows = undecided[rows]
+    above, below = _exact_signs(f, g, width, width // 2 if split else 0, (rows, runs),
+                                np.broadcast_to((bound, -bound), (rows.size, 2))).T
+    ok[undecided] = True
+    ok[rows[(above > 0) | (below < 0)]] = False
     return ok
 
 
@@ -391,31 +385,29 @@ def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) 
     The verdicts are stated on the residual's unscaled totals: |total| <=
     1/2 at DC, and |right - left| <= 1 for each level's pair of totals,
     where the scale 2**(-N+(k-1)/2) of level k cancels from error and
-    bound alike.
+    bound alike.  The residual's totals pyramid is walked bottom-up, each
+    level dropped once the next is formed, and only each level's maxima
+    are kept.
     """
     n = f.shape[-1].bit_length() - 1
-    if r is None:
-        r = _residual(f, g)
-    sup_error = np.abs(r).max(axis=1)
+    v = _residual(f, g) if r is None else r
+    sup_error = np.abs(v).max(axis=1)
     # Samples on a grid make exact residuals, whose totals below the bound are exact.
     exact = functools.cache(lambda: _on_grid(f, f.shape[-1] * (sup_error.max() + 1.0)))
-    levels = _pairwise_levels(r)
-    detail_errors = []
     detail_max = np.empty((f.shape[0], n))
     details_ok = np.ones(f.shape[0], dtype=bool)
-    for k, v in enumerate(levels[1:], start=1):
+    for k in range(n, 0, -1):
         err = v[:, 1::2] - v[:, 0::2]
         np.abs(err, out=err)
         worst = err.max(axis=1)
         details_ok &= _certified(err, worst, 1.0, _radius(n - k + 1, sup_error), f, g, True,
                                  exact)
+        del err
+        v = v[:, 0::2] + v[:, 1::2]
         # Rounding keeps the order of the products by a positive scale, so
         # the scaled maximum is the maximum of the scaled errors, bit for bit.
-        scale = np.exp2(-n + 0.5 * (k - 1))
-        err *= scale
-        detail_errors.append(_readonly(err))
-        detail_max[:, k - 1] = worst * scale
-    total = np.abs(levels[0])
+        detail_max[:, k - 1] = worst * np.exp2(-n + 0.5 * (k - 1))
+    total = np.abs(v)
     dc_ok = _certified(total, total[:, 0], 0.5, _radius(n, sup_error), f, g, False, exact)
     return _HaarRows(
         dc_quantized=g.sum(axis=1, dtype=np.int64) * np.exp2(-n),
@@ -424,7 +416,6 @@ def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) 
         dc_ok=dc_ok,
         details_ok=details_ok,
         detail_max=detail_max,
-        detail_errors=tuple(detail_errors),
     )
 
 
@@ -441,12 +432,16 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
     total = _check_pair_budget(f.values[None, :], g.values[None, :])
     rows = _haar_error_rows(f.values[None, :], g.values[None, :])
     dc_bound, detail_bounds, sup_bound = _haar_bounds(f.n_exponent)
+    # Each level's errors, scaled as _haar_error_rows scales their maxima.
+    levels = _pairwise_levels(_residual(f.values, g.values))[1:]
+    detail_errors = tuple(_readonly(np.abs(v[1::2] - v[0::2]) * np.exp2(-f.n_exponent + 0.5 * k))
+                          for k, v in enumerate(levels))
     columns = ("dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok")
     return HaarErrorReport(
         n_exponent=f.n_exponent,
         dc_input=total[0].item() * 2.0**-f.n_exponent,
         dc_bound=dc_bound,
-        detail_errors=tuple(err[0] for err in rows.detail_errors),
+        detail_errors=detail_errors,
         detail_bounds=detail_bounds,
         sup_bound=sup_bound,
         **{name: getattr(rows, name)[0].item() for name in columns},

@@ -223,6 +223,20 @@ def exact_haar_verdicts(f_values, g_values) -> tuple[bool, bool]:
     return dc_ok, details_ok
 
 
+def exact_signs_reference(f, g, width: int, split: int, at, c) -> np.ndarray:
+    """The exact sign of t - c, in integers, for each entry at = (rows,
+    runs) of the (rows, m * width) samples f and each of its (entries, k)
+    thresholds c: t is sum(x[split:]) - sum(x[:split]) over the entry's
+    run x = f - g, g integer codes or 0, all over one common denominator."""
+    f, c = np.asarray(f, dtype=np.float64), np.asarray(c, dtype=np.float64)
+    num, den = _as_integers(np.concatenate([f.ravel(), c.ravel()]))
+    num = num.astype(object)
+    codes = np.broadcast_to(np.asarray(g, dtype=np.int64), f.shape).astype(object)
+    x = (num[: f.size].reshape(f.shape) - den * codes).reshape(len(f), -1, width)[at]
+    t = x[:, split:].sum(axis=1) - x[:, :split].sum(axis=1)
+    return np.sign(t[:, None] - num[f.size :].reshape(c.shape)).astype(np.float64)
+
+
 def report_block(index: int, f: Signal, g: QuantizedSignal) -> dict:
     """A block's report entry as a dict: its codes' digest and total, and
     its HaarErrorReport with each level's errors reduced to their maximum."""

@@ -1,5 +1,7 @@
 import json
+import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,6 +39,7 @@ from oracles import (
     all_indices,
     dc_error_fraction,
     exact_haar_verdicts,
+    exact_signs_reference,
     naive_coefficient,
     quantize_rows_reference,
     round_rows_reference,
@@ -378,9 +381,23 @@ class TestVerify:
             assert dc_input[i] == one.dc_input
             for name in ("dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok"):
                 assert getattr(rows, name)[i] == getattr(one, name)
-            for k, (a, b) in enumerate(zip(rows.detail_errors, one.detail_errors)):
-                assert np.array_equal(a[i], b)
-                assert rows.detail_max[i, k] == b.max()
+            assert len(one.detail_errors) == n
+            for k, err in enumerate(one.detail_errors):
+                assert rows.detail_max[i, k] == err.max()
+
+    def test_the_verifier_keeps_a_small_multiple_of_the_block(self):
+        # It walks the residual's pyramid bottom-up and keeps only maxima.
+        f = np.random.default_rng(20).normal(0.0, 3.0, (1, 1 << 20))
+        g = _quantize_rows(f, "toward_negative")[0]
+        tracemalloc.start()
+        try:
+            rows = _haar_error_rows(f, g)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.passed.all()
+        assert peak <= 2.5 * f.nbytes
+        assert kept < 0.1 * f.nbytes
 
 
 def zero_codes(grid):
@@ -711,11 +728,16 @@ def test_the_exact_verdicts_imply_the_sup_and_spectral_bounds(case):
 
 @pytest.fixture
 def exact_sign_calls(monkeypatch):
-    """The arguments of every call to quantizer._exact_signs, as it is made."""
+    """(width, split, entries) of every call to quantizer._exact_signs, as
+    it is made."""
     calls = []
     exact_signs = quantizer._exact_signs
-    monkeypatch.setattr(quantizer, "_exact_signs",
-                        lambda *args: calls.append(args) or exact_signs(*args))
+
+    def record(f, g, width, split, at, c):
+        calls.append((width, split, len(at[0])))
+        return exact_signs(f, g, width, split, at, c)
+
+    monkeypatch.setattr(quantizer, "_exact_signs", record)
     return calls
 
 
@@ -801,7 +823,7 @@ class TestSamplesBound:
         # samples' radius, about 2**18 times larger, put its top levels in doubt.
         values = 2.0**39 + np.random.default_rng(39).uniform(-0.5, 0.5, (1, 1 << 16))
         codes = _quantize_rows(values, "toward_negative")[0]
-        assert len(exact_sign_calls) <= 4
+        assert sum(entries for _, _, entries in exact_sign_calls) <= 4
         assert np.array_equal(codes, quantize_rows_reference(values, "toward_negative"))
 
 
@@ -809,7 +831,8 @@ class TestDecisionsInDoubt:
     """Each decision in doubt off a grid, in a block of two samples, takes
     the exact sign once: the root's rounding and the level's split over
     the whole block (split 0) and its halves (split 1), and likewise the
-    DC verdict and the level verdict."""
+    DC verdict and the level verdict.  In a larger block, all of a level's
+    decisions in doubt, or a verdict family's, take it in one call."""
 
     @pytest.mark.parametrize("values, tie, codes, split", [
         # The float total is exactly 1/2, and the exact total 1/2 + 2.8e-17.
@@ -826,7 +849,7 @@ class TestDecisionsInDoubt:
         values = np.array(values)
         assert np.array_equal(block_codes(values, tie), codes)
         assert np.array_equal(quantize_rows_reference(values[None, :], tie)[0], codes)
-        assert [args[1] for args in exact_sign_calls] == [split]
+        assert exact_sign_calls == [(2, split, 1)]
 
     @pytest.mark.parametrize("f, g, verdicts, split", [
         ([0.1, 0.4], [0, 0], (False, True), 0),
@@ -838,7 +861,66 @@ class TestDecisionsInDoubt:
         f, g = np.array([f]), np.array([g], dtype=np.int64)
         rows = _haar_error_rows(f, g)
         assert (rows.dc_ok[0], rows.details_ok[0]) == verdicts == exact_haar_verdicts(f[0], g[0])
-        assert [args[1] for args in exact_sign_calls] == [split]
+        assert exact_sign_calls == [(2, split, 1)]
+
+    @pytest.mark.parametrize("tie", TIES)
+    def test_one_call_per_level_and_per_verdict_family(self, exact_sign_calls, tie):
+        # Off the grid, every bottom split of these samples is in doubt,
+        # and so is every bottom level verdict on their codes.
+        f = np.full((1, 1 << 6), 0.5 + 2.0**-50)
+        g = _quantize_rows(f, tie)[0]
+        assert np.array_equal(g, quantize_rows_reference(f, tie))
+        rounded = exact_sign_calls[:]
+        exact_sign_calls.clear()
+        rows = _haar_error_rows(f, g)
+        assert (rows.dc_ok[0], rows.details_ok[0]) == exact_haar_verdicts(f[0], g[0])
+        for calls in (rounded, exact_sign_calls):
+            assert calls and max(entries for _, _, entries in calls) > 1
+            assert len({(width, split) for width, split, _ in calls}) == len(calls)
+
+
+@st.composite
+def runs_and_thresholds(draw):
+    """Arguments of quantizer._exact_signs: samples f of some rows of runs
+    of 2**0 to 2**10 samples, codes g or 0, a split of none or half of a
+    run, entries over the rows, and one or two thresholds each, near the
+    entry's signed total or anywhere."""
+    d = draw(st.integers(0, 10))
+    width, rows, runs = 1 << d, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # Samples up to 2**52, and up to 2**60 / width, keep every total in the budget.
+    top = 2.0 ** min(52, 60 - d)
+    sample = st.one_of(
+        st.floats(-top, top, allow_nan=False),
+        st.integers(-(2**20), 2**20).map(lambda i: i / 4),
+        st.floats(-1.0, 1.0, allow_nan=False),
+        st.floats(-2.0**-1022, 2.0**-1022, allow_nan=False),
+    )
+    f = draw(arrays(np.float64, (rows, runs * width), elements=sample))
+    g = 0
+    if draw(st.booleans()):
+        g = np.rint(f) + draw(arrays(np.int64, f.shape, elements=st.integers(-2, 2)))
+        g = g.astype(draw(st.sampled_from([np.int64, np.float64])))
+    split = draw(st.sampled_from([0, width // 2]))
+    pairs = st.tuples(st.integers(0, rows - 1), st.integers(0, runs - 1))
+    at = tuple(np.array(a, dtype=np.intp).reshape(-1)
+               for a in zip(*draw(st.lists(pairs, min_size=1, max_size=6))))
+    x = (f - g).reshape(rows, runs, width)[at]
+    near = [math.fsum(np.concatenate([-r[:split], r[split:]]).tolist()) for r in x]
+    k = draw(st.integers(1, 2))
+    c = np.array([[draw(st.one_of(
+        st.just(t), st.just(float(np.nextafter(t, np.inf))), st.just(float(np.nextafter(t, -np.inf))),
+        st.just(math.floor(t) + 0.5), st.floats(-top, top, allow_nan=False),
+    )) for _ in range(k)] for t in near])
+    return f, g, width, split, at, c
+
+
+@given(runs_and_thresholds())
+@settings(max_examples=150, deadline=None)
+# An integer total above 2**53, which one float does not hold.
+@example((np.array([[2.0**52, 2.0**52, 2.0**52, 1.0]]), 0, 4, 0,
+          (np.array([0]), np.array([0])), np.array([[3 * 2.0**52]])))
+def test_exact_signs_match_the_rational_reference(args):
+    assert np.array_equal(quantizer._exact_signs(*args), exact_signs_reference(*args))
 
 
 @st.composite
