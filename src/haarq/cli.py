@@ -8,22 +8,23 @@ are read and written on the calling thread, in input order, and
 computed on one thread per usable CPU, with at most workers + 1 in
 flight; an input of one chunk is computed on the calling thread.  A
 chunk's codes are float64 integers, written as they are for raw output
-and encoded as text, where they are computed, for CSV.  Each
+and encoded as CSV bytes, where they are computed, for CSV.  Each
 spectrum table is written on the calling thread by write_spectrum_csv,
 which formats it in chunks on a pool of its own, one thread per usable
 CPU.  The output does not depend on the number of CPUs.  Memory
 depends on the block size and the number of CPUs, not on the input
-length: `--report` entries wait in an unnamed temporary file until the
-input has ended and the report's head, which gives the block count, can
-be written.
+length: `--report` entries, encoded where they are computed, wait in an
+unnamed temporary file until the input has ended and the report's head,
+which gives the block count, can be written.
 verify --quantized reads its two inputs in step, and refuses --baseline
 and --tie-break, which could not act on the codes it is given, and '-'
-for both inputs.  Each output file, the report too, is written to a
-temporary file beside it, and all are renamed into place once the run
-succeeds, so a run that fails leaves no output file, and two outputs
-that name one file are refused; output to '-' (stdout) is written as it is
-made, and an input error found after some of it was written still
-exits 3.
+for both inputs; spectrum refuses several tables for a pipe or device.
+Every output is bytes, each file, the report too, written to a temporary
+file beside it, all renamed into place once the run succeeds: a run that
+fails leaves no output file, and two outputs naming one file are refused.
+Output to '-', verify's verdict too, goes to stdout's buffer, whatever
+Python's I/O encoding, as it is made: an input error found after some of
+it was written still exits 3.
 
 Exit codes: 0 success, 1 bound violation, 2 usage error, 3 I/O or
 input-format error.  verify, spectrum and quantize --report decide each
@@ -58,7 +59,6 @@ from .report_io import (
     _in_order,
     _int_lines,
     _text,
-    format_float,
     read_signal,
     write_spectrum_csv,
 )
@@ -167,15 +167,13 @@ def _quantize_chunk(f: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_quantize(args) -> int:
-    fmt = _FORMAT_BY_FLAG[args.format]
-    binary = fmt == "raw_f64_le"
     # The spec checks N before the layout, whose size grows as 2**N, is made.
     spec = _input_spec(args)
     layout = _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
 
     def compute(a, f, valid):
         g, total = _quantize_chunk(f, args)
-        entries, passed = "", True
+        entries, passed = b"", True
         if layout is not None:
             haar = _haar_error_rows(f, g)
             entries = layout.entries(a, total, g, haar)
@@ -183,16 +181,16 @@ def cmd_quantize(args) -> int:
         codes = g.reshape(-1)[:valid]
         # Raw codes are written as they are; CSV ones are encoded here, off
         # the writing thread.
-        data = codes.astype("<f8", copy=False) if binary else _text(_int_lines(codes))
+        data = codes.astype("<f8", copy=False) if args.format == "raw" else _text(_int_lines(codes))
         return data, valid, entries, passed
 
     length, passed = 0, True
     with (
         layout or contextlib.nullcontext(),
         _Outputs() as outputs,
-        outputs.open(args.output, binary=binary) as out,
+        outputs.open(args.output) as out,
         # Opened before any input is read, so one file named twice is refused first.
-        outputs.open(args.report, binary=False) if layout else contextlib.nullcontext() as fh,
+        outputs.open(args.report) if layout else contextlib.nullcontext() as fh,
         contextlib.closing(_in_order(compute, read_signal(spec))) as chunks,
     ):
         for data, valid, entries, chunk_passed in chunks:
@@ -241,14 +239,14 @@ def cmd_verify(args) -> int:
     def compute(a, f, valid, g=None):
         g, total = _quantize_chunk(f, args) if g is None else (g, _check_pair_budget(f, g))
         haar = _haar_error_rows(f, g)
-        entries = layout.entries(a, total, g, haar) if layout is not None else ""
+        entries = layout.entries(a, total, g, haar) if layout is not None else b""
         return valid, f.shape[0], bool(haar.passed.all()), entries
 
     length, count, passed = 0, 0, True
     with (
         layout or contextlib.nullcontext(),
         _Outputs() as outputs,
-        outputs.open(args.report, binary=False) if layout else contextlib.nullcontext() as fh,
+        outputs.open(args.report) if layout else contextlib.nullcontext() as fh,
         contextlib.closing(_in_order(compute, chunks)) as measured,
     ):
         for valid, rows, chunk_passed, entries in measured:
@@ -259,7 +257,7 @@ def cmd_verify(args) -> int:
             passed &= chunk_passed
         if layout is not None:
             layout.write(fh, length, passed)
-    print(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)")
+    sys.stdout.buffer.write(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)\n".encode())
     return 0 if passed else 1
 
 
@@ -276,6 +274,10 @@ def cmd_spectrum(args) -> int:
     ahead = list(itertools.islice(chunks, 2))
     single = len(ahead) == 1 and ahead[0][1].shape[0] == 1
     empty = not ahead
+    # Several tables go to files named after the path: a pipe or device cannot take them.
+    target = Path(args.output)
+    if not (single or empty) and args.output != "-" and target.exists() and not target.is_file():
+        raise ValueError(f"a table per block needs a regular file path, not {args.output}")
     # Only the iterator holds the chunks read ahead, so each is dropped once computed.
     chunks = itertools.chain(iter(ahead), chunks)
     del ahead
@@ -295,12 +297,12 @@ def cmd_spectrum(args) -> int:
     ):
         if empty:
             # No block: the table is its header alone, as quantize writes empty codes.
-            with outputs.open(args.output, binary=False) as out:
+            with outputs.open(args.output) as out:
                 out.write(_SPECTRUM_HEADER)
         for a, tables, chunk_passed in measured:
             for i, table in enumerate(tables, start=a):
                 path = _block_path(args.output, i, single)
-                with outputs.open(path, binary=False) as out:
+                with outputs.open(path) as out:
                     write_spectrum_csv(table, out)
             passed &= chunk_passed
     return 0 if passed else 1
@@ -314,18 +316,13 @@ def cmd_basis(args) -> int:
         header = "xi,re,im,abs\n"
         freqs = range(grid.size // 2 - grid.size + 1, grid.size // 2 + 1)
         values = [haar_fourier_coefficient(xi, index, n) for xi in freqs]
-        rows = (
-            f"{xi},{format_float(v.real)},{format_float(v.imag)},"
-            f"{format_float(abs(v))}\n"
-            for xi, v in zip(freqs, values)
-        )
+        rows = (f"{xi},{v.real!r},{v.imag!r},{abs(v)!r}\n" for xi, v in zip(freqs, values))
     else:
         header = "n,t,value\n"
         samples = zip(grid.samples.tolist(), haar_basis(index, grid).values.tolist())
         rows = (f"{i},{t!r},{v!r}\n" for i, (t, v) in enumerate(samples, start=1))
-    with _Outputs() as outputs, outputs.open(args.output, binary=False) as out:
-        out.write(header)
-        out.writelines(rows)
+    with _Outputs() as outputs, outputs.open(args.output) as out:
+        out.writelines(line.encode() for line in itertools.chain([header], rows))
     return 0
 
 

@@ -326,17 +326,20 @@ def _residual(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 class _HaarRows(NamedTuple):
     """The Haar measurements of a chunk's blocks, one entry per row: (rows,)
-    columns and the (rows, N) maxima of every level's errors.  dc_ok and
-    details_ok are exact verdicts.  The input's own DC coefficient is its
-    pairwise total, which _quantize_rows and _check_pair_budget return,
-    times 2**-N."""
+    columns and the (rows, N) maxima of every level's errors.  dc_total
+    sums the codes in int64; dc_ok and details_ok are exact verdicts.  The
+    input's DC coefficient is its pairwise total (_quantize_rows) * 2**-N."""
 
-    dc_quantized: np.ndarray
+    dc_total: np.ndarray
     dc_error: np.ndarray
     sup_error: np.ndarray
     dc_ok: np.ndarray
     details_ok: np.ndarray
     detail_max: np.ndarray
+
+    @property
+    def dc_quantized(self) -> np.ndarray:
+        return self.dc_total * np.exp2(-self.detail_max.shape[1])
 
     @property
     def passed(self) -> np.ndarray:
@@ -410,7 +413,7 @@ def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) 
     total = np.abs(v)
     dc_ok = _certified(total, total[:, 0], 0.5, _radius(n, sup_error), f, g, False, exact)
     return _HaarRows(
-        dc_quantized=g.sum(axis=1, dtype=np.int64) * np.exp2(-n),
+        dc_total=g.sum(axis=1, dtype=np.int64),
         dc_error=total[:, 0] * np.exp2(-n),
         sup_error=sup_error,
         dc_ok=dc_ok,

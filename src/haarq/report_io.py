@@ -6,8 +6,9 @@ stream into blocks of 2**N samples, yielded one chunk of blocks at a time
 so that memory does not grow with the input.  Writers render every float
 as its shortest round-trip text (Python's repr), so files parse back to
 the same float64 bits and identical runs produce byte-identical files.
-They take a path, whose file is replaced only once it is written whole,
-or an open stream to append one chunk to.
+Every output is bytes, to a path ('-': stdout's buffer, whatever its
+encoding), whose file is replaced only once it is written whole, or to
+an open binary stream to append one chunk to.
 """
 
 import codecs
@@ -445,12 +446,12 @@ class _ReportLayout:
     Each block's entry is then a %-format string, indented to its place
     in the report, that turns the block's values into its text: floats by
     repr, as json does, ints, flags as true or false, and the quoted
-    SHA-256.  add() appends entries to an unnamed temporary file, where
-    they wait for the input to end, since the report's head gives the
-    block count; write() renders the run itself with dumps_canonical, its
-    blocks being one tag, and copies the entries in the tag's place.  So
-    key order, indentation and every constant are dumps_canonical's.  The
-    temporary file is open inside a `with` block.
+    SHA-256.  add() appends the encoded entries to an unnamed temporary
+    file, where they wait for the input to end, since the report's head
+    gives the block count; write() renders the run itself with
+    dumps_canonical, its blocks being one tag, and copies the entries in
+    the tag's place.  So key order, indentation and every constant are
+    dumps_canonical's.  The temporary file is open inside a `with` block.
     """
 
     def __init__(self, config: dict, n: int):
@@ -496,7 +497,7 @@ class _ReportLayout:
         self.entry_names = [name for _, name in re.findall(slots, text)]
 
     def __enter__(self):
-        self._spill = _temporary_text()
+        self._spill = tempfile.TemporaryFile()
         return self
 
     def __exit__(self, *exc):
@@ -514,24 +515,22 @@ class _ReportLayout:
             "pass": passed,
         })
 
-    def entries(self, a: int, total: np.ndarray, g: np.ndarray, haar) -> str:
-        """The text of the entries of the blocks a, a + 1, ..., led by the
+    def entries(self, a: int, total: np.ndarray, g: np.ndarray, haar) -> bytes:
+        """The encoded entries of the blocks a, a + 1, ..., led by the
         separator from the entry before unless a is 0.
 
         total holds the pairwise totals of the blocks' samples, as the
         quantizer sums them, g their integer codes, a row each, and haar is
-        their _HaarRows, whose verdict is the block's.  The digest and the
-        total of the codes are those of little-endian int64.  A non-finite
-        float raises ValueError.
+        their _HaarRows, whose verdict and codes' total are the block's.  A
+        non-finite float raises ValueError.
         """
         rows = g.shape[0]
-        codes = np.ascontiguousarray(g, dtype="<i8")
         flags = {name: getattr(haar, name) for name in _HAAR_FLAGS}
         flags["haar_pass"] = flags["pass"] = haar.passed
         values = {
             "index": range(a, a + rows),
-            "quantized_sha256": [sha256(row).hexdigest() for row in codes],
-            "dc_total": codes.sum(axis=1).tolist(),
+            "quantized_sha256": [_digest(row) for row in g],
+            "dc_total": haar.dc_total.tolist(),
             "dc_input": _floats(total / g.shape[-1]),
             **{name: _floats(getattr(haar, name)) for name in _FLOAT_COLUMNS},
             **dict(zip(self.levels, _floats(haar.detail_max.T))),
@@ -540,23 +539,31 @@ class _ReportLayout:
         }
         text = self.join.join([self.entry % row for row in zip(
             *(values[name] for name in self.entry_names))])
-        return self.join + text if a else text
+        return (self.join + text if a else text).encode()
 
-    def add(self, entries: str) -> None:
-        """Keep the text of entries, in order, until the report is written."""
+    def add(self, entries: bytes) -> None:
+        """Keep the entries, in order, until the report is written."""
         self._spill.write(entries)
 
     def write(self, fh, length: int, passed: bool) -> None:
         """Write the report of a run over length input samples, whose
-        blocks' entries were added, to the text stream fh."""
+        blocks' entries were added, to the binary stream fh."""
         if not length:
-            fh.write(self._frame([], 0, passed))
+            fh.write(self._frame([], 0, passed).encode())
             return
         head, tail = self._frame([self.tag], length, passed).split(f'"{self.tag}"')
-        fh.write(head)
+        fh.write(head.encode())
         self._spill.seek(0)
         shutil.copyfileobj(self._spill, fh)
-        fh.write(tail)
+        fh.write(tail.encode())
+
+
+def _digest(codes) -> str:
+    """The SHA-256 of integer codes as little-endian int64, a chunk at a time."""
+    h = sha256()
+    for a in range(0, codes.size, CHUNK_SAMPLES):
+        h.update(codes[a : a + CHUNK_SAMPLES].astype("<i8"))
+    return h.hexdigest()
 
 
 def _floats(column):
@@ -780,9 +787,9 @@ def _int_lines(values) -> np.ndarray:
     return rows
 
 
-def _text(rows) -> str:
-    """The text of a NUL-padded byte matrix, row after row, without its NULs."""
-    return str(rows[rows != 0], "ascii")
+def _text(rows) -> bytes:
+    """The bytes of a NUL-padded byte matrix, row after row, without its NULs."""
+    return rows[rows != 0].tobytes()
 
 
 class _Outputs:
@@ -794,8 +801,8 @@ class _Outputs:
     it raises, they are all removed, so a failed run leaves no output
     file, and an output may replace the input it was made from.  Two
     outputs that resolve to one file are refused.  Path '-' is standard
-    output, written as the data is made.  A device or a pipe is written
-    in place.
+    output's buffer, written as the data is made.  A device or a pipe is
+    written in place.
     """
 
     def __init__(self):
@@ -814,9 +821,9 @@ class _Outputs:
                 Path(tmp).unlink(missing_ok=True)
 
     @contextlib.contextmanager
-    def open(self, path: str, binary: bool):
+    def open(self, path: str):
         if path == "-":
-            yield sys.stdout.buffer if binary else sys.stdout
+            yield sys.stdout.buffer
             return
         # A symbolic link keeps pointing at the file it names, and what is
         # not a regular file, such as a device or a pipe, is written in place.
@@ -826,27 +833,25 @@ class _Outputs:
             raise ValueError(f"two outputs name one file: {path}")
         head, name = os.path.split(target)
         tmp = target if in_place else os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-        mode = ("w" if in_place else "x") + ("b" if binary else "")
-        text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
-        with open(tmp, mode, **text) as fh:
+        with open(tmp, "wb" if in_place else "xb") as fh:
             if not in_place:
                 self._pending[target] = tmp
             yield fh
 
 
 @contextlib.contextmanager
-def _opened(out, binary: bool):
-    """out itself when it is an open stream; else a stream to the file at
-    path out, which replaces it only once it is written whole."""
+def _opened(out):
+    """out itself when it is an open binary stream; else a stream to the
+    file at path out, which replaces it only once it is written whole."""
     if isinstance(out, (str, os.PathLike)):
-        with _Outputs() as outputs, outputs.open(os.fspath(out), binary) as fh:
+        with _Outputs() as outputs, outputs.open(os.fspath(out)) as fh:
             yield fh
     else:
         yield out
 
 
 def _encoded(values, format: str):
-    """values as write_values writes them: float64 for raw, else text."""
+    """values as write_values writes them: float64 for raw, else CSV bytes."""
     arr = np.asarray(values)
     if format == "raw_f64_le":
         return arr.astype("<f8", copy=False)
@@ -862,24 +867,17 @@ def write_values(out, values: np.ndarray, format: str = "csv") -> None:
     """Write samples in the given format; integer arrays render as integers.
 
     out is a path ('-' for stdout), whose file is replaced only once
-    written whole, or an open stream to append to (binary for raw, text
-    for CSV), which takes a long output one chunk at a time.
+    written whole, or an open binary stream to append to, which takes a
+    long output one chunk at a time.
     """
     if format not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     data = _encoded(values, format)
-    with _opened(out, format == "raw_f64_le") as fh:
+    with _opened(out) as fh:
         fh.write(data)
 
 
-_SPECTRUM_HEADER = "xi,measured,bound_exact,bound_linear,baseline_bound\n"
-
-
-def _temporary_text():
-    """An unnamed temporary file in the temp directory, for text that waits
-    there while a stream is written: a report's entries, or a spectrum's
-    rows xi.  It is removed when closed."""
-    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n")
+_SPECTRUM_HEADER = b"xi,measured,bound_exact,bound_linear,baseline_bound\n"
 
 
 def _format_spectrum_rows(lo, measured, exact, linear):
@@ -909,7 +907,7 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     """One row per frequency, ascending, with measured error and envelopes.
 
     out is a path ('-' for stdout), whose file is replaced only once
-    written whole, or an open text stream to append to.  Every column of
+    written whole, or an open binary stream to append to.  Every column of
     a spectrum table is even in xi, so each |xi| is formatted once: its
     row xi, prefixed with '-', is the row -xi.  The table is formatted
     in chunks of CHUNK_SAMPLES // 8 values of |xi|, from the highest |xi|
@@ -931,7 +929,7 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
     step = CHUNK_SAMPLES // 8  # values of |xi| per chunk, two rows each
 
     def chunk_texts(lo, hi):
-        """The text of the rows xi = lo .. hi - 1 but 0, and of the rows
+        """The bytes of the rows xi = lo .. hi - 1 but 0, and of the rows
         -xi among them, highest |xi| first, with the row 0 last."""
         rows = _format_spectrum_rows(lo, *(c[lo:hi] for c in columns))
         a, b = int(lo == 0), last_negative + 1 - lo
@@ -941,12 +939,12 @@ def write_spectrum_csv(table: NoiseBoundTable, out) -> None:
 
     bounds = ((max(0, hi - step), hi) for hi in range(columns[0].size, 0, -step))
     with (
-        _opened(out, binary=False) as fh,
-        _temporary_text() as spill,
+        _opened(out) as fh,
+        tempfile.TemporaryFile() as spill,
         contextlib.closing(_in_order(chunk_texts, bounds, spare=1)) as chunks,
     ):
         fh.write(_SPECTRUM_HEADER)
-        ends = [0]  # where each chunk's rows xi end in the spill, which is ASCII
+        ends = [0]  # where each chunk's rows xi end in the spill
         for positive, negative in chunks:
             spill.write(positive)
             ends.append(spill.tell())

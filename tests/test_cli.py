@@ -1,4 +1,6 @@
 import functools
+import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -52,6 +54,16 @@ def write_csv(path, values):
 
 def read_int_csv(path):
     return [int(line) for line in path.read_text().splitlines()]
+
+
+def run_with_wide_stdout(monkeypatch, argv):
+    """main(argv)'s exit code and the bytes it wrote to stdout, with
+    sys.stdout a UTF-16 text stream, whose text is not ASCII bytes."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-16")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(argv)
+    stdout.flush()
+    return code, stdout.buffer.getvalue()
 
 
 class TestQuantize:
@@ -589,6 +601,21 @@ class TestSpectrum:
         assert main([*args, "-"]) == 0
         assert capsys.readouterr().out == header
 
+    def test_several_tables_are_refused_a_path_written_in_place(self, tmp_path, capsys):
+        # A table per block goes to a file named after the path, which a
+        # pipe or a device cannot give: the run is refused before any
+        # output is opened, so the pipe needs no reader.
+        src = tmp_path / "in.csv"
+        write_csv(src, [0.25, -0.5, 0.75, 0.125])
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        args = ["spectrum", "--input", str(src), "--output"]
+        assert main([*args, str(fifo), "--block-exp", "1"]) == 2
+        assert str(fifo) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.fifo"]
+        # One table still goes to a device in place.
+        assert main([*args, os.devnull, "--block-exp", "2"]) == 0
+
 
 class TestBasis:
     def test_time_domain_dump(self, capsys):
@@ -869,6 +896,34 @@ class TestDeterminism:
             reps.append(rep.read_bytes())
         assert outs[0] == outs[1]
         assert reps[0] == reps[1]
+
+    def test_stdout_bytes_do_not_depend_on_its_encoding(self, tmp_path, monkeypatch):
+        # Every output goes to stdout's buffer, so '-' takes the bytes that
+        # a file takes, whatever Python's I/O encoding.
+        src = tmp_path / "in.csv"
+        write_csv(src, np.random.default_rng(73).uniform(-2.0, 2.0, 8))
+        inputs = ["--input", str(src), "--block-exp", "2"]
+        basis = ["basis", "--block-exp", "3", "--level", "2", "--position", "1"]
+        cases = [  # argv, its output flags, the files they write when named out0, out1
+            (["quantize", *inputs], ["--output", "--report"], ["out0", "out1"]),
+            (["spectrum", *inputs], ["--output"], ["out0.block0000", "out0.block0001"]),
+            (basis, ["--output"], ["out0"]),
+            ([*basis, "--fourier"], ["--output"], ["out0"]),
+            (["verify", *inputs], ["--report"], ["out0"]),
+        ]
+        for i, (argv, flags, files) in enumerate(cases):
+            d = tmp_path / str(i)
+            d.mkdir()
+            paths = [str(d / f"out{k}") for k in range(len(flags))]
+            code, verdict = run_with_wide_stdout(
+                monkeypatch, [*argv, *itertools.chain(*zip(flags, paths))])
+            assert code == 0
+            assert verdict == (b"verify: PASS (2 blocks)\n" if argv[0] == "verify" else b"")
+            expected = b"".join((d / name).read_bytes() for name in files) + verdict
+            code, out = run_with_wide_stdout(
+                monkeypatch, [*argv, *itertools.chain(*((flag, "-") for flag in flags))])
+            assert code == 0
+            assert out == expected, argv
 
 
 class TestReportContents:

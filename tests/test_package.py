@@ -88,3 +88,60 @@ def test_every_import_is_read():
                     for node in ast.walk(stmt.value) if isinstance(node, ast.Constant)}
         unread += [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
     assert unread == []
+
+
+# The mode argument of each call that opens a file, and the mode when it is
+# not given: open's is text, the temporary files' binary.
+OPENERS = {"open": (1, "r"), "tempfile.TemporaryFile": (0, "w+b"),
+           "tempfile.NamedTemporaryFile": (0, "w+b"),
+           "tempfile.SpooledTemporaryFile": (1, "w+b")}
+
+
+def called_name(call) -> str:
+    """A call's function as `name` or `module.name`, else ''."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return ""
+
+
+def mode_texts(node) -> list[str]:
+    """The texts a mode expression may take: a constant's, or each branch
+    of a conditional's; '' for any other expression, which is not known."""
+    if isinstance(node, ast.IfExp):
+        return mode_texts(node.body) + mode_texts(node.orelse)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return [""]
+
+
+def test_every_output_is_bytes():
+    # A text stream's encoding and newline would make an output's bytes
+    # depend on the streams Python was given: every file is opened binary,
+    # stdout is written through its buffer, and print goes to stderr only.
+    found = []
+    for path in Path(haarq.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.stem}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call) and called_name(node) in OPENERS:
+                at, default = OPENERS[called_name(node)]
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            node.args[at] if len(node.args) > at else ast.Constant(default))
+                if not all("b" in text for text in mode_texts(mode)):
+                    found.append(f"{where}: {called_name(node)} in text mode")
+            elif isinstance(node, ast.Call) and called_name(node) == "print":
+                file = next((k.value for k in node.keywords if k.arg == "file"), None)
+                if not (file is not None and ast.unparse(file) == "sys.stderr"):
+                    found.append(f"{where}: print to stdout")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+                parent = parents[node]
+                if not (isinstance(parent, ast.Attribute) and parent.attr == "buffer"):
+                    found.append(f"{where}: sys.stdout without .buffer")
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                found += [f"{where}: sys.stdout imported" for a in node.names
+                          if a.name == "stdout"]
+    assert found == []

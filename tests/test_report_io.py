@@ -4,8 +4,10 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
+from hashlib import sha256
 from unittest import mock
 
 import numpy as np
@@ -28,7 +30,7 @@ from haarq import (
     write_values,
 )
 from haarq.cli import main
-from haarq.quantizer import _check_pair_budget, _haar_error_rows
+from haarq.quantizer import _check_pair_budget, _haar_error_rows, _quantize_rows
 from haarq.report_io import CHUNK_SAMPLES, _ReportLayout, _float_texts
 
 from oracles import quantize_per_block, report_reference, spectrum_csv_reference
@@ -496,7 +498,7 @@ class TestFloatTexts:
         n = 12
         f = Signal(make_grid(n), np.random.default_rng(4512).normal(0.0, 300.0, 1 << n))
         table = spectrum_error(f, quantize_haar_optimal(f)[0])
-        write_spectrum_csv(table, io.StringIO())
+        write_spectrum_csv(table, io.BytesIO())
         assert reprs == [2.0 ** -(n + 1), 2.0 ** -(n + 1), 0.5]
         assert table.bound_exact_half[1 << (n - 1)] == 0.5
 
@@ -537,7 +539,7 @@ class TestIntegerCsv:
 
     def test_chunks_append_and_the_empty_chunk_writes_nothing(self, tmp_path):
         p = tmp_path / "codes.csv"
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
+        with open(p, "wb") as fh:
             write_values(fh, np.array([3, -4], dtype=np.int64), "csv")
             write_values(fh, np.array([], dtype=np.int64), "csv")
             write_values(fh, np.array([5], dtype=np.int64), "csv")
@@ -558,14 +560,34 @@ class TestReportLayout:
         f = np.concatenate([values, np.zeros(3)]).reshape(-1, 4)
         g = np.concatenate([codes, np.zeros(3, dtype=np.int64)]).reshape(-1, 4)
         total = _check_pair_budget(f, g)
-        out = io.StringIO()
+        out = io.BytesIO()
         with _ReportLayout(config, n) as layout:
             layout.add(layout.entries(0, total[:2], g[:2], _haar_error_rows(f[:2], g[:2])))
             layout.add(layout.entries(2, total[2:], g[2:], _haar_error_rows(f[2:], g[2:])))
             layout.write(out, 17, False)
-        assert out.getvalue() == report_reference(values, n, config, codes)
+        assert out.getvalue() == report_reference(values, n, config, codes).encode()
         assert [b["pass"] for b in json.loads(out.getvalue())["blocks"]] == [
             True, False, True, True, True]
+
+    def test_a_large_block_is_not_copied_for_its_entry(self):
+        # The codes are hashed as int64 CHUNK_SAMPLES at a time, and their
+        # total is the one the measurement took: an int64 copy of the
+        # whole block took 1.0 times its bytes.
+        n = 20
+        f = np.random.default_rng(79).normal(0.0, 300.0, (1, 1 << n))
+        g, total = _quantize_rows(f, "toward_negative")
+        haar = _haar_error_rows(f, g)
+        layout = _ReportLayout({}, n)
+        tracemalloc.start()
+        try:
+            entry = layout.entries(0, total, g, haar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * g.nbytes
+        codes = g.astype("<i8")
+        assert f'"{sha256(codes).hexdigest()}"'.encode() in entry
+        assert f'"dc_total": {codes.sum()},'.encode() in entry
 
 
 class TestDumpsCanonical:
@@ -728,10 +750,11 @@ class TestSpectrumCsvAgainstReference:
     def test_readable_stream_holding_text(self, tmp_path, n):
         _, table, expected = spectrum_case(n)
         p = tmp_path / "spec.csv"
-        with open(p, "w+", encoding="utf-8") as fh:
-            fh.write("# before\n")
+        with open(p, "w+b") as fh:
+            fh.write(b"# before\n")
             write_spectrum_csv(table, fh)
-            fh.write("# after\n")
+            fh.write(b"# after\n")
+            # The writer never reads its output back.
             assert fh.tell() == len(expected) + 17
         assert p.read_text() == "# before\n" + expected + "# after\n"
 
@@ -739,25 +762,23 @@ class TestSpectrumCsvAgainstReference:
     def test_write_only_stream(self, tmp_path, n):
         _, table, expected = spectrum_case(n)
         p = tmp_path / "spec.csv"
-        with open(p, "w", encoding="utf-8") as fh:
+        with open(p, "wb") as fh:
             write_spectrum_csv(table, fh)
         assert p.read_text() == expected
 
-    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
-    def test_translated_line_endings_read_back(self, tmp_path, newline):
-        _, table, expected = spectrum_case(16)
-        p = tmp_path / "spec.csv"
-        with open(p, "w+", encoding="utf-8", newline=newline) as fh:
-            write_spectrum_csv(table, fh)
-        assert p.read_bytes() == expected.replace("\n", newline).encode()
-
-    def test_readable_stream_in_a_wide_encoding(self, tmp_path):
-        # Its bytes are not the ASCII text of the rows.
-        _, table, expected = spectrum_case(16)
-        p = tmp_path / "spec.csv"
-        with open(p, "w+", encoding="utf-16") as fh:
-            write_spectrum_csv(table, fh)
-        assert p.read_text(encoding="utf-16") == expected
+    def test_a_text_stream_is_refused_and_left_empty(self, tmp_path):
+        # Every output is bytes; a text stream's newline and encoding would
+        # make the file's bytes depend on how the caller opened it.
+        _, table, _ = spectrum_case(3)
+        p = tmp_path / "out.csv"
+        with open(p, "w+", encoding="utf-8") as fh:
+            with pytest.raises(TypeError):
+                write_spectrum_csv(table, fh)
+            for values, fmt in [(np.array([1, 2]), "csv"), (np.array([0.5]), "csv"),
+                                (np.array([0.5]), "raw_f64_le")]:
+                with pytest.raises(TypeError):
+                    write_values(fh, values, fmt)
+        assert p.read_bytes() == b""
 
 
 class TestOutputs:
@@ -768,6 +789,6 @@ class TestOutputs:
         with pytest.raises(ValueError, match="two outputs name one file: .*out0.csv"):
             with report_io._Outputs() as outputs:
                 for path in [*paths, f"{tmp_path}/./out0.csv"]:
-                    with outputs.open(path, binary=False) as fh:
-                        fh.write("1\n")
+                    with outputs.open(path) as fh:
+                        fh.write(b"1\n")
         assert list(tmp_path.iterdir()) == []
