@@ -16,9 +16,12 @@ depends on the block size and the number of CPUs, not on the input
 length: `--report` entries, encoded where they are computed, wait in an
 unnamed temporary file until the input has ended and the report's head,
 which gives the block count, can be written.
-verify --quantized reads its two inputs in step, and refuses --baseline
-and --tie-break, which could not act on the codes it is given, and '-'
-for both inputs; spectrum refuses several tables for a pipe or device.
+quantize and verify share one pass, _measure: verify without --quantized
+is quantize --report with no codes written, and writes the same report.
+verify --quantized reads its two inputs in step and refuses '-' for both,
+and --baseline and --tie-break, which could not act on the codes it is
+given, so its report's config names neither.  spectrum refuses several
+tables for a pipe or device.
 Every output is bytes, each file, the report too, written to a temporary
 file beside it, all renamed into place once the run succeeds: a run that
 fails leaves no output file, and two outputs naming one file are refused.
@@ -147,14 +150,16 @@ def _tie_break(args) -> str:
 
 
 def _config_echo(args) -> dict:
-    return {
-        "baseline": bool(args.baseline),
+    config = {
         "block_exponent": args.block_exp,
         "format": _FORMAT_BY_FLAG[args.format],
         "pad_policy": args.pad_policy,
         "scale_delta": float(args.delta),
-        "tie_break": _tie_break(args),
     }
+    # Codes given to verify --quantized were made by settings it cannot know.
+    if not getattr(args, "quantized", None):
+        config.update(baseline=bool(args.baseline), tie_break=_tie_break(args))
+    return config
 
 
 def _quantize_chunk(f: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
@@ -166,35 +171,42 @@ def _quantize_chunk(f: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
     return _quantize_rows(f, tie_break)
 
 
-def cmd_quantize(args) -> int:
-    # The spec checks N before the layout, whose size grows as 2**N, is made.
-    spec = _input_spec(args)
+def _measure(args, chunks, output=None) -> tuple[int, bool]:
+    """One streaming pass: quantize each chunk, or take the codes that
+    _with_codes pairs with it, write the codes to output when it is named,
+    and decide the blocks when a report is asked for or no output is named;
+    then write the report.  Returns the input length and the verdict, which
+    is True when no block was decided."""
     layout = _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
+    decide = layout is not None or output is None
 
-    def compute(a, f, valid):
-        g, total = _quantize_chunk(f, args)
-        entries, passed = b"", True
-        if layout is not None:
+    def compute(a, f, valid, g=None):
+        g, total = _quantize_chunk(f, args) if g is None else (g, _check_pair_budget(f, g))
+        data, entries, passed = b"", b"", True
+        if decide:
             haar = _haar_error_rows(f, g)
-            entries = layout.entries(a, total, g, haar)
             passed = bool(haar.passed.all())
-        codes = g.reshape(-1)[:valid]
-        # Raw codes are written as they are; CSV ones are encoded here, off
-        # the writing thread.
-        data = codes.astype("<f8", copy=False) if args.format == "raw" else _text(_int_lines(codes))
+            if layout is not None:
+                entries = layout.entries(a, total, g, haar)
+        if output is not None:
+            # Raw codes are written as they are; CSV ones are encoded here, off
+            # the writing thread.
+            codes = g.reshape(-1)[:valid]
+            data = codes.astype("<f8", copy=False) if args.format == "raw" else _text(_int_lines(codes))
         return data, valid, entries, passed
 
     length, passed = 0, True
     with (
         layout or contextlib.nullcontext(),
         _Outputs() as outputs,
-        outputs.open(args.output) as out,
         # Opened before any input is read, so one file named twice is refused first.
+        outputs.open(output) if output is not None else contextlib.nullcontext() as out,
         outputs.open(args.report) if layout else contextlib.nullcontext() as fh,
-        contextlib.closing(_in_order(compute, read_signal(spec))) as chunks,
+        contextlib.closing(_in_order(compute, chunks)) as measured,
     ):
-        for data, valid, entries, chunk_passed in chunks:
-            out.write(data)
+        for data, valid, entries, chunk_passed in measured:
+            if out is not None:
+                out.write(data)
             if layout is not None:
                 layout.add(entries)
             length += valid
@@ -202,6 +214,12 @@ def cmd_quantize(args) -> int:
             del data  # written: not held while the next chunk is awaited
         if layout is not None:
             layout.write(fh, length, passed)
+    return length, passed
+
+
+def cmd_quantize(args) -> int:
+    # The spec checks N before the layout, whose size grows as 2**N, is made.
+    _, passed = _measure(args, read_signal(_input_spec(args)), args.output)
     # Without --report no block was measured, and no block fails.
     return 0 if passed else 1
 
@@ -232,31 +250,9 @@ def cmd_verify(args) -> int:
     if args.quantized == "-" and args.input == "-":
         raise ValueError("--input and --quantized cannot both read stdin")
     chunks = read_signal(_input_spec(args))
-    if args.quantized:
-        chunks = _with_codes(chunks, args)
-    layout = _ReportLayout(_config_echo(args), args.block_exp) if args.report else None
-
-    def compute(a, f, valid, g=None):
-        g, total = _quantize_chunk(f, args) if g is None else (g, _check_pair_budget(f, g))
-        haar = _haar_error_rows(f, g)
-        entries = layout.entries(a, total, g, haar) if layout is not None else b""
-        return valid, f.shape[0], bool(haar.passed.all()), entries
-
-    length, count, passed = 0, 0, True
-    with (
-        layout or contextlib.nullcontext(),
-        _Outputs() as outputs,
-        outputs.open(args.report) if layout else contextlib.nullcontext() as fh,
-        contextlib.closing(_in_order(compute, chunks)) as measured,
-    ):
-        for valid, rows, chunk_passed, entries in measured:
-            if layout is not None:
-                layout.add(entries)
-            length += valid
-            count += rows
-            passed &= chunk_passed
-        if layout is not None:
-            layout.write(fh, length, passed)
+    length, passed = _measure(args, _with_codes(chunks, args) if args.quantized else chunks)
+    # The report's block_count: a partial last block is padded, or refused.
+    count = -(-length // 2**args.block_exp)
     sys.stdout.buffer.write(f"verify: {'PASS' if passed else 'FAIL'} ({count} blocks)\n".encode())
     return 0 if passed else 1
 

@@ -398,6 +398,7 @@ def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) 
     # Samples on a grid make exact residuals, whose totals below the bound are exact.
     exact = functools.cache(lambda: _on_grid(f, f.shape[-1] * (sup_error.max() + 1.0)))
     detail_max = np.empty((f.shape[0], n))
+    scale = _haar_bounds(n)[1]  # level k's scale is its bound, the unscaled bound being 1
     details_ok = np.ones(f.shape[0], dtype=bool)
     for k in range(n, 0, -1):
         err = v[:, 1::2] - v[:, 0::2]
@@ -409,7 +410,7 @@ def _haar_error_rows(f: np.ndarray, g: np.ndarray, r: np.ndarray | None = None) 
         v = v[:, 0::2] + v[:, 1::2]
         # Rounding keeps the order of the products by a positive scale, so
         # the scaled maximum is the maximum of the scaled errors, bit for bit.
-        detail_max[:, k - 1] = worst * np.exp2(-n + 0.5 * (k - 1))
+        detail_max[:, k - 1] = worst * scale[k - 1]
     total = np.abs(v)
     dc_ok = _certified(total, total[:, 0], 0.5, _radius(n, sup_error), f, g, False, exact)
     return _HaarRows(
@@ -437,8 +438,8 @@ def verify_haar_bounds(f: Signal, g: QuantizedSignal) -> HaarErrorReport:
     dc_bound, detail_bounds, sup_bound = _haar_bounds(f.n_exponent)
     # Each level's errors, scaled as _haar_error_rows scales their maxima.
     levels = _pairwise_levels(_residual(f.values, g.values))[1:]
-    detail_errors = tuple(_readonly(np.abs(v[1::2] - v[0::2]) * np.exp2(-f.n_exponent + 0.5 * k))
-                          for k, v in enumerate(levels))
+    detail_errors = tuple(_readonly(np.abs(v[1::2] - v[0::2]) * bound)
+                          for v, bound in zip(levels, detail_bounds))
     columns = ("dc_quantized", "dc_error", "sup_error", "dc_ok", "details_ok")
     return HaarErrorReport(
         n_exponent=f.n_exponent,

@@ -1023,9 +1023,32 @@ class TestReportBytes:
         q.write_text("".join(f"{c}\n" for c in codes.tolist()))
         code, text = self.run(tmp_path, values, "verify", n, "--quantized", str(q))
         assert code == 1
-        expected = report_reference(values, n, self.config(n), codes=codes)
+        # Codes made elsewhere: the config names no quantizer setting.
+        config = self.config(n)
+        del config["baseline"], config["tie_break"]
+        expected = report_reference(values, n, config, codes=codes)
         assert text == expected
         assert [b["pass"] for b in json.loads(text)["blocks"]].count(False) == 1
+
+    def test_a_quantized_report_names_no_quantizer_setting(self, tmp_path, capsys):
+        # Codes made under --tie-break up pass verify --quantized, which
+        # cannot know how they were made, so its config names neither
+        # --baseline nor --tie-break; quantize's report still names both.
+        src, q, rep = tmp_path / "in.csv", tmp_path / "q.csv", tmp_path / "q.json"
+        write_csv(src, [0.5, 0.5, 1.5, -0.5])
+        assert main(["quantize", "--block-exp", "2", "--tie-break", "up", "--input", str(src),
+                     "--output", str(q), "--report", str(rep)]) == 0
+        assert read_int_csv(q) == [0, 1, 1, 0]
+        config = json.loads(rep.read_text())["config"]
+        assert (config["baseline"], config["tie_break"]) == (False, "toward_positive")
+        assert main(["verify", "--block-exp", "2", "--input", str(src), "--quantized", str(q),
+                     "--report", "-"]) == 0
+        report, verdict, rest = capsys.readouterr().out.partition("verify: PASS (1 blocks)\n")
+        assert (verdict, rest) == ("verify: PASS (1 blocks)\n", "")
+        assert json.loads(report)["config"] == {
+            "block_exponent": 2, "format": "csv", "pad_policy": "zero_pad_last",
+            "scale_delta": 1.0,
+        }
 
     @pytest.mark.parametrize("command", ["quantize", "verify"])
     @pytest.mark.parametrize("tie", sorted(TIES))
@@ -1083,6 +1106,39 @@ class TestReportBytes:
             assert json.loads(text)["block_count"] == blocks
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+
+class TestVerifyIsQuantizeReport:
+    """verify without --quantized makes quantize --report's pass without
+    writing the codes: for the same input and flags both write the same
+    report bytes, and verify's block count is the report's block_count."""
+
+    @pytest.mark.parametrize("fmt, n, length, flags, code", [
+        ("csv", 3, 32, [], 0),
+        ("raw", 3, 32, [], 0),
+        ("csv", 3, 32, ["--tie-break", "up"], 0),
+        ("raw", 5, 96, ["--baseline"], 1),
+        ("csv", 5, 96, ["--baseline", "--tie-break", "up"], 1),
+        ("raw", 4, 37, [], 0),  # a partial last block
+        ("csv", 3, 0, [], 0),
+        ("raw", 3, 0, [], 0),
+    ])
+    def test_the_reports_are_one(self, tmp_path, capsys, fmt, n, length, flags, code):
+        # Half-integers, so that every split is a tie and the tie rule acts.
+        values = np.random.default_rng(2000 + length).integers(-80, 80, length) + 0.5
+        src = tmp_path / f"in.{fmt}"
+        (write_raw if fmt == "raw" else write_csv)(src, values)
+        argv = ["--format", fmt, "--block-exp", str(n), "--input", str(src), *flags]
+        assert main(["quantize", *argv, "--output", str(tmp_path / f"out.{fmt}"),
+                     "--report", str(tmp_path / "q.json")]) == code
+        capsys.readouterr()
+        assert main(["verify", *argv, "--report", str(tmp_path / "v.json")]) == code
+        report = (tmp_path / "v.json").read_bytes()
+        assert report == (tmp_path / "q.json").read_bytes()
+        count = json.loads(report)["block_count"]
+        assert count == -(-length // (1 << n))
+        verdict = "PASS" if code == 0 else "FAIL"
+        assert capsys.readouterr().out == f"verify: {verdict} ({count} blocks)\n"
 
 
 class TestStreaming:

@@ -1,17 +1,19 @@
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import haarq
 from haarq import haar, quantizer, report_io, spectral
+from haarq.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_section() -> str:
-    """The README's `## Library` section, up to the next `## ` heading."""
+def readme_section(title: str) -> str:
+    """The README's `## title` section, up to the next `## ` heading."""
     text = README.read_text(encoding="utf-8")
-    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_every_public_name_resolves():
@@ -32,7 +34,7 @@ def test_public_names_are_the_submodules():
 
 def test_readme_library_example_runs():
     # The documented API is the one the package exports.
-    example = re.match(r"\s*```python\n(.*?)^```", library_section(), re.S | re.M)
+    example = re.match(r"\s*```python\n(.*?)^```", readme_section("Library"), re.S | re.M)
     assert example is not None
     exec(compile(example[1], f"{README}:Library", "exec"), {})
 
@@ -40,8 +42,20 @@ def test_readme_library_example_runs():
 def test_readme_documents_every_public_name():
     # A public name that the Library section does not mention is either
     # undocumented or has no reason to be public.
-    library = library_section()
+    library = readme_section("Library")
     assert [name for name in haarq.__all__ if not re.search(rf"\b{name}\b", library)] == []
+
+
+def test_readme_documents_every_long_option():
+    # An option that the CLI section does not mention is undocumented.
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {option for parser in commands.values() for action in parser._actions
+               for option in action.option_strings if option.startswith("--")}
+    options.discard("--help")
+    cli = readme_section("CLI")
+    assert {"--input", "--quantized", "--output", "--fourier"} <= options
+    assert sorted(o for o in options if not re.search(rf"{o}(?![\w-])", cli)) == []
 
 
 def private_names(node) -> list[str]:
